@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import DataError, FarfieldError, ParameterError
@@ -208,9 +208,13 @@ def _build(cls, kwargs: dict, context: str):
         raise DataError(f"{context}: {exc}") from exc
 
 
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
 def parse_stft_config(obj, context: str = "stft") -> StftParams:
     d = _mapping(obj, context)
-    _reject_unknown(d, ("frame_length", "frame_shift", "fft_size", "window"), context)
+    _reject_unknown(d, _field_names(StftParams), context)
     return _build(StftParams, d, context)
 
 
@@ -218,9 +222,7 @@ def parse_wpe_config(obj, context: str = "wpe") -> WpeConfig | None:
     if obj is None:
         return None
     d = _mapping(obj, context)
-    _reject_unknown(
-        d, ("taps", "delay", "iterations", "psd_floor", "diagonal_loading"), context
-    )
+    _reject_unknown(d, _field_names(WpeConfig), context)
     return _build(WpeConfig, d, context)
 
 
@@ -236,8 +238,13 @@ class ScoringConfig:
 
 def parse_scoring_config(obj, context: str = "scoring") -> ScoringConfig:
     d = _mapping(obj, context)
-    _reject_unknown(d, ("collar_s", "score_overlap"), context)
+    _reject_unknown(d, _field_names(ScoringConfig), context)
     return _build(ScoringConfig, d, context)
+
+
+# GssConfig fields at the top level of the JSON layout; the rest sit under "gss"
+_GSS_TOP_LEVEL = ("seed", "stft", "wpe")
+_GSS_NESTED = tuple(n for n in _field_names(GssConfig) if n not in _GSS_TOP_LEVEL)
 
 
 @dataclass(frozen=True)
@@ -248,50 +255,28 @@ class PipelineConfig:
     scoring: ScoringConfig = ScoringConfig()
 
     def describe(self) -> dict:
-        """JSON-ready serialization, used for provenance and hashing."""
+        """JSON-ready serialization, used for provenance and hashing.
+
+        Built from the dataclass fields, so every field is fingerprinted
+        and :func:`parse_pipeline_config` reads the result back.
+        """
         g = self.gss
-        wpe_part = None
-        if g.wpe is not None:
-            wpe_part = {
-                "taps": g.wpe.taps,
-                "delay": g.wpe.delay,
-                "iterations": g.wpe.iterations,
-                "psd_floor": g.wpe.psd_floor,
-                "diagonal_loading": g.wpe.diagonal_loading,
-            }
         return {
             "seed": g.seed,
-            "stft": {
-                "frame_length": g.stft.frame_length,
-                "frame_shift": g.stft.frame_shift,
-                "fft_size": g.stft.fft_size,
-                "window": g.stft.window,
-            },
-            "wpe": wpe_part,
-            "gss": {
-                "em_iterations": g.em_iterations,
-                "context_s": g.context_s,
-                "masking_postfilter": g.masking_postfilter,
-                "mask_floor": g.mask_floor,
-            },
-            "scoring": {
-                "collar_s": self.scoring.collar_s,
-                "score_overlap": self.scoring.score_overlap,
-            },
+            "stft": asdict(g.stft),
+            "wpe": None if g.wpe is None else asdict(g.wpe),
+            "gss": {name: getattr(g, name) for name in _GSS_NESTED},
+            "scoring": asdict(self.scoring),
         }
 
 
 def parse_pipeline_config(obj, context: str = "config") -> PipelineConfig:
     d = _mapping(obj, context)
-    _reject_unknown(d, ("seed", "stft", "wpe", "gss", "scoring"), context)
+    _reject_unknown(d, _GSS_TOP_LEVEL + _field_names(PipelineConfig), context)
     stft = parse_stft_config(d.get("stft", {}), f"{context}.stft")
     wpe_cfg = parse_wpe_config(d.get("wpe", {}), f"{context}.wpe")
     gss_part = _mapping(d.get("gss", {}), f"{context}.gss")
-    _reject_unknown(
-        gss_part,
-        ("em_iterations", "context_s", "masking_postfilter", "mask_floor"),
-        f"{context}.gss",
-    )
+    _reject_unknown(gss_part, _GSS_NESTED, f"{context}.gss")
     seed = d.get("seed", 0)
     if not isinstance(seed, int):
         raise DataError(f"{context}: seed must be an integer, got {seed!r}")

@@ -16,12 +16,14 @@ return the trimmed time-domain estimate.
 from __future__ import annotations
 
 import logging
+import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, RangeError
+from .errors import DataError, NumericalError, ParameterError, RangeError
+from .linalg import solve_hermitian
 from .metrics import DiarizationSet
 from .signal import ComplexSpectrogram, StftParams, WaveformBuffer, istft, stft
 from .wpe import WpeConfig, wpe
@@ -144,20 +146,24 @@ class BeamformerWeights:
         object.__setattr__(self, "w", w)
 
 
-def _unit_directions(values: np.ndarray):
-    """Normalize bins to unit vectors; returns (z, nonzero mask) over (T, F)."""
+def _direction_products(values: np.ndarray):
+    """Outer products z z^H of the unit-normalized bins, (F, T, C * C) with
+    entry c * C + d = z_c conj(z_d), and the nonzero-norm mask over (T, F)."""
     norm = np.linalg.norm(values, axis=2)
     nonzero = norm > 0.0
     z = np.where(nonzero[:, :, None], values / np.where(nonzero, norm, 1.0)[:, :, None], 0.0)
-    return z, nonzero
+    z = np.transpose(z, (1, 0, 2))  # (F, T, C)
+    outer = z[:, :, :, None] * z[:, :, None, :].conj()
+    return outer.reshape(z.shape[0], z.shape[1], -1), nonzero
 
 
-def _log_densities(z: np.ndarray, b: np.ndarray):
+def _log_densities(outer: np.ndarray, b: np.ndarray):
     """Per-class log densities of unit vectors under the angular Gaussian.
 
     Parameters
     ----------
-    z : ndarray, (frames, bins, channels)
+    outer : ndarray, (bins, frames, channels * channels)
+        Direction outer products from :func:`_direction_products`.
     b : ndarray, (bins, classes, channels, channels)
 
     Returns
@@ -166,25 +172,26 @@ def _log_densities(z: np.ndarray, b: np.ndarray):
         normalizing constant.
     quad : ndarray, (classes, frames, bins), the forms z^H B^{-1} z.
     """
-    n_classes = b.shape[1]
-    c = b.shape[2]
-    log_dens = np.empty((n_classes, z.shape[0], z.shape[1]))
-    quad = np.empty_like(log_dens)
-    for k in range(n_classes):
-        bk = b[:, k]
-        sign, logdet = np.linalg.slogdet(bk)
-        if np.any(sign.real <= 0) or not np.all(np.isfinite(logdet)):
-            raise NumericalError(f"class {k} covariance is not positive definite")
-        binv = np.linalg.inv(bk)  # (F, C, C)
-        q = np.einsum("tfc,fcd,tfd->tf", z.conj(), binv, z).real
-        q = np.maximum(q, 1e-30)  # exact arithmetic guarantees q >= 1/C
-        quad[k] = q
-        log_dens[k] = -logdet[None, :] - c * np.log(q)
+    n_bins, n_classes, c, _ = b.shape
+    sign, logdet = np.linalg.slogdet(b)  # (F, K)
+    bad = (sign.real <= 0) | ~np.isfinite(logdet)
+    if np.any(bad):
+        k = int(np.argmax(bad.any(axis=0)))
+        raise NumericalError(f"class {k} covariance is not positive definite")
+    binv_conj = np.linalg.inv(b).conj().reshape(n_bins, n_classes, c * c)
+    # sum_cd conj(B^-1_cd) z_c conj(z_d) = conj(z^H B^-1 z): same real part
+    quad = (outer @ binv_conj.transpose(0, 2, 1)).real.transpose(2, 1, 0)  # (K, T, F)
+    quad = np.maximum(quad, 1e-30)  # exact arithmetic guarantees q >= 1/C
+    log_dens = -logdet.T[:, None, :] - c * np.log(quad)
     return log_dens, quad
 
 
 def _posterior_from_logits(log_dens, activity, nonzero):
-    """Normalize active-class logits into masks; exact zeros when inactive."""
+    """Normalize active-class logits into masks; exact zeros when inactive.
+
+    Returns the masks (classes, frames, bins) and the log-normalizer
+    log sum_k 1[active] exp(log_dens), shape (frames, bins).
+    """
     neg_inf = -np.inf
     logits = np.where(activity[:, :, None], log_dens, neg_inf)
     top = np.max(logits, axis=0)
@@ -195,7 +202,7 @@ def _posterior_from_logits(log_dens, activity, nonzero):
     n_active = activity.sum(axis=0).astype(np.float64)
     uniform = activity[:, :, None].astype(np.float64) / n_active[None, :, None]
     gamma = np.where(nonzero[None, :, :], gamma, uniform)
-    return gamma
+    return gamma, top + np.log(total)
 
 
 def cacgmm_posteriors(
@@ -209,9 +216,9 @@ def cacgmm_posteriors(
     uniform posterior over the classes active at their frame.
     """
     _check_alignment(spec, activity, state)
-    z, nonzero = _unit_directions(spec.values)
-    log_dens, _ = _log_densities(z, state.B)
-    gamma = _posterior_from_logits(log_dens, activity.active, nonzero)
+    outer, nonzero = _direction_products(spec.values)
+    log_dens, _ = _log_densities(outer, state.B)
+    gamma, _ = _posterior_from_logits(log_dens, activity.active, nonzero)
     return MaskSet(gamma=gamma)
 
 
@@ -230,22 +237,6 @@ def _check_alignment(spec, activity, state):
             )
 
 
-def _average_log_likelihood(log_dens, activity, nonzero, n_ch):
-    """Mean over bins of log sum_k prior_k * density_k, constants included."""
-    from scipy.special import gammaln, logsumexp
-
-    n_active = activity.sum(axis=0).astype(np.float64)
-    logits = np.where(
-        activity[:, :, None], log_dens - np.log(n_active)[None, :, None], -np.inf
-    )
-    ll = logsumexp(logits, axis=0)
-    const = gammaln(n_ch) - n_ch * np.log(np.pi) - np.log(2.0)
-    valid = nonzero  # zero bins have no defined direction, skip them
-    if not np.any(valid):
-        return float(const)
-    return float(np.mean(ll[valid]) + const)
-
-
 def fit_cacgmm(
     spec: ComplexSpectrogram,
     activity: ActivityPattern,
@@ -262,6 +253,14 @@ def fit_cacgmm(
     statistics, trace-normalizes to the channel count, and adds
     1e-10 * C to the diagonal.
 
+    All bins and classes are processed together: the direction outer
+    products z z^H are formed once, and each iteration evaluates the
+    quadratic forms z^H B^{-1} z of every class as one batched matrix
+    product with the conjugated inverses, and the M-step numerators of
+    every class as one batched product of the weights with the outer
+    products. The log-likelihood entry comes from the log-normalizer of
+    the posterior itself, and the final E-step reuses the outer products.
+
     Returns
     -------
     (CacgmmState, MaskSet)
@@ -271,47 +270,46 @@ def fit_cacgmm(
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
     _check_alignment(spec, activity, None)
-    n_frames, n_bins, n_ch = spec.values.shape
-    n_classes = activity.n_classes
+    _, n_bins, n_ch = spec.values.shape
     eps_b = 1e-10 * n_ch
 
     rng = np.random.default_rng(seed)
-    jitter = rng.standard_normal((n_bins, n_classes, n_ch, n_ch)) + 1j * rng.standard_normal(
-        (n_bins, n_classes, n_ch, n_ch)
-    )
+    shape = (n_bins, activity.n_classes, n_ch, n_ch)
+    jitter = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     jitter = jitter @ np.conj(np.swapaxes(jitter, 2, 3))
     jitter *= n_ch / np.trace(jitter, axis1=2, axis2=3).real[:, :, None, None]
     eye = np.eye(n_ch)
     b = (1.0 - _INIT_JITTER) * eye[None, None] + _INIT_JITTER * jitter
 
-    z, nonzero = _unit_directions(spec.values)
+    outer, nonzero = _direction_products(spec.values)
     act = activity.active
     ever_active = act.any(axis=1)
+    # uniform prior over the active classes, plus the density's constant;
+    # zero-norm bins have no direction and no likelihood term
+    log_prior = -np.log(act.sum(axis=0).astype(np.float64))[:, None]
+    const = math.lgamma(n_ch) - n_ch * np.log(np.pi) - np.log(2.0)
+    n_dirs = max(int(nonzero.sum()), 1)
     trace = []
 
     for _ in range(iterations):
-        log_dens, quad = _log_densities(z, b)
-        trace.append(_average_log_likelihood(log_dens, act, nonzero, n_ch))
-        gamma = _posterior_from_logits(log_dens, act, nonzero)
-        # zero-norm bins contribute no direction statistics
-        weights = gamma * nonzero[None, :, :]
-        for k in range(n_classes):
-            if not ever_active[k]:
-                continue  # keeps its initial covariance, masks stay zero
-            wk = weights[k] / quad[k]  # (T, F)
-            denom = weights[k].sum(axis=0)  # (F,)
-            numer = np.einsum("tf,tfc,tfd->fcd", wk, z, z.conj())
-            ok = denom > 0.0
-            bk = b[:, k].copy()
-            bk[ok] = n_ch * numer[ok] / denom[ok, None, None]
-            bk = 0.5 * (bk + np.conj(np.swapaxes(bk, 1, 2)))
-            tr = np.trace(bk, axis1=1, axis2=2).real
-            tr = np.where(tr > 0.0, tr, 1.0)
-            bk = bk * (n_ch / tr)[:, None, None] + eps_b * eye[None]
-            b[:, k] = bk
+        log_dens, quad = _log_densities(outer, b)
+        gamma, log_norm = _posterior_from_logits(log_dens, act, nonzero)
+        trace.append(float(np.sum((log_norm + log_prior)[nonzero]) / n_dirs + const))
+        weights = gamma * nonzero[None, :, :]  # zero-norm bins carry no statistics
+        denom = weights.sum(axis=1).T  # (F, K)
+        numer = ((weights / quad).transpose(2, 0, 1) @ outer).reshape(b.shape)
+        ok = (denom > 0.0) & ever_active
+        new = b.copy()
+        new[ok] = n_ch * numer[ok] / denom[ok][:, None, None]
+        new = 0.5 * (new + np.conj(np.swapaxes(new, 2, 3)))
+        tr = np.trace(new, axis1=2, axis2=3).real
+        tr = np.where(tr > 0.0, tr, 1.0)
+        new = new * (n_ch / tr)[:, :, None, None] + eps_b * eye
+        # never-active classes keep their initial covariance; masks stay zero
+        b = np.where(ever_active[None, :, None, None], new, b)
 
-    state = CacgmmState(B=b, log_likelihood_trace=tuple(trace))
-    return state, cacgmm_posteriors(spec, activity, state)
+    gamma, _ = _posterior_from_logits(_log_densities(outer, b)[0], act, nonzero)
+    return CacgmmState(B=b, log_likelihood_trace=tuple(trace)), MaskSet(gamma=gamma)
 
 
 def spatial_covariance(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndarray:
@@ -334,7 +332,8 @@ def spatial_covariance(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndar
     totals = w.sum(axis=0)
     if np.any(totals <= 0.0):
         raise ParameterError("weights sum to zero in at least one frequency bin")
-    phi = np.einsum("tf,tfc,tfd->fcd", w, spec.values, np.conj(spec.values))
+    x = np.transpose(spec.values, (1, 2, 0))  # (F, C, T)
+    phi = (x * w.T[:, None, :]) @ x.conj().transpose(0, 2, 1)
     return phi / totals[:, None, None]
 
 
@@ -354,6 +353,19 @@ def select_reference_channel(phi_ss: np.ndarray, phi_nn: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
+def _loaded_solve(f: int, nn_f: np.ndarray, ss_f: np.ndarray) -> np.ndarray:
+    """Per-bin MVDR solve; a singular noise covariance is loaded and retried."""
+    try:
+        return np.linalg.solve(nn_f, ss_f)
+    except np.linalg.LinAlgError:
+        n_ch = nn_f.shape[0]
+        load = max(_LOADING_STEP * nn_f.trace().real / n_ch, _TRACE_FLOOR)
+        try:
+            return np.linalg.solve(nn_f + load * np.eye(n_ch), ss_f)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"noise covariance singular in frequency bin {f}") from exc
+
+
 def mvdr_weights(
     phi_ss: np.ndarray,
     phi_nn: np.ndarray,
@@ -362,34 +374,26 @@ def mvdr_weights(
 ) -> BeamformerWeights:
     """Souden MVDR weights from target and noise covariances.
 
-    w_f = (Phi_nn^{-1} Phi_ss u_ref) / max(trace(Phi_nn^{-1} Phi_ss), eps).
-    A singular noise covariance is diagonally loaded once and retried;
-    if it stays singular a numerical error names the bin. Weight vectors
-    longer than ``weight_cap`` are rescaled onto the cap.
+    w_f = (Phi_nn^{-1} Phi_ss u_ref) / max(trace(Phi_nn^{-1} Phi_ss), eps),
+    for all bins in one batched Hermitian solve. If a noise covariance is
+    not positive definite, the bins are solved one by one instead, and a
+    singular one is diagonally loaded once and retried; if it stays
+    singular a numerical error names the bin. Weight vectors longer than
+    ``weight_cap`` are rescaled onto the cap.
     """
     ss = np.asarray(phi_ss, dtype=np.complex128)
     nn = np.asarray(phi_nn, dtype=np.complex128)
     if ss.shape != nn.shape or ss.ndim != 3:
         raise ParameterError(f"covariance stacks must match, got {ss.shape} and {nn.shape}")
-    n_bins, n_ch, _ = ss.shape
+    n_ch = ss.shape[1]
     if reference_channel is None:
         reference_channel = select_reference_channel(ss, nn)
     if not 0 <= reference_channel < n_ch:
         raise ParameterError(f"reference channel {reference_channel} out of range")
 
-    w = np.empty((n_bins, n_ch), dtype=np.complex128)
-    for f in range(n_bins):
-        try:
-            numer = np.linalg.solve(nn[f], ss[f])
-        except np.linalg.LinAlgError:
-            load = max(_LOADING_STEP * nn[f].trace().real / n_ch, _TRACE_FLOOR)
-            try:
-                numer = np.linalg.solve(nn[f] + load * np.eye(n_ch), ss[f])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"noise covariance singular in frequency bin {f}"
-                ) from exc
-        w[f] = numer[:, reference_channel] / max(numer.trace().real, _TRACE_FLOOR)
+    numer = solve_hermitian(nn, ss, _loaded_solve)
+    trace = np.maximum(np.trace(numer, axis1=1, axis2=2).real, _TRACE_FLOOR)
+    w = numer[:, :, reference_channel] / trace[:, None]
 
     norms = np.linalg.norm(w, axis=1)
     over = norms > weight_cap
@@ -519,7 +523,17 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
     dict
         speaker -> list of mono WaveformBuffer, in segment time order
         (the order of :func:`eligible_segments`).
+
+    Raises
+    ------
+    DataError
+        The recording has fewer than 2 channels: the mixture model
+        separates by direction and one channel has none.
     """
+    if wav.channels < 2:
+        raise DataError(
+            f"guided source separation needs at least 2 channels, got {wav.channels}"
+        )
     out: dict = {}
     if not segments.segments:
         return out

@@ -44,7 +44,8 @@ def read_wav(path) -> WaveformBuffer:
     Raises
     ------
     DataError
-        Malformed headers, truncated data, or unsupported encodings.
+        Malformed headers, truncated data, unsupported encodings, or a
+        non-finite (NaN or infinite) float sample.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[0:4] != b"RIFF" or raw[8:12] != b"WAVE":
@@ -98,9 +99,15 @@ def read_wav(path) -> WaveformBuffer:
     if flat.size == 0:
         raise DataError(f"{path}: no audio frames")
     del block_align
-    return WaveformBuffer(
-        samples=flat.reshape(-1, n_ch).T, sample_rate_hz=int(rate)
-    )
+    frames = flat.reshape(-1, n_ch)
+    finite = np.isfinite(frames)
+    if not finite.all():
+        index, channel = np.argwhere(~finite)[0]
+        raise DataError(
+            f"{path}: non-finite sample {frames[index, channel]} in channel {channel} "
+            f"at sample index {index}"
+        )
+    return WaveformBuffer(samples=frames.T, sample_rate_hz=int(rate))
 
 
 def write_wav(path, wav: WaveformBuffer, encoding: str = "pcm16") -> None:

@@ -17,9 +17,11 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import NumericalError, ParameterError
+from .linalg import solve_hermitian
 from .signal import ComplexSpectrogram
 
 DEFAULT_PSD_FLOOR = 1e-10
+_BLOCK_BINS = 8  # frequency bins per WPE block; bounds the working set
 
 
 @dataclass(frozen=True)
@@ -159,6 +161,42 @@ def _solve_hermitian(r: np.ndarray, p: np.ndarray, bin_index: int) -> np.ndarray
         ) from exc
 
 
+def _prediction_filters(
+    r: np.ndarray, p: np.ndarray, diagonal_loading: float, first_bin: int
+) -> np.ndarray:
+    """Filters solving the loaded normal equations of one block of bins.
+
+    Bin ``i`` of the block is frequency bin ``first_bin + i``; the index
+    names the bin if its solve fails. Silent bins (trace <= 0) have
+    nothing to predict and get zero filters.
+    """
+    ck = r.shape[1]
+    trace = np.trace(r, axis1=1, axis2=2).real
+    live = np.flatnonzero(trace > 0.0)
+    loaded = r[live] + (diagonal_loading * trace[live] / ck)[:, None, None] * np.eye(ck)
+    g = np.zeros(p.shape, dtype=np.complex128)
+    g[live] = solve_hermitian(
+        loaded, p[live], lambda i, ri, pi: _solve_hermitian(ri, pi, first_bin + live[i])
+    )
+    return g
+
+
+def _wpe_block(x: np.ndarray, cfg: WpeConfig, first_bin: int) -> np.ndarray:
+    """All WPE iterations on one block of bins, x of shape (bins, C, T)."""
+    history = _stack_history(x, cfg.taps, cfg.delay)  # (B, CK, T)
+    history_h = history.conj().transpose(0, 2, 1)  # (B, T, CK)
+    x_h = x.conj().transpose(0, 2, 1)  # (B, T, C)
+    y = x
+    for _ in range(cfg.iterations):
+        lam = np.maximum(np.mean(np.abs(y) ** 2, axis=1), cfg.psd_floor)  # (B, T)
+        weighted = history * (1.0 / lam)[:, None, :]
+        g = _prediction_filters(
+            weighted @ history_h, weighted @ x_h, cfg.diagonal_loading, first_bin
+        )
+        y = x - g.conj().transpose(0, 2, 1) @ history
+    return y
+
+
 def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectrogram:
     """Dereverberate a multichannel spectrogram.
 
@@ -169,13 +207,23 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
     the prediction filters, and subtract the prediction. The output has
     the same shape as the input.
 
+    Bins are independent, so the computation runs on blocks of
+    ``_BLOCK_BINS`` bins at a time, which bounds the working set by the
+    block instead of by bins x channels x taps x frames. Within a block
+    the correlations are batched matrix products and the filters come
+    from one batched Hermitian solve (:func:`~farfield.linalg.solve_hermitian`);
+    only if a block has a matrix that is not numerically positive
+    definite are its bins solved one by one, Cholesky first and pivoted
+    LDL after.
+
     Raises
     ------
     ParameterError
         Too few frames to estimate filters (needs frames - delay >=
         channels * taps and frames > delay + taps).
     NumericalError
-        A correlation matrix was singular despite loading.
+        A correlation matrix was singular despite loading; the message
+        names the frequency bin.
     """
     n_frames, n_bins, n_ch = spec.values.shape
     ck = n_ch * cfg.taps
@@ -186,24 +234,9 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
         )
 
     x = np.ascontiguousarray(np.transpose(spec.values, (1, 2, 0)))  # (F, C, T)
-    history = _stack_history(x, cfg.taps, cfg.delay)  # (F, CK, T)
-    y = x
-
-    for _ in range(cfg.iterations):
-        lam = np.maximum(np.mean(np.abs(y) ** 2, axis=1), cfg.psd_floor)  # (F, T)
-        weighted = history / lam[:, None, :]
-        r = np.einsum("fit,fjt->fij", weighted, history.conj())
-        p = np.einsum("fit,fjt->fij", weighted, x.conj())
-
-        g = np.empty((n_bins, ck, n_ch), dtype=np.complex128)
-        for f in range(n_bins):
-            trace = r[f].trace().real
-            if trace <= 0.0:  # silent bin, nothing to predict
-                g[f] = 0.0
-                continue
-            rf = r[f] + (cfg.diagonal_loading * trace / ck) * np.eye(ck)
-            g[f] = _solve_hermitian(rf, p[f], f)
-        y = x - np.einsum("fic,fit->fct", g.conj(), history)
+    y = np.empty_like(x)
+    for lo in range(0, n_bins, _BLOCK_BINS):
+        y[lo : lo + _BLOCK_BINS] = _wpe_block(x[lo : lo + _BLOCK_BINS], cfg, lo)
 
     return ComplexSpectrogram(
         values=np.transpose(y, (2, 0, 1)),

@@ -193,6 +193,33 @@ def test_enhance_missing_manifest_is_a_data_error(workspace, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _enhance_one_wav(workspace, name, wav, encoding):
+    """Run enhance on a single wav against the simulated session's RTTM."""
+    write_wav(workspace / f"{name}.wav", wav, encoding=encoding)
+    (workspace / f"{name}.json").write_text(
+        json.dumps({"session": "mtg", "wavs": [f"{name}.wav"], "rttm": "sim/reference.rttm"})
+    )
+    return main(["enhance", str(workspace / f"{name}.json"),
+                 "--config", str(workspace / "cfg.json"),
+                 "--out", str(workspace / f"enh_{name}")])
+
+
+def test_enhance_non_finite_sample_is_a_data_error(workspace, capsys):
+    samples = read_wav(workspace / "sim" / "mixture.wav").samples.copy()
+    samples[1, 1234] = np.nan
+    rc = _enhance_one_wav(workspace, "nan", WaveformBuffer(samples, FS), "float32")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "nan.wav" in err and "channel 1" in err and "sample index 1234" in err
+
+
+def test_enhance_mono_input_is_a_data_error(workspace, capsys):
+    mixture = read_wav(workspace / "sim" / "mixture.wav")
+    rc = _enhance_one_wav(workspace, "mono", WaveformBuffer(mixture.samples[0], FS), "pcm16")
+    assert rc == 2
+    assert "at least 2 channels, got 1" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- score
 
 

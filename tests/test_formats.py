@@ -1,5 +1,7 @@
 """On-disk contracts: RTTM, utterance ids, transcripts, JSON configs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,23 @@ def test_pipeline_config_describe_roundtrip():
     assert config_fingerprint(cfg.describe()) == config_fingerprint(cfg.describe())
     other = PipelineConfig()
     assert config_fingerprint(cfg.describe()) != config_fingerprint(other.describe())
+
+
+def test_describe_fingerprints_every_config_field():
+    base = PipelineConfig()
+    changed = [
+        replace(base, gss=replace(base.gss, weight_cap=5.0)),
+        replace(base, gss=replace(base.gss, mask_floor=0.2)),
+        replace(base, gss=replace(base.gss, wpe=replace(base.gss.wpe, psd_floor=1e-9))),
+        replace(base, gss=replace(base.gss, stft=StftParams(window="sqrt-hann"))),
+        replace(base, scoring=ScoringConfig(collar_s=0.5)),
+    ]
+    prints = {config_fingerprint(c.describe()) for c in [base, *changed]}
+    assert len(prints) == len(changed) + 1
+    for cfg in changed:
+        assert parse_pipeline_config(cfg.describe()) == cfg
+    assert base.describe()["gss"]["weight_cap"] == 1e4
+    assert parse_pipeline_config({"gss": {"weight_cap": 5.0}}).gss.weight_cap == 5.0
 
 
 def test_load_pipeline_config_names_file_in_errors(tmp_path):

@@ -7,6 +7,7 @@ from farfield import (
     ActivityPattern,
     CacgmmState,
     ComplexSpectrogram,
+    DataError,
     DiarizationSet,
     GssConfig,
     MaskSet,
@@ -361,6 +362,14 @@ def test_gss_enhance_structure_and_lengths():
     assert out["p"][0].channels == 1
     assert out["p"][0].n_samples == int(1.6 * FS)
     assert out["q"][0].n_samples == int(2.2 * FS) - int(0.6 * FS)
+
+
+def test_gss_enhance_rejects_mono_input():
+    meeting = _toy_meeting(0)
+    mono = WaveformBuffer(meeting.mixture.samples[:1], FS)
+    cfg = GssConfig(stft=StftParams(), wpe=None, em_iterations=2, seed=0)
+    with pytest.raises(DataError, match="at least 2 channels, got 1"):
+        gss_enhance(mono, _toy_segments(), cfg)
 
 
 def test_gss_enhance_is_deterministic():

@@ -113,6 +113,16 @@ def test_rejects_compressed_format_with_name(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_float_sample(tmp_path, value):
+    samples = _ramp(channels=3, n=50).samples.copy()
+    samples[2, 17] = value
+    path = tmp_path / "bad.wav"
+    write_wav(path, WaveformBuffer(samples, FS), encoding="float32")
+    with pytest.raises(DataError, match=r"bad\.wav: non-finite .* channel 2 at sample index 17"):
+        read_wav(path)
+
+
 def test_rejects_missing_file(tmp_path):
     with pytest.raises((DataError, OSError)):
         read_wav(tmp_path / "missing.wav")
