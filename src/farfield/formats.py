@@ -226,22 +226,6 @@ def parse_wpe_config(obj, context: str = "wpe") -> WpeConfig | None:
     return _build(WpeConfig, d, context)
 
 
-@dataclass(frozen=True)
-class ScoringConfig:
-    collar_s: float = 0.25
-    score_overlap: bool = True
-
-    def __post_init__(self):
-        if self.collar_s < 0:
-            raise ParameterError(f"collar_s must be >= 0, got {self.collar_s}")
-
-
-def parse_scoring_config(obj, context: str = "scoring") -> ScoringConfig:
-    d = _mapping(obj, context)
-    _reject_unknown(d, _field_names(ScoringConfig), context)
-    return _build(ScoringConfig, d, context)
-
-
 # GssConfig fields at the top level of the JSON layout; the rest sit under "gss"
 _GSS_TOP_LEVEL = ("seed", "stft", "wpe")
 _GSS_NESTED = tuple(n for n in _field_names(GssConfig) if n not in _GSS_TOP_LEVEL)
@@ -252,7 +236,6 @@ class PipelineConfig:
     """Everything the orchestration verbs need, one sub-config per stage."""
 
     gss: GssConfig = GssConfig()
-    scoring: ScoringConfig = ScoringConfig()
 
     def describe(self) -> dict:
         """JSON-ready serialization, used for provenance and hashing.
@@ -266,7 +249,6 @@ class PipelineConfig:
             "stft": asdict(g.stft),
             "wpe": None if g.wpe is None else asdict(g.wpe),
             "gss": {name: getattr(g, name) for name in _GSS_NESTED},
-            "scoring": asdict(self.scoring),
         }
 
 
@@ -285,8 +267,7 @@ def parse_pipeline_config(obj, context: str = "config") -> PipelineConfig:
         {"stft": stft, "wpe": wpe_cfg, "seed": seed, **gss_part},
         f"{context}.gss",
     )
-    scoring = parse_scoring_config(d.get("scoring", {}), f"{context}.scoring")
-    return PipelineConfig(gss=gss, scoring=scoring)
+    return PipelineConfig(gss=gss)
 
 
 def load_pipeline_config(path) -> PipelineConfig:

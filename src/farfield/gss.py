@@ -8,9 +8,10 @@ class to its speaker, which resolves the per-frequency permutation
 ambiguity without any alignment step. The resulting posterior masks
 drive spatial covariance estimates for a Souden-style MVDR beamformer.
 
-:func:`gss_enhance` chains the full per-segment recipe: cut a context
-window, dereverberate, fit the mixture, beamform the target class, and
-return the trimmed time-domain estimate.
+:func:`gss_enhance` chains the full recipe once per context window:
+cut the window, dereverberate, fit the mixture, then beamform each
+target segment in the window as its own class and return the trimmed
+time-domain estimates.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ import numpy as np
 from .errors import DataError, NumericalError, ParameterError, RangeError
 from .linalg import solve_hermitian
 from .metrics import DiarizationSet
-from .signal import ComplexSpectrogram, StftParams, WaveformBuffer, istft, stft
+from .signal import (
+    ComplexSpectrogram,
+    StftParams,
+    WaveformBuffer,
+    check_finite_samples,
+    istft,
+    stft,
+)
 from .wpe import WpeConfig, wpe
 
 log = logging.getLogger(__name__)
@@ -434,7 +442,7 @@ def mvdr_beamform(
 
 @dataclass(frozen=True)
 class GssConfig:
-    """Settings for the end-to-end per-segment enhancement recipe."""
+    """Settings for the end-to-end enhancement recipe of :func:`gss_enhance`."""
 
     stft: StftParams = StftParams()
     wpe: WpeConfig | None = WpeConfig()
@@ -455,7 +463,11 @@ class GssConfig:
 
 
 def segment_seed(base_seed: int, speaker: str, start_ms: int, end_ms: int) -> int:
-    """Stable per-segment seed, independent of processing order."""
+    """Stable per-segment seed, independent of processing order.
+
+    :func:`gss_enhance` seeds the mixture fit of a context window with the
+    seed of the window's first target segment.
+    """
     tag = f"{speaker}|{start_ms}|{end_ms}".encode()
     return (base_seed * 1000003 + zlib.crc32(tag)) % (2**63)
 
@@ -512,11 +524,17 @@ def _window_activity(
 def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -> dict:
     """Enhance every diarized segment of a session recording.
 
-    For each target segment: cut the segment plus ``cfg.context_s`` of
-    context each side (clipped to the file), dereverberate, build the
-    activity pattern from all segments overlapping the window, fit the
-    guided mixture model, beamform the target class, optionally apply
-    the mask postfilter, synthesize, and trim the context away.
+    Each target segment's context window is the segment plus
+    ``cfg.context_s`` each side, clipped to the file. Targets whose
+    windows have the same sample bounds share one analysis: the window is
+    cut, transformed and dereverberated once, the activity pattern is
+    built from all segments overlapping it, and one guided mixture model
+    is fit, seeded by :func:`segment_seed` of the window's first target
+    in :func:`eligible_segments` order. Every target of the window is
+    then beamformed from that fit as its own class, optionally
+    mask-postfiltered, synthesized, and trimmed to its segment. A window
+    holding a single target gives the same output as enhancing that
+    segment alone.
 
     Returns
     -------
@@ -527,26 +545,32 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
     Raises
     ------
     DataError
-        The recording has fewer than 2 channels: the mixture model
-        separates by direction and one channel has none.
+        The recording has fewer than 2 channels (the mixture model
+        separates by direction and one channel has none), or a NaN or
+        infinite sample, named by channel and sample index.
     """
     if wav.channels < 2:
         raise DataError(
             f"guided source separation needs at least 2 channels, got {wav.channels}"
         )
+    check_finite_samples(wav.samples, "recording")
     out: dict = {}
     if not segments.segments:
         return out
     rate = wav.sample_rate_hz
     todo = eligible_segments(segments, cfg.stft, wav.n_samples, rate)
-    for speaker, start_s, end_s in todo:
+    # (lo, hi) sample bounds -> (window start s, window end s, target indices);
+    # the activity pattern depends only on the window, so the bounds are the key
+    windows: dict = {}
+    for i, (_, start_s, end_s) in enumerate(todo):
         win_start = max(0.0, start_s - cfg.context_s)
         win_end = min(wav.n_samples / rate, end_s + cfg.context_s)
-        lo = int(round(win_start * rate))
-        hi = int(round(win_end * rate))
-        chunk = WaveformBuffer(wav.samples[:, lo:hi], rate)
+        key = (int(round(win_start * rate)), int(round(win_end * rate)))
+        windows.setdefault(key, (win_start, win_end, []))[2].append(i)
 
-        spec = stft(chunk, cfg.stft)
+    pieces = [None] * len(todo)
+    for (lo, hi), (win_start, win_end, targets) in windows.items():
+        spec = stft(WaveformBuffer(wav.samples[:, lo:hi], rate), cfg.stft)
         if cfg.wpe is not None:
             spec = wpe(spec, cfg.wpe)
 
@@ -559,23 +583,28 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
         activity = _window_activity(
             overlapping, speakers, win_start, spec.frames, cfg.stft, rate
         )
+        speaker, start_s, end_s = todo[targets[0]]
         seed = segment_seed(
             cfg.seed, speaker, int(round(start_s * 1000)), int(round(end_s * 1000))
         )
         _, masks = fit_cacgmm(spec, activity, cfg.em_iterations, seed)
-        target = speakers.index(speaker)
-        enhanced = mvdr_beamform(spec, masks, target, weight_cap=cfg.weight_cap)
-        if cfg.masking_postfilter:
-            post = np.maximum(masks.gamma[target], cfg.mask_floor)
-            enhanced = ComplexSpectrogram(
-                values=enhanced.values * post[:, :, None],
-                params=enhanced.params,
-                sample_rate_hz=enhanced.sample_rate_hz,
-                source_length=enhanced.source_length,
-            )
-        audio = istft(enhanced, cfg.stft, hi - lo)
-        a = int(round(start_s * rate)) - lo
-        b = int(round(end_s * rate)) - lo
-        piece = WaveformBuffer(audio.samples[:, a:b], rate)
+        for i in targets:
+            speaker, start_s, end_s = todo[i]
+            target = speakers.index(speaker)
+            enhanced = mvdr_beamform(spec, masks, target, weight_cap=cfg.weight_cap)
+            if cfg.masking_postfilter:
+                post = np.maximum(masks.gamma[target], cfg.mask_floor)
+                enhanced = ComplexSpectrogram(
+                    values=enhanced.values * post[:, :, None],
+                    params=enhanced.params,
+                    sample_rate_hz=enhanced.sample_rate_hz,
+                    source_length=enhanced.source_length,
+                )
+            audio = istft(enhanced, cfg.stft, hi - lo)
+            a = int(round(start_s * rate)) - lo
+            b = int(round(end_s * rate)) - lo
+            pieces[i] = WaveformBuffer(audio.samples[:, a:b], rate)
+
+    for (speaker, _, _), piece in zip(todo, pieces):
         out.setdefault(speaker, []).append(piece)
     return out

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 
 _WINDOWS = ("hann", "sqrt-hann")
 _COLA_TOL = 1e-10
@@ -72,6 +72,22 @@ class WaveformBuffer:
     @property
     def duration_s(self) -> float:
         return self.n_samples / self.sample_rate_hz
+
+
+def check_finite_samples(samples: np.ndarray, context: str) -> None:
+    """Reject NaN and infinite audio samples.
+
+    Raises :class:`~farfield.errors.DataError` naming the earliest
+    non-finite sample of a (channels, n_samples) array by channel and
+    sample index, prefixed by ``context`` (a file name, say).
+    """
+    bad = ~np.isfinite(samples)
+    if bad.any():
+        index, channel = np.argwhere(bad.T)[0]
+        raise DataError(
+            f"{context}: non-finite sample {samples[channel, index]} in channel "
+            f"{channel} at sample index {index}"
+        )
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ParameterError
-from .signal import WaveformBuffer
+from .signal import WaveformBuffer, check_finite_samples
 
 _TAG_PCM = 0x0001
 _TAG_FLOAT = 0x0003
@@ -99,15 +99,9 @@ def read_wav(path) -> WaveformBuffer:
     if flat.size == 0:
         raise DataError(f"{path}: no audio frames")
     del block_align
-    frames = flat.reshape(-1, n_ch)
-    finite = np.isfinite(frames)
-    if not finite.all():
-        index, channel = np.argwhere(~finite)[0]
-        raise DataError(
-            f"{path}: non-finite sample {frames[index, channel]} in channel {channel} "
-            f"at sample index {index}"
-        )
-    return WaveformBuffer(samples=frames.T, sample_rate_hz=int(rate))
+    samples = flat.reshape(-1, n_ch).T
+    check_finite_samples(samples, str(path))
+    return WaveformBuffer(samples=samples, sample_rate_hz=int(rate))
 
 
 def write_wav(path, wav: WaveformBuffer, encoding: str = "pcm16") -> None:

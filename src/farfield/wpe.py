@@ -142,6 +142,10 @@ def _solve_hermitian(r: np.ndarray, p: np.ndarray, bin_index: int) -> np.ndarray
         return sla.cho_solve(factor, p, check_finite=False)
     except np.linalg.LinAlgError:
         pass
+    # ldl reads only the real part of the diagonal; rounding leaves an
+    # imaginary residue there that would make scipy warn
+    r = r.copy()
+    np.fill_diagonal(r, r.diagonal().real)
     try:
         lu, d, perm = sla.ldl(r, lower=True)
         tri = lu[perm]

@@ -1,15 +1,33 @@
-"""Per-bin and per-class reference implementations of the WPE, CACGMM and
-MVDR kernels.
+"""Reference implementations of the WPE, CACGMM and MVDR kernels and of
+the GSS recipe.
 
-These are the straightforward loop-and-einsum formulations the batched
-kernels in ``farfield.wpe`` and ``farfield.gss`` replace. They share no
-code with the package, so the equivalence tests compare two independent
-computations of the same quantities.
+The kernels are the straightforward per-bin and per-class loop-and-einsum
+formulations the batched kernels in ``farfield.wpe`` and ``farfield.gss``
+replace. They share no code with the package, so the equivalence tests
+compare two independent computations of the same quantities.
+
+:func:`enhance_per_segment` is the recipe ``farfield.gss_enhance``
+replaces: it runs the package's STFT, WPE, mixture fit and beamformer
+once for every target segment, even when several targets share a
+context window.
 """
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.special import gammaln, logsumexp
+
+from farfield import (
+    ActivityPattern,
+    ComplexSpectrogram,
+    WaveformBuffer,
+    eligible_segments,
+    istft,
+    mvdr_beamform,
+    segment_seed,
+    stft,
+)
+from farfield import fit_cacgmm as package_fit_cacgmm
+from farfield import wpe as package_wpe
 
 
 # ------------------------------------------------------------------ WPE
@@ -181,3 +199,64 @@ def mvdr_weights(phi_ss, phi_nn, reference_channel):
         w[f] = numer[:, reference_channel] / max(numer.trace().real, 1e-10)
     return w
 
+
+
+# ----------------------------------------------------------------- GSS
+
+
+def enhance_per_segment(wav, segments, cfg, seed_for=None):
+    """One STFT, WPE and mixture fit per target segment.
+
+    ``seed_for(speaker, start_ms, end_ms)`` gives the fit's seed; the
+    default is the segment's own ``segment_seed``. Returns speaker ->
+    list of mono buffers in ``eligible_segments`` order.
+    """
+    if seed_for is None:
+        def seed_for(speaker, start_ms, end_ms):
+            return segment_seed(cfg.seed, speaker, start_ms, end_ms)
+
+    out = {}
+    rate = wav.sample_rate_hz
+    p = cfg.stft
+    for speaker, start_s, end_s in eligible_segments(
+        segments, p, wav.n_samples, rate
+    ):
+        win_start = max(0.0, start_s - cfg.context_s)
+        win_end = min(wav.n_samples / rate, end_s + cfg.context_s)
+        lo = int(round(win_start * rate))
+        hi = int(round(win_end * rate))
+        spec = stft(WaveformBuffer(wav.samples[:, lo:hi], rate), p)
+        if cfg.wpe is not None:
+            spec = package_wpe(spec, cfg.wpe)
+
+        overlapping = [
+            s for s in segments.segments if s.end_s > win_start and s.start_s < win_end
+        ]
+        speakers = sorted({s.speaker for s in overlapping})
+        active = np.zeros((len(speakers) + 1, spec.frames), dtype=bool)
+        active[-1] = True
+        starts = np.arange(spec.frames) * p.frame_shift - p.edge_padding
+        ends = starts + p.frame_length
+        for seg in overlapping:
+            a = (seg.start_s - win_start) * rate
+            b = (seg.end_s - win_start) * rate
+            active[speakers.index(seg.speaker)] |= (ends > a) & (starts < b)
+        activity = ActivityPattern(tuple(speakers), active)
+
+        seed = seed_for(speaker, int(round(start_s * 1000)), int(round(end_s * 1000)))
+        _, masks = package_fit_cacgmm(spec, activity, cfg.em_iterations, seed)
+        target = speakers.index(speaker)
+        enhanced = mvdr_beamform(spec, masks, target, weight_cap=cfg.weight_cap)
+        if cfg.masking_postfilter:
+            post = np.maximum(masks.gamma[target], cfg.mask_floor)
+            enhanced = ComplexSpectrogram(
+                enhanced.values * post[:, :, None],
+                enhanced.params,
+                enhanced.sample_rate_hz,
+                enhanced.source_length,
+            )
+        audio = istft(enhanced, p, hi - lo)
+        a = int(round(start_s * rate)) - lo
+        b = int(round(end_s * rate)) - lo
+        out.setdefault(speaker, []).append(WaveformBuffer(audio.samples[:, a:b], rate))
+    return out

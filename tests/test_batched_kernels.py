@@ -128,6 +128,7 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
+@pytest.mark.filterwarnings("error")
 def test_wpe_indefinite_matrix_falls_back_to_per_bin_ldl(monkeypatch):
     rng = np.random.default_rng(5)
     r = np.stack(
@@ -153,6 +154,7 @@ def test_wpe_singular_matrix_error_names_the_global_bin():
         wpe_module._prediction_filters(r, p, 0.0, 40)
 
 
+@pytest.mark.filterwarnings("error")
 def test_wpe_error_in_a_later_block_names_the_global_bin(monkeypatch):
     monkeypatch.setattr(wpe_module, "_BLOCK_BINS", 4)
     values = _complex(np.random.default_rng(7), (60, 9, 2))

@@ -11,7 +11,6 @@ from farfield import (
     GssConfig,
     ParameterError,
     PipelineConfig,
-    ScoringConfig,
     StftParams,
     WaveformBuffer,
     WpeConfig,
@@ -27,7 +26,6 @@ from farfield import (
     load_room,
     parse_manifests,
     parse_pipeline_config,
-    parse_scoring_config,
     parse_stft_config,
     parse_utt_id,
     parse_wpe_config,
@@ -231,16 +229,6 @@ def test_parse_wpe_config():
         parse_wpe_config({"tap": 8})
 
 
-def test_parse_scoring_config():
-    assert parse_scoring_config({}) == ScoringConfig()
-    p = parse_scoring_config({"collar_s": 0.0, "score_overlap": False})
-    assert (p.collar_s, p.score_overlap) == (0.0, False)
-    with pytest.raises(DataError, match="collar_s"):
-        parse_scoring_config({"collar_s": -1.0})
-    with pytest.raises(DataError, match="unknown keys"):
-        parse_scoring_config({"collar": 0.1})
-
-
 def test_parse_pipeline_config_defaults_and_nesting():
     cfg = parse_pipeline_config({})
     assert cfg == PipelineConfig()
@@ -250,19 +238,20 @@ def test_parse_pipeline_config_defaults_and_nesting():
             "stft": {"frame_length": 256, "frame_shift": 64, "fft_size": 256},
             "wpe": None,
             "gss": {"em_iterations": 5, "context_s": 4.0},
-            "scoring": {"collar_s": 0.1},
         }
     )
     assert cfg.gss.seed == 7
     assert cfg.gss.wpe is None
     assert cfg.gss.stft.frame_length == 256
     assert cfg.gss.em_iterations == 5
-    assert cfg.scoring.collar_s == 0.1
 
 
 def test_parse_pipeline_config_rejections():
     with pytest.raises(DataError, match="config.*unknown keys"):
         parse_pipeline_config({"sftf": {}})
+    # scoring options are command-line flags of `score`, not enhance config
+    with pytest.raises(DataError, match=r"config: unknown keys \['scoring'\]"):
+        parse_pipeline_config({"scoring": {"collar_s": 0.1}})
     with pytest.raises(DataError, match=r"config\.gss.*unknown keys"):
         parse_pipeline_config({"gss": {"iterations": 5}})
     with pytest.raises(DataError, match="seed must be an integer"):
@@ -281,7 +270,6 @@ def test_pipeline_config_describe_roundtrip():
             masking_postfilter=True,
             seed=3,
         ),
-        scoring=ScoringConfig(collar_s=0.1, score_overlap=False),
     )
     assert parse_pipeline_config(cfg.describe()) == cfg
     # fingerprints only change when the config does
@@ -297,7 +285,6 @@ def test_describe_fingerprints_every_config_field():
         replace(base, gss=replace(base.gss, mask_floor=0.2)),
         replace(base, gss=replace(base.gss, wpe=replace(base.gss.wpe, psd_floor=1e-9))),
         replace(base, gss=replace(base.gss, stft=StftParams(window="sqrt-hann"))),
-        replace(base, scoring=ScoringConfig(collar_s=0.5)),
     ]
     prints = {config_fingerprint(c.describe()) for c in [base, *changed]}
     assert len(prints) == len(changed) + 1

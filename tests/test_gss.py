@@ -1,8 +1,10 @@
+import importlib
 import logging
 
 import numpy as np
 import pytest
 
+import reference_kernels as ref
 from farfield import (
     ActivityPattern,
     CacgmmState,
@@ -15,6 +17,7 @@ from farfield import (
     RangeError,
     StftParams,
     WaveformBuffer,
+    WpeConfig,
     cacgmm_posteriors,
     eligible_segments,
     fit_cacgmm,
@@ -25,6 +28,8 @@ from farfield import (
     select_reference_channel,
     spatial_covariance,
 )
+
+gss_module = importlib.import_module("farfield.gss")
 
 FS = 16000
 SMALL = StftParams(frame_length=8, frame_shift=2, fft_size=8)
@@ -372,6 +377,18 @@ def test_gss_enhance_rejects_mono_input():
         gss_enhance(mono, _toy_segments(), cfg)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_gss_enhance_rejects_non_finite_input(value):
+    meeting = _toy_meeting(0)
+    samples = meeting.mixture.samples.copy()
+    samples[1, 4321] = value
+    cfg = GssConfig(stft=StftParams(), wpe=None, em_iterations=2, seed=0)
+    with pytest.raises(
+        DataError, match=r"non-finite sample .* in channel 1 at sample index 4321$"
+    ):
+        gss_enhance(WaveformBuffer(samples, FS), _toy_segments(), cfg)
+
+
 def test_gss_enhance_is_deterministic():
     meeting = _toy_meeting(1)
     cfg = GssConfig(stft=StftParams(), wpe=None, em_iterations=8, seed=42)
@@ -421,3 +438,111 @@ def test_gss_single_speaker_clean_anechoic_passthrough():
         abs(np.corrcoef(est, meeting.mixture.samples[c, lo:hi])[0, 1]) for c in range(2)
     )
     assert rho >= 0.99
+
+
+# ------------------------------------------------- one fit per window
+
+_SMALL_WPE = WpeConfig(taps=4, delay=2, iterations=2)
+
+
+def _assert_same_outputs(actual, expected):
+    assert list(actual) == list(expected)
+    for spk in expected:
+        assert len(actual[spk]) == len(expected[spk])
+        for a, b in zip(actual[spk], expected[spk]):
+            assert a.samples.tobytes() == b.samples.tobytes()
+
+
+def _first_target_seed(cfg, segments, n_samples):
+    speaker, start_s, end_s = eligible_segments(segments, cfg.stft, n_samples, FS)[0]
+    seed = segment_seed(cfg.seed, speaker, round(start_s * 1000), round(end_s * 1000))
+    return lambda *_: seed
+
+
+def test_single_target_windows_match_the_per_segment_recipe():
+    meeting = _toy_meeting(3)
+    # 0.1 s of context keeps the two windows apart
+    cfg = GssConfig(wpe=_SMALL_WPE, em_iterations=6, context_s=0.1, seed=5)
+    segments = _toy_segments()
+    out = gss_enhance(meeting.mixture, segments, cfg)
+    _assert_same_outputs(out, ref.enhance_per_segment(meeting.mixture, segments, cfg))
+
+
+@pytest.mark.parametrize("postfilter", [False, True])
+def test_targets_sharing_a_window_use_one_fit_seeded_by_the_first(postfilter):
+    meeting = _toy_meeting(4)
+    # both windows clip to the whole file
+    cfg = GssConfig(
+        wpe=_SMALL_WPE, em_iterations=6, seed=9, masking_postfilter=postfilter
+    )
+    segments = _toy_segments()
+    out = gss_enhance(meeting.mixture, segments, cfg)
+    seed_for = _first_target_seed(cfg, segments, meeting.mixture.n_samples)
+    _assert_same_outputs(
+        out, ref.enhance_per_segment(meeting.mixture, segments, cfg, seed_for)
+    )
+    # the second target's own seed would give a different fit
+    per_segment = ref.enhance_per_segment(meeting.mixture, segments, cfg)
+    assert per_segment["p"][0].samples.tobytes() == out["p"][0].samples.tobytes()
+    assert per_segment["q"][0].samples.tobytes() != out["q"][0].samples.tobytes()
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(gss_module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gss_module, name, spy)
+    return calls
+
+
+def test_each_distinct_window_is_analysed_once(monkeypatch):
+    meeting = _toy_meeting(5)
+    segments = DiarizationSet.from_rows(
+        [
+            ("m", "p", 0.0, 0.5),  # window [0, 0.8]
+            ("m", "p", 0.6, 1.6),  # window [0.3, 1.9], shared ...
+            ("m", "q", 0.6, 1.6),  # ... with this target
+            ("m", "q", 1.7, 2.2),  # window [1.4, 2.2]
+        ]
+    )
+    cfg = GssConfig(wpe=_SMALL_WPE, em_iterations=3, context_s=0.3, seed=1)
+    counts = {
+        name: _count_calls(monkeypatch, name)
+        for name in ("stft", "wpe", "fit_cacgmm", "mvdr_beamform", "istft")
+    }
+    out = gss_enhance(meeting.mixture, segments, cfg)
+    assert {name: len(c) for name, c in counts.items()} == {
+        "stft": 3,
+        "wpe": 3,
+        "fit_cacgmm": 3,
+        "mvdr_beamform": 4,
+        "istft": 4,
+    }
+    assert [w.n_samples for w in out["p"]] == [8000, 16000]
+    assert [w.n_samples for w in out["q"]] == [16000, 8000]
+
+
+def test_dropped_sub_frame_segment_keeps_order_lengths_and_seed():
+    meeting = _toy_meeting(6)
+    # the sub-frame segment sorts first but is dropped: the window's fit
+    # takes its seed from the first target that remains
+    segments = DiarizationSet.from_rows(
+        [
+            ("m", "p", 1.2, 2.0),
+            ("m", "q", 0.0, 0.01),
+            ("m", "q", 0.6, 2.2),
+            ("m", "p", 0.0, 1.6),
+        ]
+    )
+    cfg = GssConfig(wpe=None, em_iterations=6, seed=2)
+    out = gss_enhance(meeting.mixture, segments, cfg)
+    assert [w.n_samples for w in out["p"]] == [int(1.6 * FS), int(0.8 * FS)]
+    assert [w.n_samples for w in out["q"]] == [int(2.2 * FS) - int(0.6 * FS)]
+    seed_for = _first_target_seed(cfg, segments, meeting.mixture.n_samples)
+    _assert_same_outputs(
+        out, ref.enhance_per_segment(meeting.mixture, segments, cfg, seed_for)
+    )
