@@ -147,7 +147,24 @@ def edit_distance(ref, hyp) -> tuple:
     """Levenshtein counts (substitutions, insertions, deletions), unit costs.
 
     Among minimum-cost alignments the one with fewer substitutions wins,
-    then fewer insertions. Tokens may be any hashable/equatable values.
+    then fewer insertions. Tokens may be any hashable values; two tokens
+    match when they would be the same dict key (``1``, ``1.0`` and
+    ``np.int64(1)`` match).
+
+    Each hypothesis token gets an integer code from a dict; reference
+    tokens absent from it get -1. The dynamic program then runs one
+    reference token at a time over an int64 row of length
+    ``len(hyp) + 1`` holding (cost, substitutions, insertions) packed so
+    that lexicographic minimization is a single integer min. A row
+    stores its value minus ``j`` insertions at column ``j``, so a
+    running minimum (``np.minimum.accumulate``) closes the chains of
+    insertions. Memory is O(len(hyp)): the row and three buffers of
+    the same length, updated in place.
+
+    Raises
+    ------
+    ParameterError
+        A token is unhashable, or a sequence has 2^21 tokens or more.
 
     Examples
     --------
@@ -160,24 +177,33 @@ def edit_distance(ref, hyp) -> tuple:
     h = list(hyp)
     if len(r) >= _FIELD_CAP or len(h) >= _FIELD_CAP:
         raise ParameterError("sequences longer than 2^21 tokens are not supported")
-    h_arr = np.empty(len(h), dtype=object)
-    h_arr[:] = h
-    row = np.arange(len(h) + 1, dtype=np.int64) * _INS1
-    steps = row.copy()  # reused shape helper: j * _INS1
-    for tok in r:
-        if isinstance(tok, (str, bytes, int, float, complex, np.generic)):
-            eq = h_arr == tok
-        else:
-            # sequence-like tokens would broadcast under ==
-            eq = np.array([x == tok for x in h], dtype=bool)
-        diag = row[:-1] + np.where(eq, 0, _SUB1)
-        dele = row[1:] + _DEL1
-        base = np.empty(len(h) + 1, dtype=np.int64)
+    codes: dict = {}
+    try:
+        h_codes = np.array([codes.setdefault(t, len(codes)) for t in h], dtype=np.int64)
+        r_codes = [codes.get(t, -1) for t in r]
+    except TypeError:
+        for t in (*h, *r):
+            try:
+                hash(t)
+            except TypeError:
+                raise ParameterError(f"tokens must be hashable, got {t!r}") from None
+        raise
+    m = len(h)
+    row = np.zeros(m + 1, dtype=np.int64)  # packed cost at j, minus j * _INS1
+    base = np.empty(m + 1, dtype=np.int64)
+    mismatch = np.empty(m, dtype=bool)
+    diag = np.empty(m, dtype=np.int64)
+    row_head, row_tail, base_tail = row[:-1], row[1:], base[1:]
+    for code in r_codes:
+        np.not_equal(h_codes, code, out=mismatch)
+        np.multiply(mismatch, _SUB1, out=diag)
+        diag += row_head
+        diag -= _INS1  # one column further right
+        np.add(row_tail, _DEL1, out=base_tail)
+        np.minimum(base_tail, diag, out=base_tail)
         base[0] = row[0] + _DEL1
-        base[1:] = np.minimum(diag, dele)
-        # closure over chains of insertions within the new row
-        row = np.minimum.accumulate(base - steps) + steps
-    enc = int(row[-1])
+        np.minimum.accumulate(base, out=row)
+    enc = int(row[-1]) + m * _INS1
     cost = enc >> _SHIFT_COST
     subs = (enc >> _SHIFT_SUB) & (_FIELD_CAP - 1)
     ins = enc & (_FIELD_CAP - 1)

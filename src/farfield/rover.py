@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ParameterError
 
 NULL_TOKEN = "@"
@@ -91,33 +93,47 @@ def align_into_wtn(wtn: WordTransitionNetwork, hyp) -> WordTransitionNetwork:
     token without a slot (a new slot opens, crediting ``@`` to all prior
     systems). The backtrace prefers match, then substitution, then
     deletion, then insertion, making the result deterministic.
+
+    The cost table is one integer array of (slots + 1) x (tokens + 1),
+    so memory is O(slots x tokens). A boolean match table (is token j
+    in slot i?) comes from a token -> positions dict in O(total slot
+    size) Python work; each slot's row is then filled with array
+    operations, a running minimum closing the chains of insertions.
     """
     tokens, confs = _coerce_hypothesis(hyp)
     slots = wtn.slots
     ns, nh = len(slots), len(tokens)
     system = wtn.n_systems
 
-    cost = [[0] * (nh + 1) for _ in range(ns + 1)]
+    positions: dict = {}
+    for j, tok in enumerate(tokens):
+        positions.setdefault(tok, []).append(j)
+    match = np.zeros((ns, nh), dtype=bool)
+    for i, slot in enumerate(slots):
+        for tok in slot:
+            match[i, positions.get(tok, [])] = True
+
+    steps = np.arange(nh + 1)
+    cost = np.empty((ns + 1, nh + 1), dtype=steps.dtype)
+    cost[0] = steps
     for i in range(1, ns + 1):
-        cost[i][0] = i
-    for j in range(1, nh + 1):
-        cost[0][j] = j
-    for i in range(1, ns + 1):
-        here = slots[i - 1]
-        for j in range(1, nh + 1):
-            diag = cost[i - 1][j - 1] + (0 if tokens[j - 1] in here else 1)
-            cost[i][j] = min(diag, cost[i - 1][j] + 1, cost[i][j - 1] + 1)
+        prev, row = cost[i - 1], cost[i]
+        row[0] = i
+        np.minimum(prev[:-1] + ~match[i - 1], prev[1:] + 1, out=row[1:])
+        row -= steps
+        np.minimum.accumulate(row, out=row)
+        row += steps
 
     ops = []  # ("use", slot_index, token_index) / ("skip", i) / ("new", j)
     i, j = ns, nh
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and tokens[j - 1] in slots[i - 1] and cost[i][j] == cost[i - 1][j - 1]:
+        if i > 0 and j > 0 and match[i - 1, j - 1] and cost[i, j] == cost[i - 1, j - 1]:
             ops.append(("use", i - 1, j - 1))
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] + 1:
+        elif i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + 1:
             ops.append(("use", i - 1, j - 1))
             i, j = i - 1, j - 1
-        elif i > 0 and cost[i][j] == cost[i - 1][j] + 1:
+        elif i > 0 and cost[i, j] == cost[i - 1, j] + 1:
             ops.append(("skip", i - 1))
             i -= 1
         else:

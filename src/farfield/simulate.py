@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -94,12 +93,23 @@ class RoomSpec:
 def image_sources(room: RoomSpec, src: int, mic: int) -> tuple:
     """Image expansion of one source as seen from one microphone.
 
+    Every mirror combination ``(p, r)``, with ``p`` in {0, 1}^3 and
+    ``r`` in [-max_order, max_order + 1]^3, is enumerated at once in
+    ``itertools.product`` order, and those of total reflection count
+    above ``max_order`` are masked out. Distances are the square roots
+    of one batched ``matmul`` of each offset row with itself, the same
+    dot product ``np.linalg.norm`` of a row takes, so they equal the
+    per-row norms bit for bit; amplitudes look up
+    ``(1 - absorption)^order`` in a table. Memory is a few arrays of
+    8 (2 max_order + 2)^3 rows.
+
     Returns
     -------
     (delays, amplitudes, orders)
-        Parallel arrays sorted by delay: arrival time in samples
-        (fractional), amplitude (1 - absorption)^order / (4 pi dist),
-        and the total reflection count of each image.
+        Parallel arrays sorted by delay (stable, so ties keep
+        enumeration order): arrival time in samples (fractional),
+        amplitude (1 - absorption)^order / (4 pi dist), and the total
+        reflection count of each image.
     """
     s = np.asarray(room.source_positions[src])
     m = np.asarray(room.mic_positions[mic])
@@ -109,24 +119,21 @@ def image_sources(room: RoomSpec, src: int, mic: int) -> tuple:
     n = room.max_order
     reflect = 1.0 - room.absorption
 
-    delays, amps, orders = [], [], []
-    span = range(-n, n + 2)
-    for p in product((0, 1), repeat=3):
-        for r in product(span, repeat=3):
-            order = sum(abs(r[d] - p[d]) + abs(r[d]) for d in range(3))
-            if order > n:
-                continue
-            pos = (1.0 - 2.0 * np.asarray(p)) * s + 2.0 * np.asarray(r) * dims
-            dist = float(np.linalg.norm(pos - m))
-            delays.append(dist / room.speed_of_sound * room.sample_rate_hz)
-            amps.append(reflect**order / (4.0 * math.pi * dist))
-            orders.append(order)
+    bit = np.arange(2, dtype=np.int64)
+    span = np.arange(-n, n + 2, dtype=np.int64)
+    grid = np.meshgrid(bit, bit, bit, span, span, span, indexing="ij")
+    p, r = np.split(np.stack(grid, axis=-1).reshape(-1, 6), 2, axis=1)
+    orders = (np.abs(r - p) + np.abs(r)).sum(axis=1)
+    keep = orders <= n
+    r, p, orders = r[keep], p[keep], orders[keep]
+    pos = (1.0 - 2.0 * p) * s + 2.0 * r * dims
+    d = pos - m
+    dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
+    delays = dist / room.speed_of_sound * room.sample_rate_hz
+    gain = np.array([reflect**o for o in range(n + 1)])
+    amps = gain[orders] / (4.0 * math.pi * dist)
     idx = np.argsort(delays, kind="stable")
-    return (
-        np.asarray(delays)[idx],
-        np.asarray(amps)[idx],
-        np.asarray(orders, dtype=np.int64)[idx],
-    )
+    return delays[idx], amps[idx], orders[idx]
 
 
 def image_source_rir(room: RoomSpec, src: int, mic: int) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Reference implementations of the WPE, CACGMM and MVDR kernels and of
-the GSS recipe.
+"""Reference implementations of the WPE, CACGMM and MVDR kernels, of the
+GSS recipe, of ROVER alignment and of the image-source expansion.
 
 The kernels are the straightforward per-bin and per-class loop-and-einsum
 formulations the batched kernels in ``farfield.wpe`` and ``farfield.gss``
@@ -10,16 +10,28 @@ compare two independent computations of the same quantities.
 replaces: it runs the package's STFT, WPE, mixture fit and beamformer
 once for every target segment, even when several targets share a
 context window.
+
+:func:`align_into_wtn` fills the ROVER alignment table as a list of
+lists, one cell at a time, and :func:`image_sources` visits every mirror
+combination in a Python loop with one ``np.linalg.norm`` each: the
+per-element formulations the array recurrences in ``farfield.rover`` and
+``farfield.simulate`` replace. Their outputs must be equal, not close.
 """
+
+import math
+from itertools import product
 
 import numpy as np
 import scipy.linalg as sla
 from scipy.special import gammaln, logsumexp
 
 from farfield import (
+    NULL_TOKEN,
     ActivityPattern,
+    ArcTally,
     ComplexSpectrogram,
     WaveformBuffer,
+    WordTransitionNetwork,
     eligible_segments,
     istft,
     mvdr_beamform,
@@ -260,3 +272,99 @@ def enhance_per_segment(wav, segments, cfg, seed_for=None):
         b = int(round(end_s * rate)) - lo
         out.setdefault(speaker, []).append(WaveformBuffer(audio.samples[:, a:b], rate))
     return out
+
+
+# ---------------------------------------------------------------- ROVER
+
+
+def align_into_wtn(wtn, hyp):
+    """Fold one hypothesis into the network through a cell-by-cell table."""
+    tokens, confs = [], []
+    for item in hyp:
+        tok, conf = (item, 1.0) if isinstance(item, str) else (item[0], float(item[1]))
+        tokens.append(tok)
+        confs.append(conf)
+    slots = wtn.slots
+    ns, nh = len(slots), len(tokens)
+    system = wtn.n_systems
+
+    cost = [[0] * (nh + 1) for _ in range(ns + 1)]
+    for i in range(1, ns + 1):
+        cost[i][0] = i
+    for j in range(1, nh + 1):
+        cost[0][j] = j
+    for i in range(1, ns + 1):
+        here = slots[i - 1]
+        for j in range(1, nh + 1):
+            diag = cost[i - 1][j - 1] + (0 if tokens[j - 1] in here else 1)
+            cost[i][j] = min(diag, cost[i - 1][j] + 1, cost[i][j - 1] + 1)
+
+    ops = []
+    i, j = ns, nh
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and tokens[j - 1] in slots[i - 1] and cost[i][j] == cost[i - 1][j - 1]:
+            ops.append(("use", i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i > 0 and j > 0 and cost[i][j] == cost[i - 1][j - 1] + 1:
+            ops.append(("use", i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i > 0 and cost[i][j] == cost[i - 1][j] + 1:
+            ops.append(("skip", i - 1))
+            i -= 1
+        else:
+            ops.append(("new", j - 1))
+            j -= 1
+    ops.reverse()
+
+    def updated(slot, tok, conf):
+        new = dict(slot)
+        new[tok] = new.get(tok, ArcTally(0, 0.0, system)).add(conf, system)
+        return new
+
+    new_slots = []
+    for op in ops:
+        if op[0] == "use":
+            _, si, tj = op
+            new_slots.append(updated(slots[si], tokens[tj], confs[tj]))
+        elif op[0] == "skip":
+            new_slots.append(updated(slots[op[1]], NULL_TOKEN, 0.0))
+        else:
+            tj = op[1]
+            new_slots.append(
+                {
+                    tokens[tj]: ArcTally(1, confs[tj], system),
+                    NULL_TOKEN: ArcTally(system, 0.0, 0),
+                }
+            )
+    return WordTransitionNetwork(slots=tuple(new_slots), n_systems=system + 1)
+
+
+# -------------------------------------------------------- image sources
+
+
+def image_sources(room, src, mic):
+    """(delays, amplitudes, orders) of every image, one mirror at a time."""
+    s = np.asarray(room.source_positions[src])
+    m = np.asarray(room.mic_positions[mic])
+    dims = np.asarray(room.dimensions)
+    n = room.max_order
+    reflect = 1.0 - room.absorption
+
+    delays, amps, orders = [], [], []
+    span = range(-n, n + 2)
+    for p in product((0, 1), repeat=3):
+        for r in product(span, repeat=3):
+            order = sum(abs(r[d] - p[d]) + abs(r[d]) for d in range(3))
+            if order > n:
+                continue
+            pos = (1.0 - 2.0 * np.asarray(p)) * s + 2.0 * np.asarray(r) * dims
+            dist = float(np.linalg.norm(pos - m))
+            delays.append(dist / room.speed_of_sound * room.sample_rate_hz)
+            amps.append(reflect**order / (4.0 * math.pi * dist))
+            orders.append(order)
+    idx = np.argsort(delays, kind="stable")
+    return (
+        np.asarray(delays)[idx],
+        np.asarray(amps)[idx],
+        np.asarray(orders, dtype=np.int64)[idx],
+    )

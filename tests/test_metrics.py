@@ -97,6 +97,22 @@ def test_edit_distance_arbitrary_tokens():
     assert edit_distance([("a", 1), ("b", 2)], [("a", 1), ("c", 3)]) == (1, 0, 0)
 
 
+def test_edit_distance_tokens_equal_under_eq_match():
+    assert edit_distance([1, 2.0, np.int64(3)], [1.0, np.int64(2), 3]) == (0, 0, 0)
+    assert edit_distance([np.float64(0.5), True], [0.5, 1]) == (0, 0, 0)
+    assert edit_distance([1, 2], [1.5, 2]) == (1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "ref, hyp", [(["a", ["b"]], ["a"]), (["a"], ["a", ["b"]]), ([("a", [1])], [])]
+)
+def test_edit_distance_rejects_unhashable_tokens(ref, hyp):
+    with pytest.raises(ParameterError, match="hashable") as err:
+        edit_distance(ref, hyp)
+    bad = [t for t in (*ref, *hyp) if t != "a"][0]
+    assert repr(bad) in str(err.value)
+
+
 # --------------------------------------------------------------- cpCER
 
 

@@ -8,7 +8,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farfield import StftParams, WaveformBuffer, edit_distance, istft, stft
+from farfield import (
+    DiarizationSet,
+    StftParams,
+    WaveformBuffer,
+    edit_distance,
+    format_rttm,
+    format_utterances,
+    istft,
+    read_rttm,
+    read_utterances,
+    rover,
+    stft,
+)
 
 FS = 16000
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -74,3 +86,59 @@ tokens = st.one_of(
 @given(ref=tokens, hyp=tokens)
 def test_edit_distance_matches_dp_oracle(ref, hyp):
     assert edit_distance(ref, hyp) == dp_edit_distance(ref, hyp)
+
+
+# ------------------------------------------------------- file round trips
+
+names = st.text(alphabet="ab-_1é", min_size=1, max_size=6)
+
+
+@st.composite
+def rttm_rows(draw):
+    # times on the millisecond grid, the resolution RTTM files carry
+    start_ms = draw(st.integers(0, 10**7))
+    dur_ms = draw(st.integers(1, 10**5))
+    return draw(names), draw(names), start_ms, start_ms + dur_ms
+
+
+@settings(PROPERTY, max_examples=100)
+@given(rows=st.lists(rttm_rows(), max_size=8))
+def test_rttm_round_trip(rows, tmp_path_factory):
+    segs = DiarizationSet.from_rows(
+        [(sess, spk, a / 1000, b / 1000) for sess, spk, a, b in rows]
+    )
+    path = tmp_path_factory.mktemp("rttm") / "x.rttm"
+    text = format_rttm(segs)
+    path.write_text(text, encoding="utf-8")
+    back = read_rttm(path)
+    assert format_rttm(back) == text
+    got = sorted(
+        (s.session, s.speaker, s.start_s, round(s.end_s * 1000)) for s in back.segments
+    )
+    assert got == sorted((sess, spk, a / 1000, b) for sess, spk, a, b in rows)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(utts=st.dictionaries(names, st.lists(names, max_size=5).map(tuple), max_size=6))
+def test_utterances_round_trip(utts, tmp_path_factory):
+    path = tmp_path_factory.mktemp("utt") / "x.txt"
+    path.write_text(format_utterances(utts), encoding="utf-8")
+    assert read_utterances(path) == utts
+
+
+# -------------------------------------------------------------- ROVER
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    hyp=st.lists(
+        st.sampled_from("abc")
+        | st.tuples(st.sampled_from("abc"), st.floats(0.0, 1.0)),
+        max_size=12,
+    ),
+    copies=st.integers(1, 5),
+    alpha=st.floats(0.0, 1.0),
+)
+def test_rover_unanimous_copies_fuse_to_the_hypothesis(hyp, copies, alpha):
+    tokens = tuple(item if isinstance(item, str) else item[0] for item in hyp)
+    assert rover([hyp] * copies, alpha=alpha) == tokens

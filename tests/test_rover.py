@@ -4,7 +4,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_kernels as ref
 from farfield import (
     NULL_TOKEN,
     ArcTally,
@@ -69,6 +72,25 @@ def test_align_new_slot_credits_null_to_prior_systems():
     assert first["b"] == ArcTally(1, 1.0, 1)
     assert first[NULL_TOKEN].count == 1 and first[NULL_TOKEN].first_system == 0
     assert wtn.slots[1]["a"].count == 2
+
+
+items = st.one_of(
+    st.sampled_from("abcd"),
+    st.tuples(st.sampled_from("abcd"), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(hyps=st.lists(st.lists(items, max_size=10), min_size=2, max_size=5))
+def test_align_matches_cell_by_cell_oracle(hyps):
+    # small vocabularies give repeated tokens and many tied alignments
+    wtn = WordTransitionNetwork.from_hypothesis(hyps[0])
+    for hyp in hyps[1:]:
+        got = align_into_wtn(wtn, hyp)
+        want = ref.align_into_wtn(wtn, hyp)
+        assert got == want
+        assert [list(s.items()) for s in got.slots] == [list(s.items()) for s in want.slots]
+        wtn = got
 
 
 # ---------------------------------------------------------- the verbs

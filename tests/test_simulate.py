@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_kernels as ref
 from farfield import (
     MixturePlan,
     ParameterError,
@@ -127,6 +128,52 @@ def test_image_amplitude_halves_when_distance_doubles():
     _, a_near, _ = image_sources(near, 0, 0)
     _, a_far, _ = image_sources(far, 0, 0)
     assert a_far[0] == pytest.approx(a_near[0] / 2.0, rel=1e-12)
+
+
+def _random_room(rng, max_order):
+    dims = rng.uniform(2.0, 9.0, size=3)
+    src, mic = rng.uniform(0.05, 0.95, size=(2, 2, 3)) * dims
+    return RoomSpec(
+        dimensions=tuple(dims),
+        absorption=float(rng.uniform(0.05, 1.0)),
+        max_order=max_order,
+        sample_rate_hz=int(rng.choice([8000, 16000, 44100])),
+        source_positions=tuple(map(tuple, src)),
+        mic_positions=tuple(map(tuple, mic)),
+    )
+
+
+def _assert_same_images(room, src, mic):
+    got = image_sources(room, src, mic)
+    want = ref.image_sources(room, src, mic)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("max_order", range(7))
+def test_image_sources_equal_the_per_image_loop(max_order):
+    rng = np.random.default_rng(100 + max_order)
+    for _ in range(2):
+        room = _random_room(rng, max_order)
+        for src in range(2):
+            for mic in range(2):
+                _assert_same_images(room, src, mic)
+
+
+@pytest.mark.parametrize("max_order", [2, 5])
+def test_image_sources_tied_delays_keep_enumeration_order(max_order):
+    # source and mic share x and y at the room's centre, so mirrors in
+    # opposite walls arrive at exactly the same time
+    room = _room(
+        dimensions=(4.0, 4.0, 6.0),
+        max_order=max_order,
+        source_positions=((2.0, 2.0, 4.5),),
+        mic_positions=((2.0, 2.0, 1.5),),
+    )
+    delays = image_sources(room, 0, 0)[0]
+    assert np.unique(delays).size < delays.size
+    _assert_same_images(room, 0, 0)
 
 
 # ----------------------------------------------------------------- RIR
