@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .errors import DataError, NumericalError, ParameterError
+from .errors import DataError, FarfieldError, NumericalError, ParameterError
 from .fusion import (
     CrossFusionParams,
     FeatureSequence,
@@ -36,7 +36,7 @@ from .fusion import (
     read_ftoy,
     write_ftoy,
 )
-from .gss import eligible_segments, gss_enhance
+from .gss import GssConfig, eligible_segments, gss_enhance
 from .metrics import DiarizationSet, TranscriptSet, cpcer, der
 from .rover import rover
 from .signal import WaveformBuffer
@@ -45,9 +45,22 @@ from .wavio import read_wav, write_wav
 
 logger = logging.getLogger("farfield.cli")
 
-_EXIT_USAGE = 1
-_EXIT_DATA = 2
-_EXIT_NUMERICAL = 3
+# Error class -> exit code, most specific first; any other package error
+# exits 1, the code Python gives an uncaught exception.
+_EXIT_CODES = (
+    (NumericalError, 3),
+    (ParameterError, 1),
+    ((DataError, OSError), 2),
+    (FarfieldError, 1),
+)
+
+
+def _exit_code(exc: BaseException) -> int:
+    """Exit code for a package or I/O error; any other error is re-raised."""
+    for classes, code in _EXIT_CODES:
+        if isinstance(exc, classes):
+            return code
+    raise exc
 
 
 def _write_wav_atomic(path, wav: WaveformBuffer) -> None:
@@ -89,19 +102,16 @@ def _read_session_audio(manifest) -> WaveformBuffer:
 
 def _enhance_session(manifest, cfg, out_root: Path) -> dict:
     wav = _read_session_audio(manifest)
-    all_segments = formats.read_rttm(manifest.rttm_path)
-    segments = DiarizationSet(
-        tuple(s for s in all_segments.segments if s.session == manifest.session)
-    )
+    segments = formats.read_rttm(manifest.rttm_path).for_session(manifest.session)
     session_dir = out_root / manifest.session
     outputs = []
     if not segments.segments:
         logger.warning("session %s: no segments in %s, nothing to enhance",
                        manifest.session, manifest.rttm_path)
     else:
-        enhanced = gss_enhance(wav, segments, cfg.gss)
+        enhanced = gss_enhance(wav, segments, cfg)
         ordered = eligible_segments(
-            segments, cfg.gss.stft, wav.n_samples, wav.sample_rate_hz
+            segments, cfg.stft, wav.n_samples, wav.sample_rate_hz
         )
         by_speaker: dict = {}
         for spk, start_s, end_s in ordered:
@@ -120,7 +130,7 @@ def _enhance_session(manifest, cfg, out_root: Path) -> dict:
                     "sha256": formats.sha256_file(session_dir / rel),
                 })
     outputs.sort(key=lambda o: (o["speaker"], o["start_ms"], o["end_ms"]))
-    described = cfg.describe()
+    described = formats.describe_config(cfg)
     inputs = _input_hashes(list(manifest.wav_paths) + [manifest.rttm_path])
     formats.atomic_write_bytes(
         session_dir / "provenance.json",
@@ -132,7 +142,7 @@ def _enhance_session(manifest, cfg, out_root: Path) -> dict:
     )
     index = {
         "session": manifest.session,
-        "seed": cfg.gss.seed,
+        "seed": cfg.seed,
         "config_sha256": formats.config_fingerprint(described),
         "outputs": outputs,
     }
@@ -144,10 +154,9 @@ def _enhance_session(manifest, cfg, out_root: Path) -> dict:
 
 
 def cmd_enhance(args) -> int:
-    cfg = (formats.load_pipeline_config(args.config)
-           if args.config else formats.PipelineConfig())
+    cfg = formats.load_pipeline_config(args.config) if args.config else GssConfig()
     if args.seed is not None:
-        cfg = replace(cfg, gss=replace(cfg.gss, seed=args.seed))
+        cfg = replace(cfg, seed=args.seed)
     manifests = formats.parse_manifests(args.manifest)
     jobs = []
     for m in manifests:
@@ -178,19 +187,7 @@ def cmd_enhance(args) -> int:
         else:
             failures.append((session, exc))
             print(f"error: session {session}: {exc}", file=sys.stderr)
-    if not failures:
-        return 0
-    codes = []
-    for _, exc in failures:
-        if isinstance(exc, NumericalError):
-            codes.append(_EXIT_NUMERICAL)
-        elif isinstance(exc, ParameterError):
-            codes.append(_EXIT_USAGE)
-        elif isinstance(exc, (DataError, OSError)):
-            codes.append(_EXIT_DATA)
-        else:
-            raise failures[0][1]
-    return max(codes)
+    return max((_exit_code(exc) for _, exc in failures), default=0)
 
 
 # ------------------------------------------------------------ simulate
@@ -268,10 +265,9 @@ def cmd_score(args) -> int:
     print(f"DER: {100 * rate:.2f}% "
           f"(miss {100 * miss:.2f}%, fa {100 * fa:.2f}%, conf {100 * conf:.2f}%)")
     for session in common:
-        sub_ref = DiarizationSet(tuple(s for s in ref.segments if s.session == session))
-        sub_hyp = DiarizationSet(tuple(s for s in hyp.segments if s.session == session))
         s_rate, _, _, _ = der(
-            sub_ref, sub_hyp, collar_s=args.collar, score_overlap=args.score_overlap
+            ref.for_session(session), hyp.for_session(session),
+            collar_s=args.collar, score_overlap=args.score_overlap,
         )
         print(f"metric=der session={session} value={s_rate:.6f}")
     print(f"metric=der session=ALL value={rate:.6f}")
@@ -418,15 +414,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse --help
         code = exc.code
         return int(code) if isinstance(code, int) else 0
-    except NumericalError as exc:
+    except (FarfieldError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except (DataError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

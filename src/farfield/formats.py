@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 from .errors import DataError, FarfieldError, ParameterError
@@ -212,18 +212,28 @@ def _field_names(cls) -> tuple:
     return tuple(f.name for f in fields(cls))
 
 
-def parse_stft_config(obj, context: str = "stft") -> StftParams:
+def _parse_fields(cls, obj, context: str):
+    """Build dataclass ``cls`` from a JSON object keyed by its field names.
+
+    Keys that name no field are rejected, and so is a missing key for a
+    field without a default; both errors name ``context``.
+    """
     d = _mapping(obj, context)
-    _reject_unknown(d, _field_names(StftParams), context)
-    return _build(StftParams, d, context)
+    _reject_unknown(d, _field_names(cls), context)
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in d:
+            raise DataError(f"{context}: missing required key {f.name!r}")
+    return _build(cls, d, context)
+
+
+def parse_stft_config(obj, context: str = "stft") -> StftParams:
+    return _parse_fields(StftParams, obj, context)
 
 
 def parse_wpe_config(obj, context: str = "wpe") -> WpeConfig | None:
     if obj is None:
         return None
-    d = _mapping(obj, context)
-    _reject_unknown(d, _field_names(WpeConfig), context)
-    return _build(WpeConfig, d, context)
+    return _parse_fields(WpeConfig, obj, context)
 
 
 # GssConfig fields at the top level of the JSON layout; the rest sit under "gss"
@@ -231,30 +241,27 @@ _GSS_TOP_LEVEL = ("seed", "stft", "wpe")
 _GSS_NESTED = tuple(n for n in _field_names(GssConfig) if n not in _GSS_TOP_LEVEL)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Everything the orchestration verbs need, one sub-config per stage."""
+def describe_config(cfg: GssConfig) -> dict:
+    """JSON-ready form of an enhancement config, used for provenance and hashing.
 
-    gss: GssConfig = GssConfig()
-
-    def describe(self) -> dict:
-        """JSON-ready serialization, used for provenance and hashing.
-
-        Built from the dataclass fields, so every field is fingerprinted
-        and :func:`parse_pipeline_config` reads the result back.
-        """
-        g = self.gss
-        return {
-            "seed": g.seed,
-            "stft": asdict(g.stft),
-            "wpe": None if g.wpe is None else asdict(g.wpe),
-            "gss": {name: getattr(g, name) for name in _GSS_NESTED},
-        }
+    Built from the dataclass fields, so every field is fingerprinted and
+    :func:`parse_pipeline_config` reads the result back.
+    """
+    return {
+        "seed": cfg.seed,
+        "stft": asdict(cfg.stft),
+        "wpe": None if cfg.wpe is None else asdict(cfg.wpe),
+        "gss": {name: getattr(cfg, name) for name in _GSS_NESTED},
+    }
 
 
-def parse_pipeline_config(obj, context: str = "config") -> PipelineConfig:
+def parse_pipeline_config(obj, context: str = "config") -> GssConfig:
+    """Enhancement config from the layout :func:`describe_config` writes.
+
+    Every key is optional and defaults to the :class:`GssConfig` field.
+    """
     d = _mapping(obj, context)
-    _reject_unknown(d, _GSS_TOP_LEVEL + _field_names(PipelineConfig), context)
+    _reject_unknown(d, _GSS_TOP_LEVEL + ("gss",), context)
     stft = parse_stft_config(d.get("stft", {}), f"{context}.stft")
     wpe_cfg = parse_wpe_config(d.get("wpe", {}), f"{context}.wpe")
     gss_part = _mapping(d.get("gss", {}), f"{context}.gss")
@@ -262,15 +269,14 @@ def parse_pipeline_config(obj, context: str = "config") -> PipelineConfig:
     seed = d.get("seed", 0)
     if not isinstance(seed, int):
         raise DataError(f"{context}: seed must be an integer, got {seed!r}")
-    gss = _build(
+    return _build(
         GssConfig,
         {"stft": stft, "wpe": wpe_cfg, "seed": seed, **gss_part},
         f"{context}.gss",
     )
-    return PipelineConfig(gss=gss)
 
 
-def load_pipeline_config(path) -> PipelineConfig:
+def load_pipeline_config(path) -> GssConfig:
     return parse_pipeline_config(load_json(path), context=str(path))
 
 
@@ -331,29 +337,7 @@ def parse_manifests(path) -> list:
 # ------------------------------------------------- simulation configs
 
 def parse_room(obj, context: str = "room") -> RoomSpec:
-    d = _mapping(obj, context)
-    _reject_unknown(
-        d,
-        (
-            "dimensions",
-            "absorption",
-            "max_order",
-            "sample_rate_hz",
-            "speed_of_sound",
-            "source_positions",
-            "mic_positions",
-        ),
-        context,
-    )
-    for key in ("dimensions", "absorption", "max_order", "sample_rate_hz",
-                "source_positions", "mic_positions"):
-        if key not in d:
-            raise DataError(f"{context}: missing required key {key!r}")
-    kwargs = dict(d)
-    kwargs["dimensions"] = tuple(kwargs["dimensions"])
-    kwargs["source_positions"] = tuple(tuple(p) for p in kwargs["source_positions"])
-    kwargs["mic_positions"] = tuple(tuple(p) for p in kwargs["mic_positions"])
-    return _build(RoomSpec, kwargs, context)
+    return _parse_fields(RoomSpec, obj, context)
 
 
 def load_room(path) -> RoomSpec:

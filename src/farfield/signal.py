@@ -41,6 +41,11 @@ class WaveformBuffer:
         Amplitudes, nominally within [-1, 1]. Coerced to float64.
     sample_rate_hz : int
         Sampling rate, must be positive.
+
+    NaN and Inf are not rejected here, which would cost a full pass over
+    every :func:`istft` output. Audio is checked where it enters:
+    :func:`~farfield.wavio.read_wav` and :func:`~farfield.gss.gss_enhance`
+    raise :class:`~farfield.errors.DataError` on a non-finite sample.
     """
 
     samples: np.ndarray
@@ -185,16 +190,6 @@ class ComplexSpectrogram:
         return self.values.shape[2]
 
 
-def _reflect_indices(n: int, pad: int) -> np.ndarray:
-    """Index map implementing reflect padding for any pad width."""
-    idx = np.arange(-pad, n + pad)
-    if n == 1:
-        return np.zeros_like(idx)
-    period = 2 * n - 2
-    m = np.mod(idx, period)
-    return np.where(m >= n, period - m, m)
-
-
 def stft(wav: WaveformBuffer, p: StftParams) -> ComplexSpectrogram:
     """Short-time Fourier transform of a multichannel waveform.
 
@@ -215,7 +210,7 @@ def stft(wav: WaveformBuffer, p: StftParams) -> ComplexSpectrogram:
         raise ParameterError("stft expects a WaveformBuffer")
     n = wav.n_samples
     pad = p.edge_padding
-    x = wav.samples[:, _reflect_indices(n, pad)]
+    x = np.pad(wav.samples, ((0, 0), (pad, pad)), mode="reflect")
     n_padded = x.shape[1]
 
     if n_padded <= p.frame_length:

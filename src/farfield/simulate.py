@@ -169,14 +169,25 @@ def _power(x: np.ndarray) -> float:
     return float(np.mean(np.square(x)))
 
 
-def _match_channels(noise: WaveformBuffer, channels: int) -> np.ndarray:
-    if noise.channels == channels:
-        return noise.samples
-    if noise.channels == 1:
-        return np.broadcast_to(noise.samples, (channels, noise.n_samples))
-    raise ParameterError(
-        f"noise has {noise.channels} channels, expected 1 or {channels}"
-    )
+def _seeded_crop(noise: WaveformBuffer, channels: int, length: int, seed: int, what: str):
+    """``length`` samples of ``noise`` from an offset drawn from ``seed``, mono broadcast."""
+    if noise.n_samples < length:
+        raise ParameterError(f"noise ({noise.n_samples}) shorter than {what} ({length})")
+    if noise.channels not in (1, channels):
+        raise ParameterError(f"noise has {noise.channels} channels, expected 1 or {channels}")
+    offset = int(np.random.default_rng(seed).integers(0, noise.n_samples - length + 1))
+    return np.broadcast_to(noise.samples[:, offset : offset + length], (channels, length))
+
+
+def _scaled_to_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float, what: str):
+    """``noise`` scaled so that 10 log10(P_clean / P_noise) equals ``snr_db``."""
+    p_clean = _power(clean)
+    p_noise = _power(noise)
+    if p_clean == 0.0:
+        raise ParameterError(f"{what} has zero power")
+    if p_noise == 0.0:
+        raise ParameterError("noise crop has zero power")
+    return math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0))) * noise
 
 
 def add_noise_at_snr(
@@ -188,25 +199,12 @@ def add_noise_at_snr(
     10 log10(P_clean / P_noise) equals ``snr_db`` with powers averaged
     over the full extent and all channels.
     """
-    if noise.n_samples < clean.n_samples:
-        raise ParameterError(
-            f"noise ({noise.n_samples}) shorter than clean ({clean.n_samples})"
-        )
     if noise.sample_rate_hz != clean.sample_rate_hz:
         raise ParameterError("sample rates differ between clean and noise")
-    samples = _match_channels(noise, clean.channels)
-    rng = np.random.default_rng(seed)
-    offset = int(rng.integers(0, noise.n_samples - clean.n_samples + 1))
-    crop = samples[:, offset : offset + clean.n_samples]
-    p_clean = _power(clean.samples)
-    p_noise = _power(crop)
-    if p_clean == 0.0:
-        raise ParameterError("clean signal has zero power")
-    if p_noise == 0.0:
-        raise ParameterError("noise crop has zero power")
-    scale = math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
+    crop = _seeded_crop(noise, clean.channels, clean.n_samples, seed, "clean")
     return WaveformBuffer(
-        samples=clean.samples + scale * crop, sample_rate_hz=clean.sample_rate_hz
+        samples=clean.samples + _scaled_to_snr(clean.samples, crop, snr_db, "clean signal"),
+        sample_rate_hz=clean.sample_rate_hz,
     )
 
 
@@ -342,25 +340,13 @@ def make_meeting(plan: MixturePlan, room: RoomSpec) -> MeetingResult:
     noise_buf = None
     mixture = clean
     if plan.snr_db is not None:
-        rng = np.random.default_rng(plan.seed)
         if plan.noise is None:
-            crop = rng.standard_normal((n_mics, length))
+            noise = np.random.default_rng(plan.seed).standard_normal((n_mics, length))
         else:
-            if plan.noise.n_samples < length:
-                raise ParameterError(
-                    f"noise ({plan.noise.n_samples}) shorter than mixture ({length})"
-                )
-            samples = _match_channels(plan.noise, n_mics)
-            offset = int(rng.integers(0, plan.noise.n_samples - length + 1))
-            crop = samples[:, offset : offset + length]
-        p_clean = _power(clean)
-        p_noise = _power(crop)
-        if p_clean == 0.0:
-            raise ParameterError("mixture of sources has zero power")
-        if p_noise == 0.0:
-            raise ParameterError("noise crop has zero power")
-        scale = math.sqrt(p_clean / (p_noise * 10.0 ** (plan.snr_db / 10.0)))
-        noise_buf = WaveformBuffer(scale * crop, rate)
+            noise = _seeded_crop(plan.noise, n_mics, length, plan.seed, "mixture")
+        noise_buf = WaveformBuffer(
+            _scaled_to_snr(clean, noise, plan.snr_db, "mixture of sources"), rate
+        )
         mixture = clean + noise_buf.samples
 
     return MeetingResult(

@@ -8,7 +8,17 @@ import sys
 import numpy as np
 import pytest
 
-from farfield import WaveformBuffer, read_utterances, read_wav, write_wav
+from farfield import (
+    DataError,
+    FarfieldError,
+    NumericalError,
+    ParameterError,
+    WaveformBuffer,
+    read_utterances,
+    read_wav,
+    write_wav,
+)
+from farfield import cli
 from farfield.cli import main
 
 FS = 16000
@@ -218,6 +228,63 @@ def test_enhance_mono_input_is_a_data_error(workspace, capsys):
     rc = _enhance_one_wav(workspace, "mono", WaveformBuffer(mixture.samples[0], FS), "pcm16")
     assert rc == 2
     assert "at least 2 channels, got 1" in capsys.readouterr().err
+
+
+def _enhance_failing_sessions(tmp_path, monkeypatch, errors):
+    """Run enhance over one session per error; session i raises errors[i]."""
+    by_session = {f"s{i}": exc for i, exc in enumerate(errors)}
+
+    def fail(manifest, cfg, out_root):
+        raise by_session[manifest.session]
+
+    monkeypatch.setattr(cli, "_enhance_session", fail)
+    manifest = tmp_path / "sessions.json"
+    manifest.write_text(json.dumps(
+        [{"session": s, "wavs": [f"{s}.wav"], "rttm": f"{s}.rttm"} for s in by_session]
+    ))
+    return main(["enhance", str(manifest), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("first_unexpected", [False, True])
+def test_enhance_unexpected_session_error_propagates(tmp_path, monkeypatch, capsys,
+                                                      first_unexpected):
+    errors = [DataError("unreadable wav"), RuntimeError("bug in the pipeline")]
+    if first_unexpected:
+        errors.reverse()
+    with pytest.raises(RuntimeError, match="bug in the pipeline"):
+        _enhance_failing_sessions(tmp_path, monkeypatch, errors)
+    # every session failure is reported once, the data error included
+    assert capsys.readouterr().err.count("unreadable wav") == 1
+
+
+@pytest.mark.parametrize(
+    "errors, code",
+    [
+        ([DataError("d"), NumericalError("n")], 3),
+        ([NumericalError("n"), DataError("d")], 3),
+        ([ParameterError("p"), DataError("d")], 2),
+        ([OSError("o"), ParameterError("p")], 2),
+    ],
+)
+def test_enhance_exits_with_the_gravest_session_code(tmp_path, monkeypatch, capsys,
+                                                     errors, code):
+    assert _enhance_failing_sessions(tmp_path, monkeypatch, errors) == code
+    err = capsys.readouterr().err
+    assert err.count("error: session") == len(errors)
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [(NumericalError("n"), 3), (ParameterError("p"), 1), (DataError("d"), 2),
+     (OSError("o"), 2), (FarfieldError("f"), 1)],
+)
+def test_main_maps_error_classes_to_exit_codes(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_rover", fail)
+    assert main(["rover", "h.txt"]) == code
+    assert capsys.readouterr().err == f"error: {exc}\n"
 
 
 # --------------------------------------------------------------- score

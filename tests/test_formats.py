@@ -1,5 +1,6 @@
 """On-disk contracts: RTTM, utterance ids, transcripts, JSON configs."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,6 @@ from farfield import (
     DiarizationSet,
     GssConfig,
     ParameterError,
-    PipelineConfig,
     StftParams,
     WaveformBuffer,
     WpeConfig,
@@ -18,6 +18,7 @@ from farfield import (
     build_utt_id,
     canonical_json,
     config_fingerprint,
+    describe_config,
     format_rttm,
     format_utterances,
     load_json,
@@ -231,7 +232,7 @@ def test_parse_wpe_config():
 
 def test_parse_pipeline_config_defaults_and_nesting():
     cfg = parse_pipeline_config({})
-    assert cfg == PipelineConfig()
+    assert cfg == GssConfig()
     cfg = parse_pipeline_config(
         {
             "seed": 7,
@@ -240,10 +241,10 @@ def test_parse_pipeline_config_defaults_and_nesting():
             "gss": {"em_iterations": 5, "context_s": 4.0},
         }
     )
-    assert cfg.gss.seed == 7
-    assert cfg.gss.wpe is None
-    assert cfg.gss.stft.frame_length == 256
-    assert cfg.gss.em_iterations == 5
+    assert cfg.seed == 7
+    assert cfg.wpe is None
+    assert cfg.stft.frame_length == 256
+    assert cfg.em_iterations == 5
 
 
 def test_parse_pipeline_config_rejections():
@@ -261,37 +262,47 @@ def test_parse_pipeline_config_rejections():
 
 
 def test_pipeline_config_describe_roundtrip():
-    cfg = PipelineConfig(
-        gss=GssConfig(
-            stft=StftParams(frame_length=256, frame_shift=64, fft_size=256),
-            wpe=WpeConfig(taps=8, delay=2, iterations=2),
-            em_iterations=7,
-            context_s=5.0,
-            masking_postfilter=True,
-            seed=3,
-        ),
+    cfg = GssConfig(
+        stft=StftParams(frame_length=256, frame_shift=64, fft_size=256),
+        wpe=WpeConfig(taps=8, delay=2, iterations=2),
+        em_iterations=7,
+        context_s=5.0,
+        masking_postfilter=True,
+        seed=3,
     )
-    assert parse_pipeline_config(cfg.describe()) == cfg
+    assert parse_pipeline_config(describe_config(cfg)) == cfg
     # fingerprints only change when the config does
-    assert config_fingerprint(cfg.describe()) == config_fingerprint(cfg.describe())
-    other = PipelineConfig()
-    assert config_fingerprint(cfg.describe()) != config_fingerprint(other.describe())
+    assert config_fingerprint(describe_config(cfg)) == config_fingerprint(describe_config(cfg))
+    other = GssConfig()
+    assert config_fingerprint(describe_config(cfg)) != config_fingerprint(describe_config(other))
 
 
 def test_describe_fingerprints_every_config_field():
-    base = PipelineConfig()
+    base = GssConfig()
     changed = [
-        replace(base, gss=replace(base.gss, weight_cap=5.0)),
-        replace(base, gss=replace(base.gss, mask_floor=0.2)),
-        replace(base, gss=replace(base.gss, wpe=replace(base.gss.wpe, psd_floor=1e-9))),
-        replace(base, gss=replace(base.gss, stft=StftParams(window="sqrt-hann"))),
+        replace(base, weight_cap=5.0),
+        replace(base, mask_floor=0.2),
+        replace(base, wpe=replace(base.wpe, psd_floor=1e-9)),
+        replace(base, stft=StftParams(window="sqrt-hann")),
     ]
-    prints = {config_fingerprint(c.describe()) for c in [base, *changed]}
+    prints = {config_fingerprint(describe_config(c)) for c in [base, *changed]}
     assert len(prints) == len(changed) + 1
     for cfg in changed:
-        assert parse_pipeline_config(cfg.describe()) == cfg
-    assert base.describe()["gss"]["weight_cap"] == 1e4
-    assert parse_pipeline_config({"gss": {"weight_cap": 5.0}}).gss.weight_cap == 5.0
+        assert parse_pipeline_config(describe_config(cfg)) == cfg
+    assert describe_config(base)["gss"]["weight_cap"] == 1e4
+    assert parse_pipeline_config({"gss": {"weight_cap": 5.0}}).weight_cap == 5.0
+
+
+def test_config_fingerprints_pin_the_json_layout():
+    # literal hashes: a renamed, moved or re-defaulted field changes them
+    default = describe_config(parse_pipeline_config({}))
+    assert config_fingerprint(default) == (
+        "e2cf9768f32d47c2ab169165a683c4d7fe83ae4a0cb2b90acd3df01dc7921e0b"
+    )
+    turns = describe_config(parse_pipeline_config({"wpe": None, "gss": {"context_s": 1.0}}))
+    assert config_fingerprint(turns) == (
+        "a0335ff45b8f354d7b3cc11e1065d57fd1123edef907c5fc50c80d396514ae55"
+    )
 
 
 def test_load_pipeline_config_names_file_in_errors(tmp_path):
@@ -300,7 +311,7 @@ def test_load_pipeline_config_names_file_in_errors(tmp_path):
     with pytest.raises(DataError, match=r"cfg\.json\.wpe"):
         load_pipeline_config(path)
     path.write_text('{"seed": 2}')
-    assert load_pipeline_config(path).gss.seed == 2
+    assert load_pipeline_config(path).seed == 2
 
 
 # ----------------------------------------------------------- manifests
@@ -368,6 +379,25 @@ def test_load_room(tmp_path):
         load_room(path)
     path.write_text('{"dimension": [6, 5, 3]}')
     with pytest.raises(DataError, match="unknown keys"):
+        load_room(path)
+
+    # the keys are the RoomSpec fields; speed_of_sound has a default
+    room = {
+        "dimensions": [6.0, 5.0, 3.0], "absorption": 0.5, "max_order": 1,
+        "sample_rate_hz": 16000, "source_positions": [[1.8, 3.6, 1.6]],
+        "mic_positions": [[2.95, 2.45, 1.4], [3.05, 2.55, 1.4]],
+    }
+    path.write_text(json.dumps({**room, "speed_of_sound": 340.0}))
+    parsed = load_room(path)
+    assert parsed.speed_of_sound == 340.0
+    assert parsed.source_positions == ((1.8, 3.6, 1.6),)
+    for key in ("absorption", "mic_positions"):
+        path.write_text(json.dumps({k: v for k, v in room.items() if k != key}))
+        with pytest.raises(DataError, match=rf"room\.json: missing required key '{key}'"):
+            load_room(path)
+    # a flat position list is a bad room, not a crash
+    path.write_text(json.dumps({**room, "source_positions": [1.8, 3.6, 1.6]}))
+    with pytest.raises(DataError, match=r"room\.json: source_positions\[0\]"):
         load_room(path)
 
 

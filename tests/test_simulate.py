@@ -423,6 +423,30 @@ def test_make_meeting_validation():
     )
     with pytest.raises(ParameterError, match="shorter"):
         make_meeting(short_noise, room)
+    three_channel_noise = MixturePlan(
+        sources=plan.sources,
+        snr_db=10.0,
+        noise=WaveformBuffer(np.ones((3, 40000)), FS),
+        session="m",
+    )
+    with pytest.raises(ParameterError, match="channels"):
+        make_meeting(three_channel_noise, room)
+
+
+def test_make_meeting_broadcasts_mono_wav_noise():
+    plan, room = _two_source_setup(seed=12, snr=5.0)
+    rng = np.random.default_rng(3)
+    mono = WaveformBuffer(0.1 * rng.normal(size=40000), FS)
+    meeting = make_meeting(
+        MixturePlan(sources=plan.sources, snr_db=5.0, noise=mono, seed=12, session="m"), room
+    )
+    noise = meeting.noise.samples
+    assert noise.shape == meeting.mixture.samples.shape
+    assert np.array_equal(noise[0], noise[1])
+    total = meeting.images["ann"].samples + meeting.images["bob"].samples
+    assert np.array_equal(meeting.mixture.samples, total + noise)
+    snr = 10 * np.log10(np.mean(total**2) / np.mean(noise**2))
+    assert snr == pytest.approx(5.0, abs=1e-9)
 
 
 def test_make_meeting_image_shapes():
