@@ -1,8 +1,13 @@
 """Exception hierarchy shared by all farfield modules.
 
 The command line maps these onto exit codes: parameter/usage problems
-exit 1, data problems exit 2, numerical failures exit 3.
+exit 1, data problems exit 2, numerical failures exit 3. The scalar
+checks at the end are what the settings dataclasses validate their
+fields with; file parsers turn their errors into data errors.
 """
+
+import math
+from numbers import Integral, Real
 
 
 class FarfieldError(Exception):
@@ -35,3 +40,19 @@ class InfeasibleLabelError(ParameterError):
     The loss would be infinite; this is reported as a distinct error
     instead of returning ``inf``.
     """
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is an integer, not a
+    bool, and at least ``minimum`` when one is given."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_finite(name: str, value) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is a finite real
+    number, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")

@@ -266,13 +266,10 @@ def parse_pipeline_config(obj, context: str = "config") -> GssConfig:
     wpe_cfg = parse_wpe_config(d.get("wpe", {}), f"{context}.wpe")
     gss_part = _mapping(d.get("gss", {}), f"{context}.gss")
     _reject_unknown(gss_part, _GSS_NESTED, f"{context}.gss")
-    seed = d.get("seed", 0)
-    if not isinstance(seed, int):
-        raise DataError(f"{context}: seed must be an integer, got {seed!r}")
     return _build(
         GssConfig,
-        {"stft": stft, "wpe": wpe_cfg, "seed": seed, **gss_part},
-        f"{context}.gss",
+        {"stft": stft, "wpe": wpe_cfg, "seed": d.get("seed", 0), **gss_part},
+        context,
     )
 
 
@@ -370,7 +367,7 @@ def load_plan(path) -> MixturePlan:
                 {
                     "speaker": s["speaker"],
                     "audio": read_wav(base / s["wav"]),
-                    "onset_s": float(s.get("onset_s", 0.0)),
+                    "onset_s": s.get("onset_s", 0.0),
                 },
                 sctx,
             )
@@ -385,7 +382,7 @@ def load_plan(path) -> MixturePlan:
             "sources": tuple(sources),
             "snr_db": d.get("snr_db"),
             "noise": noise,
-            "seed": int(d.get("seed", 0)),
+            "seed": d.get("seed", 0),
             "session": d.get("session", "sim0"),
         },
         context,

@@ -19,11 +19,13 @@ from __future__ import annotations
 import logging
 import math
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, NumericalError, ParameterError, RangeError
+from .errors import (
+    DataError, NumericalError, ParameterError, RangeError, check_finite, check_int
+)
 from .linalg import solve_hermitian
 from .metrics import DiarizationSet
 from .signal import (
@@ -154,32 +156,22 @@ class BeamformerWeights:
         object.__setattr__(self, "w", w)
 
 
-def _direction_products(values: np.ndarray):
+def _directions(values: np.ndarray):
     """Outer products z z^H of the unit-normalized bins, (F, T, C * C) with
-    entry c * C + d = z_c conj(z_d), and the nonzero-norm mask over (T, F)."""
-    norm = np.linalg.norm(values, axis=2)
+    entry c * C + d = z_c conj(z_d), and the nonzero-norm mask (F, T)."""
+    x = np.transpose(values, (1, 0, 2))  # (F, T, C)
+    norm = np.linalg.norm(x, axis=2)
     nonzero = norm > 0.0
-    z = np.where(nonzero[:, :, None], values / np.where(nonzero, norm, 1.0)[:, :, None], 0.0)
-    z = np.transpose(z, (1, 0, 2))  # (F, T, C)
+    z = np.where(nonzero[:, :, None], x / np.where(nonzero, norm, 1.0)[:, :, None], 0.0)
     outer = z[:, :, :, None] * z[:, :, None, :].conj()
     return outer.reshape(z.shape[0], z.shape[1], -1), nonzero
 
 
-def _log_densities(outer: np.ndarray, b: np.ndarray):
-    """Per-class log densities of unit vectors under the angular Gaussian.
-
-    Parameters
-    ----------
-    outer : ndarray, (bins, frames, channels * channels)
-        Direction outer products from :func:`_direction_products`.
-    b : ndarray, (bins, classes, channels, channels)
-
-    Returns
-    -------
-    log_dens : ndarray, (classes, frames, bins) up to the class-independent
-        normalizing constant.
-    quad : ndarray, (classes, frames, bins), the forms z^H B^{-1} z.
-    """
+def _e_step(outer: np.ndarray, b: np.ndarray, active: np.ndarray, nonzero: np.ndarray):
+    """One E-step: masks (bins, classes, frames) that are exact zeros for
+    inactive classes and uniform over the active ones at zero-norm bins,
+    their log-normalizer log sum_k 1[active] exp(log density) over (bins,
+    frames), and the quadratic forms z^H B^{-1} z (bins, classes, frames)."""
     n_bins, n_classes, c, _ = b.shape
     sign, logdet = np.linalg.slogdet(b)  # (F, K)
     bad = (sign.real <= 0) | ~np.isfinite(logdet)
@@ -188,29 +180,17 @@ def _log_densities(outer: np.ndarray, b: np.ndarray):
         raise NumericalError(f"class {k} covariance is not positive definite")
     binv_conj = np.linalg.inv(b).conj().reshape(n_bins, n_classes, c * c)
     # sum_cd conj(B^-1_cd) z_c conj(z_d) = conj(z^H B^-1 z): same real part
-    quad = (outer @ binv_conj.transpose(0, 2, 1)).real.transpose(2, 1, 0)  # (K, T, F)
+    quad = (binv_conj @ np.swapaxes(outer, 1, 2)).real
     quad = np.maximum(quad, 1e-30)  # exact arithmetic guarantees q >= 1/C
-    log_dens = -logdet.T[:, None, :] - c * np.log(quad)
-    return log_dens, quad
-
-
-def _posterior_from_logits(log_dens, activity, nonzero):
-    """Normalize active-class logits into masks; exact zeros when inactive.
-
-    Returns the masks (classes, frames, bins) and the log-normalizer
-    log sum_k 1[active] exp(log_dens), shape (frames, bins).
-    """
-    neg_inf = -np.inf
-    logits = np.where(activity[:, :, None], log_dens, neg_inf)
-    top = np.max(logits, axis=0)
-    stable = np.exp(logits - top[None, :, :])
-    total = stable.sum(axis=0)
-    gamma = stable / total[None, :, :]
+    logits = np.where(active, -logdet[:, :, None] - c * np.log(quad), -np.inf)
+    top = np.max(logits, axis=1)
+    stable = np.exp(logits - top[:, None, :])
+    total = stable.sum(axis=1)
+    gamma = stable / total[:, None, :]
     # zero-norm bins carry no direction information: uniform over active
-    n_active = activity.sum(axis=0).astype(np.float64)
-    uniform = activity[:, :, None].astype(np.float64) / n_active[None, :, None]
-    gamma = np.where(nonzero[None, :, :], gamma, uniform)
-    return gamma, top + np.log(total)
+    uniform = active / active.sum(axis=0)
+    gamma = np.where(nonzero[:, None, :], gamma, uniform)
+    return gamma, top + np.log(total), quad
 
 
 def cacgmm_posteriors(
@@ -223,26 +203,22 @@ def cacgmm_posteriors(
     z the unit-normalized observation. Bins with zero norm receive the
     uniform posterior over the classes active at their frame.
     """
-    _check_alignment(spec, activity, state)
-    outer, nonzero = _direction_products(spec.values)
-    log_dens, _ = _log_densities(outer, state.B)
-    gamma, _ = _posterior_from_logits(log_dens, activity.active, nonzero)
-    return MaskSet(gamma=gamma)
+    _check_alignment(spec, activity)
+    if state.B.shape[:3] != (spec.bins, activity.n_classes, spec.channels):
+        raise ParameterError(
+            f"state B shape {state.B.shape} inconsistent with {spec.bins} bins, "
+            f"{activity.n_classes} classes and {spec.channels} channels"
+        )
+    outer, nonzero = _directions(spec.values)
+    gamma = _e_step(outer, state.B, activity.active, nonzero)[0]
+    return MaskSet(gamma=np.ascontiguousarray(gamma.transpose(1, 2, 0)))
 
 
-def _check_alignment(spec, activity, state):
+def _check_alignment(spec, activity):
     if activity.n_frames != spec.frames:
         raise ParameterError(
             f"activity covers {activity.n_frames} frames, spectrogram has {spec.frames}"
         )
-    if state is not None:
-        f, k, c, _ = state.B.shape
-        if f != spec.bins or c != spec.channels or k != activity.n_classes:
-            raise ParameterError(
-                f"state B shape {state.B.shape} inconsistent with spectrogram "
-                f"({spec.bins} bins, {spec.channels} channels) and "
-                f"{activity.n_classes} classes"
-            )
 
 
 def fit_cacgmm(
@@ -261,13 +237,14 @@ def fit_cacgmm(
     statistics, trace-normalizes to the channel count, and adds
     1e-10 * C to the diagonal.
 
-    All bins and classes are processed together: the direction outer
-    products z z^H are formed once, and each iteration evaluates the
-    quadratic forms z^H B^{-1} z of every class as one batched matrix
-    product with the conjugated inverses, and the M-step numerators of
-    every class as one batched product of the weights with the outer
-    products. The log-likelihood entry comes from the log-normalizer of
-    the posterior itself, and the final E-step reuses the outer products.
+    Every per-class array is kept in one (bins, classes, frames) layout.
+    The direction outer products z z^H are formed once; one E-step, shared
+    with :func:`cacgmm_posteriors`, gives the quadratic forms z^H B^{-1} z
+    of every class as one batched product with the conjugated inverses,
+    the masks, and their log-normalizer, from which the log-likelihood
+    entry is taken. The M-step numerators of every class are one batched
+    product of the weights with the outer products. The masks of the
+    final E-step are rearranged to (classes, frames, bins) once.
 
     Returns
     -------
@@ -277,7 +254,7 @@ def fit_cacgmm(
     """
     if iterations < 1:
         raise ParameterError(f"iterations must be >= 1, got {iterations}")
-    _check_alignment(spec, activity, None)
+    _check_alignment(spec, activity)
     _, n_bins, n_ch = spec.values.shape
     eps_b = 1e-10 * n_ch
 
@@ -289,23 +266,22 @@ def fit_cacgmm(
     eye = np.eye(n_ch)
     b = (1.0 - _INIT_JITTER) * eye[None, None] + _INIT_JITTER * jitter
 
-    outer, nonzero = _direction_products(spec.values)
+    outer, nonzero = _directions(spec.values)
     act = activity.active
     ever_active = act.any(axis=1)
     # uniform prior over the active classes, plus the density's constant;
     # zero-norm bins have no direction and no likelihood term
-    log_prior = -np.log(act.sum(axis=0).astype(np.float64))[:, None]
+    log_prior = -np.log(act.sum(axis=0).astype(np.float64))
     const = math.lgamma(n_ch) - n_ch * np.log(np.pi) - np.log(2.0)
     n_dirs = max(int(nonzero.sum()), 1)
     trace = []
 
     for _ in range(iterations):
-        log_dens, quad = _log_densities(outer, b)
-        gamma, log_norm = _posterior_from_logits(log_dens, act, nonzero)
+        gamma, log_norm, quad = _e_step(outer, b, act, nonzero)
         trace.append(float(np.sum((log_norm + log_prior)[nonzero]) / n_dirs + const))
-        weights = gamma * nonzero[None, :, :]  # zero-norm bins carry no statistics
-        denom = weights.sum(axis=1).T  # (F, K)
-        numer = ((weights / quad).transpose(2, 0, 1) @ outer).reshape(b.shape)
+        weights = gamma * nonzero[:, None, :]  # zero-norm bins carry no statistics
+        denom = weights.sum(axis=2)  # (F, K)
+        numer = ((weights / quad) @ outer).reshape(b.shape)
         ok = (denom > 0.0) & ever_active
         new = b.copy()
         new[ok] = n_ch * numer[ok] / denom[ok][:, None, None]
@@ -316,7 +292,7 @@ def fit_cacgmm(
         # never-active classes keep their initial covariance; masks stay zero
         b = np.where(ever_active[None, :, None, None], new, b)
 
-    gamma, _ = _posterior_from_logits(_log_densities(outer, b)[0], act, nonzero)
+    gamma = np.ascontiguousarray(_e_step(outer, b, act, nonzero)[0].transpose(1, 2, 0))
     return CacgmmState(B=b, log_likelihood_trace=tuple(trace)), MaskSet(gamma=gamma)
 
 
@@ -432,12 +408,7 @@ def mvdr_beamform(
     phi_nn = spatial_covariance(spec, 1.0 - gamma)
     weights = mvdr_weights(phi_ss, phi_nn, reference_channel, weight_cap)
     y = np.einsum("fc,tfc->tf", np.conj(weights.w), spec.values)
-    return ComplexSpectrogram(
-        values=y[:, :, None],
-        params=spec.params,
-        sample_rate_hz=spec.sample_rate_hz,
-        source_length=spec.source_length,
-    )
+    return replace(spec, values=y[:, :, None])
 
 
 @dataclass(frozen=True)
@@ -454,12 +425,20 @@ class GssConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.em_iterations < 1:
-            raise ParameterError("em_iterations must be >= 1")
+        check_int("em_iterations", self.em_iterations, 1)
+        check_int("seed", self.seed)
+        if not isinstance(self.masking_postfilter, bool):
+            raise ParameterError(
+                f"masking_postfilter must be a bool, got {self.masking_postfilter!r}"
+            )
+        for name in ("context_s", "mask_floor", "weight_cap"):
+            check_finite(name, getattr(self, name))
         if self.context_s < 0:
             raise ParameterError("context_s must be >= 0")
         if not 0.0 <= self.mask_floor <= 1.0:
             raise ParameterError("mask_floor must lie in [0, 1]")
+        if not self.weight_cap > 0:
+            raise ParameterError(f"weight_cap must be > 0, got {self.weight_cap}")
 
 
 def segment_seed(base_seed: int, speaker: str, start_ms: int, end_ms: int) -> int:
@@ -594,12 +573,7 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
             enhanced = mvdr_beamform(spec, masks, target, weight_cap=cfg.weight_cap)
             if cfg.masking_postfilter:
                 post = np.maximum(masks.gamma[target], cfg.mask_floor)
-                enhanced = ComplexSpectrogram(
-                    values=enhanced.values * post[:, :, None],
-                    params=enhanced.params,
-                    sample_rate_hz=enhanced.sample_rate_hz,
-                    source_length=enhanced.source_length,
-                )
+                enhanced = replace(enhanced, values=enhanced.values * post[:, :, None])
             audio = istft(enhanced, cfg.stft, hi - lo)
             a = int(round(start_s * rate)) - lo
             b = int(round(end_s * rate)) - lo

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_int
 
 _WINDOWS = ("hann", "sqrt-hann")
 _COLA_TOL = 1e-10
@@ -110,6 +110,8 @@ class StftParams:
     window: str = "hann"
 
     def __post_init__(self):
+        for name in ("frame_length", "frame_shift", "fft_size"):
+            check_int(name, getattr(self, name))
         if not (0 < self.frame_shift <= self.frame_length <= self.fft_size):
             raise ParameterError(
                 "need 0 < frame_shift <= frame_length <= fft_size, got "

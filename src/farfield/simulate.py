@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, check_finite, check_int
 from .metrics import DiarizationSet, DiarSegment
 from .signal import WaveformBuffer
 
@@ -66,8 +66,7 @@ class RoomSpec:
             raise ParameterError(f"dimensions must be 3 positive lengths, got {self.dimensions}")
         if not 0.0 < self.absorption <= 1.0:
             raise ParameterError(f"absorption must lie in (0, 1], got {self.absorption}")
-        if self.max_order < 0:
-            raise ParameterError(f"max_order must be >= 0, got {self.max_order}")
+        check_int("max_order", self.max_order, 0)
         if int(self.sample_rate_hz) <= 0:
             raise ParameterError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         if not self.speed_of_sound > 0:
@@ -215,10 +214,12 @@ class PlannedSource:
     onset_s: float = 0.0
 
     def __post_init__(self):
+        check_finite("onset_s", self.onset_s)
         if self.onset_s < 0:
             raise ParameterError(f"onset must be >= 0, got {self.onset_s}")
         if self.audio.channels != 1:
             raise ParameterError("planned sources must be mono")
+        object.__setattr__(self, "onset_s", float(self.onset_s))
 
 
 @dataclass(frozen=True)
@@ -240,6 +241,9 @@ class MixturePlan:
             raise ParameterError("plan needs at least one source")
         if self.noise is not None and self.snr_db is None:
             raise ParameterError("snr_db is required when a noise source is given")
+        if self.snr_db is not None:
+            check_finite("snr_db", self.snr_db)
+        check_int("seed", self.seed, 0)
         object.__setattr__(self, "sources", tuple(self.sources))
 
 

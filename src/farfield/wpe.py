@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_finite, check_int
 from .linalg import solve_hermitian
 from .signal import ComplexSpectrogram
 
@@ -51,11 +51,10 @@ class WpeConfig:
     diagonal_loading: float = 1e-6
 
     def __post_init__(self):
-        if self.taps < 1 or self.delay < 1 or self.iterations < 1:
-            raise ParameterError(
-                f"taps, delay, iterations must be >= 1, got "
-                f"{self.taps}, {self.delay}, {self.iterations}"
-            )
+        for name in ("taps", "delay", "iterations"):
+            check_int(name, getattr(self, name), 1)
+        check_finite("psd_floor", self.psd_floor)
+        check_finite("diagonal_loading", self.diagonal_loading)
         if not self.psd_floor > 0:
             raise ParameterError(f"psd_floor must be > 0, got {self.psd_floor}")
         if self.diagonal_loading < 0:

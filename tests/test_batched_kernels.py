@@ -20,6 +20,7 @@ from farfield import (
     CacgmmState,
     ComplexSpectrogram,
     NumericalError,
+    ParameterError,
     StftParams,
     WpeConfig,
     cacgmm_posteriors,
@@ -206,6 +207,26 @@ def test_posteriors_match_reference_e_step():
     z, nonzero = ref.unit_directions(values)
     expected = ref.posteriors(ref.log_densities(z, b)[0], activity.active, nonzero)
     assert_rel_close(masks.gamma, expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_masks_equal_the_posteriors_of_the_fitted_state(seed):
+    # one E-step serves both: zero-norm bins and a never-active class included
+    values, activity = _cacgmm_instance(seed)
+    state, masks = fit_cacgmm(_spec(values), activity, iterations=4, seed=seed)
+    again = cacgmm_posteriors(_spec(values), activity, state)
+    np.testing.assert_array_equal(masks.gamma, again.gamma)
+    assert masks.gamma.flags.c_contiguous
+
+
+@pytest.mark.parametrize(
+    "shape", [(6, 4, 3, 3), (7, 3, 3, 3), (7, 4, 2, 2)], ids=["bins", "classes", "channels"]
+)
+def test_posteriors_reject_a_state_of_the_wrong_shape(shape):
+    values, activity = _cacgmm_instance(0)  # 7 bins, 4 classes, 3 channels
+    state = CacgmmState(B=np.broadcast_to(np.eye(shape[2]), shape))
+    with pytest.raises(ParameterError, match="state B shape"):
+        cacgmm_posteriors(_spec(values), activity, state)
 
 
 # ----------------------------------------------------------------- MVDR

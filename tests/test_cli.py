@@ -113,6 +113,33 @@ def test_simulate_seed_override_changes_noise(workspace, capsys):
     assert not np.array_equal(a.samples, b.samples)
 
 
+@pytest.mark.parametrize(
+    "target, key, value",
+    [
+        ("source", "onset_s", "soon"),
+        ("plan", "seed", "7"),
+        ("plan", "seed", 7.9),
+        ("plan", "snr_db", "loud"),
+        ("room", "max_order", 1.5),
+    ],
+)
+def test_simulate_rejects_wrongly_typed_plan_and_room_values(
+    workspace, tmp_path, capsys, target, key, value
+):
+    plan = json.loads((workspace / "plan.json").read_text())
+    room = json.loads((workspace / "room.json").read_text())
+    for source in plan["sources"]:
+        source["wav"] = str(workspace / source["wav"])
+    {"source": plan["sources"][1], "plan": plan, "room": room}[target][key] = value
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    (tmp_path / "room.json").write_text(json.dumps(room))
+    rc = main(["simulate", str(tmp_path / "plan.json"), str(tmp_path / "room.json"),
+               "--out", str(tmp_path / "sim")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 # ------------------------------------------------------------- enhance
 
 

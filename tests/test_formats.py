@@ -261,6 +261,29 @@ def test_parse_pipeline_config_rejections():
         parse_pipeline_config({"stft": [1, 2]})
 
 
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"gss": {"em_iterations": 2.5}}, "em_iterations"),
+        ({"gss": {"em_iterations": True}}, "em_iterations"),
+        ({"wpe": {"taps": 2.5}}, "taps"),
+        ({"stft": {"frame_shift": 128.0}}, "frame_shift"),
+        ({"gss": {"masking_postfilter": "no"}}, "masking_postfilter"),
+        ({"gss": {"masking_postfilter": 1}}, "masking_postfilter"),
+        ({"gss": {"weight_cap": -1.0}}, "weight_cap"),
+        ({"gss": {"weight_cap": 0}}, "weight_cap"),
+        ({"gss": {"context_s": float("nan")}}, "context_s"),
+        ({"gss": {"mask_floor": "0.1"}}, "mask_floor"),
+        ({"wpe": {"psd_floor": float("inf")}}, "psd_floor"),
+        ({"seed": True}, "seed"),
+    ],
+)
+def test_parse_pipeline_config_rejects_wrongly_typed_values(obj, field):
+    # each of these used to parse, or to fail with an uncaught TypeError
+    with pytest.raises(DataError, match=field):
+        parse_pipeline_config(obj)
+
+
 def test_pipeline_config_describe_roundtrip():
     cfg = GssConfig(
         stft=StftParams(frame_length=256, frame_shift=64, fft_size=256),
