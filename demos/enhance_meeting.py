@@ -56,10 +56,11 @@ def main():
     )
     enhanced = ff.gss_enhance(result.mixture, segments, cfg)
 
-    for speaker, (a, b) in (("ann", (0.0, 2.4)), ("bob", (0.8, 3.2))):
+    # one mono estimate per segment, keyed by (speaker, start_s, end_s)
+    for (speaker, a, b), mono in enhanced.items():
         lo, hi = int(a * FS), int(b * FS)
         image = result.images[speaker].samples[:, lo:hi]
-        estimate = enhanced[speaker][0].samples[0]
+        estimate = mono.samples[0]
         mix = result.mixture.samples[:, lo:hi]
         base = max(ff.si_sdr(mix[c], image[c]) for c in range(2))
         after = max(ff.si_sdr(estimate, image[c]) for c in range(2))

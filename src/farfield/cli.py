@@ -36,7 +36,7 @@ from .fusion import (
     read_ftoy,
     write_ftoy,
 )
-from .gss import GssConfig, eligible_segments, gss_enhance
+from .gss import GssConfig, gss_enhance
 from .metrics import DiarizationSet, TranscriptSet, cpcer, der
 from .rover import rover
 from .signal import WaveformBuffer
@@ -109,26 +109,18 @@ def _enhance_session(manifest, cfg, out_root: Path) -> dict:
         logger.warning("session %s: no segments in %s, nothing to enhance",
                        manifest.session, manifest.rttm_path)
     else:
-        enhanced = gss_enhance(wav, segments, cfg)
-        ordered = eligible_segments(
-            segments, cfg.stft, wav.n_samples, wav.sample_rate_hz
-        )
-        by_speaker: dict = {}
-        for spk, start_s, end_s in ordered:
-            by_speaker.setdefault(spk, []).append((start_s, end_s))
-        for speaker in sorted(enhanced):
-            for (start_s, end_s), mono in zip(by_speaker[speaker], enhanced[speaker]):
-                start_ms = int(round(start_s * 1000))
-                end_ms = int(round(end_s * 1000))
-                rel = f"{speaker}/{start_ms}-{end_ms}.wav"
-                _write_wav_atomic(session_dir / rel, mono)
-                outputs.append({
-                    "speaker": speaker,
-                    "start_ms": start_ms,
-                    "end_ms": end_ms,
-                    "path": rel,
-                    "sha256": formats.sha256_file(session_dir / rel),
-                })
+        for (speaker, start_s, end_s), mono in gss_enhance(wav, segments, cfg).items():
+            start_ms = int(round(start_s * 1000))
+            end_ms = int(round(end_s * 1000))
+            rel = f"{speaker}/{start_ms}-{end_ms}.wav"
+            _write_wav_atomic(session_dir / rel, mono)
+            outputs.append({
+                "speaker": speaker,
+                "start_ms": start_ms,
+                "end_ms": end_ms,
+                "path": rel,
+                "sha256": formats.sha256_file(session_dir / rel),
+            })
     outputs.sort(key=lambda o: (o["speaker"], o["start_ms"], o["end_ms"]))
     described = formats.describe_config(cfg)
     inputs = _input_hashes(list(manifest.wav_paths) + [manifest.rttm_path])

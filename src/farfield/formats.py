@@ -201,6 +201,14 @@ def _reject_unknown(d: dict, allowed, context: str) -> None:
         )
 
 
+def _path(base: Path, value, context: str, key: str) -> Path:
+    """``value`` resolved against ``base``; a value that is not a string is
+    a data error naming ``key``."""
+    if not isinstance(value, str):
+        raise DataError(f"{context}: {key} must be a path string, got {value!r}")
+    return base / value
+
+
 def _build(cls, kwargs: dict, context: str):
     try:
         return cls(**kwargs)
@@ -289,8 +297,10 @@ class SessionManifest:
     out_dir: Path | None = None
 
     def __post_init__(self):
-        if not self.session:
-            raise ParameterError("session id must be non-empty")
+        if not isinstance(self.session, str) or not self.session:
+            raise ParameterError(
+                f"session must be a non-empty string, got {self.session!r}"
+            )
         if not self.wav_paths:
             raise ParameterError("manifest needs at least one wav path")
         object.__setattr__(self, "wav_paths", tuple(Path(p) for p in self.wav_paths))
@@ -316,14 +326,20 @@ def parse_manifests(path) -> list:
         for key in ("session", "wavs", "rttm"):
             if key not in d:
                 raise DataError(f"{context}: missing required key {key!r}")
+        wavs = d["wavs"]
+        if not isinstance(wavs, list):
+            raise DataError(f"{context}: wavs must be a list of paths, got {wavs!r}")
+        out_dir = _path(base, d["out_dir"], context, "out_dir") if "out_dir" in d else None
         out.append(
             _build(
                 SessionManifest,
                 {
                     "session": d["session"],
-                    "wav_paths": tuple(base / p for p in d["wavs"]),
-                    "rttm_path": base / d["rttm"],
-                    "out_dir": (base / d["out_dir"]) if "out_dir" in d else None,
+                    "wav_paths": tuple(
+                        _path(base, p, context, f"wavs[{j}]") for j, p in enumerate(wavs)
+                    ),
+                    "rttm_path": _path(base, d["rttm"], context, "rttm"),
+                    "out_dir": out_dir,
                 },
                 context,
             )
@@ -366,7 +382,7 @@ def load_plan(path) -> MixturePlan:
                 PlannedSource,
                 {
                     "speaker": s["speaker"],
-                    "audio": read_wav(base / s["wav"]),
+                    "audio": read_wav(_path(base, s["wav"], sctx, "wav")),
                     "onset_s": s.get("onset_s", 0.0),
                 },
                 sctx,
@@ -375,7 +391,7 @@ def load_plan(path) -> MixturePlan:
     noise_spec = d.get("noise")
     noise: WaveformBuffer | None = None
     if noise_spec not in (None, "gaussian"):
-        noise = read_wav(base / noise_spec)
+        noise = read_wav(_path(base, noise_spec, context, "noise"))
     return _build(
         MixturePlan,
         {

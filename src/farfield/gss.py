@@ -457,9 +457,10 @@ def eligible_segments(
     """Segments that enhancement will produce output for, in time order.
 
     Segments extending outside the file raise a range error; segments
-    shorter than one analysis frame are dropped with a warning. The
-    returned list of (speaker, start_s, end_s) defines the output order
-    shared by :func:`gss_enhance` and the command-line wrapper.
+    shorter than one analysis frame are dropped with a warning, and an
+    exact repeat of a segment is kept once. The returned list of distinct
+    (speaker, start_s, end_s) tuples gives the keys, in order, of the dict
+    :func:`gss_enhance` returns.
     """
     sessions = {s.session for s in segments.segments}
     if len(sessions) > 1:
@@ -481,7 +482,7 @@ def eligible_segments(
             )
             continue
         kept.append((seg.speaker, seg.start_s, seg.end_s))
-    return kept
+    return list(dict.fromkeys(kept))
 
 
 def _window_activity(
@@ -518,8 +519,9 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
     Returns
     -------
     dict
-        speaker -> list of mono WaveformBuffer, in segment time order
-        (the order of :func:`eligible_segments`).
+        (speaker, start_s, end_s) -> mono WaveformBuffer, one entry per
+        distinct segment, keyed and ordered as :func:`eligible_segments`
+        returns them.
 
     Raises
     ------
@@ -533,9 +535,6 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
             f"guided source separation needs at least 2 channels, got {wav.channels}"
         )
     check_finite_samples(wav.samples, "recording")
-    out: dict = {}
-    if not segments.segments:
-        return out
     rate = wav.sample_rate_hz
     todo = eligible_segments(segments, cfg.stft, wav.n_samples, rate)
     # (lo, hi) sample bounds -> (window start s, window end s, target indices);
@@ -578,7 +577,4 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
             a = int(round(start_s * rate)) - lo
             b = int(round(end_s * rate)) - lo
             pieces[i] = WaveformBuffer(audio.samples[:, a:b], rate)
-
-    for (speaker, _, _), piece in zip(todo, pieces):
-        out.setdefault(speaker, []).append(piece)
-    return out
+    return dict(zip(todo, pieces))

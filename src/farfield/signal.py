@@ -61,8 +61,7 @@ class WaveformBuffer:
             )
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ParameterError(f"empty waveform of shape {arr.shape}")
-        if int(self.sample_rate_hz) <= 0:
-            raise ParameterError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        check_int("sample_rate_hz", self.sample_rate_hz, 1)
         object.__setattr__(self, "samples", np.ascontiguousarray(arr))
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 

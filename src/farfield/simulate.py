@@ -62,13 +62,16 @@ class RoomSpec:
 
     def __post_init__(self):
         dims = np.asarray(self.dimensions, dtype=np.float64).reshape(-1)
-        if dims.shape != (3,) or np.any(dims <= 0.0):
-            raise ParameterError(f"dimensions must be 3 positive lengths, got {self.dimensions}")
+        if dims.shape != (3,) or not np.all((dims > 0.0) & np.isfinite(dims)):
+            raise ParameterError(
+                f"dimensions must be 3 finite positive lengths, got {self.dimensions}"
+            )
+        check_finite("absorption", self.absorption)
         if not 0.0 < self.absorption <= 1.0:
             raise ParameterError(f"absorption must lie in (0, 1], got {self.absorption}")
         check_int("max_order", self.max_order, 0)
-        if int(self.sample_rate_hz) <= 0:
-            raise ParameterError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        check_int("sample_rate_hz", self.sample_rate_hz, 1)
+        check_finite("speed_of_sound", self.speed_of_sound)
         if not self.speed_of_sound > 0:
             raise ParameterError(f"speed_of_sound must be > 0, got {self.speed_of_sound}")
         if not self.source_positions:
@@ -214,6 +217,8 @@ class PlannedSource:
     onset_s: float = 0.0
 
     def __post_init__(self):
+        if not isinstance(self.speaker, str):
+            raise ParameterError(f"speaker must be a string, got {self.speaker!r}")
         check_finite("onset_s", self.onset_s)
         if self.onset_s < 0:
             raise ParameterError(f"onset must be >= 0, got {self.onset_s}")
@@ -335,7 +340,7 @@ def make_meeting(plan: MixturePlan, room: RoomSpec) -> MeetingResult:
         onset = int(round(s.onset_s * rate))
         img = np.zeros((n_mics, length))
         for mi in range(n_mics):
-            y = np.convolve(s.audio.samples[0], rirs[si][mi])
+            y = convolve(s.audio, rirs[si][mi]).samples[0]
             img[mi, onset : onset + y.size] = y
         images[s.speaker] = WaveformBuffer(img, rate)
         clean += img

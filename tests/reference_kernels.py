@@ -220,8 +220,8 @@ def enhance_per_segment(wav, segments, cfg, seed_for=None):
     """One STFT, WPE and mixture fit per target segment.
 
     ``seed_for(speaker, start_ms, end_ms)`` gives the fit's seed; the
-    default is the segment's own ``segment_seed``. Returns speaker ->
-    list of mono buffers in ``eligible_segments`` order.
+    default is the segment's own ``segment_seed``. Returns (speaker,
+    start_s, end_s) -> mono buffer in ``eligible_segments`` order.
     """
     if seed_for is None:
         def seed_for(speaker, start_ms, end_ms):
@@ -270,7 +270,7 @@ def enhance_per_segment(wav, segments, cfg, seed_for=None):
         audio = istft(enhanced, p, hi - lo)
         a = int(round(start_s * rate)) - lo
         b = int(round(end_s * rate)) - lo
-        out.setdefault(speaker, []).append(WaveformBuffer(audio.samples[:, a:b], rate))
+        out[speaker, start_s, end_s] = WaveformBuffer(audio.samples[:, a:b], rate)
     return out
 
 

@@ -229,7 +229,7 @@ def test_c05_gss_gains_five_db_over_best_input_channel():
         for spk, (a, b) in windows:
             lo, hi = int(a * FS), int(b * FS)
             img = res.images[spk].samples[:, lo:hi]
-            est = out[spk][0].samples[0]
+            est = out[spk, a, b].samples[0]
             mix = res.mixture.samples[:, lo:hi]
             base = max(si_sdr(mix[c], img[c]) for c in range(2))
             enh = max(si_sdr(est, img[c]) for c in range(2))

@@ -2,8 +2,10 @@
 
 import json
 import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +123,12 @@ def test_simulate_seed_override_changes_noise(workspace, capsys):
         ("plan", "seed", 7.9),
         ("plan", "snr_db", "loud"),
         ("room", "max_order", 1.5),
+        ("room", "sample_rate_hz", 16000.7),
+        ("room", "speed_of_sound", float("inf")),
+        ("room", "dimensions", [6.0, float("nan"), 3.0]),
+        ("source", "wav", 5),
+        ("source", "speaker", 5),
+        ("plan", "noise", 5),
     ],
 )
 def test_simulate_rejects_wrongly_typed_plan_and_room_values(
@@ -255,6 +263,71 @@ def test_enhance_mono_input_is_a_data_error(workspace, capsys):
     rc = _enhance_one_wav(workspace, "mono", WaveformBuffer(mixture.samples[0], FS), "pcm16")
     assert rc == 2
     assert "at least 2 channels, got 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("session", 5, "session must be a non-empty string"),
+        ("rttm", 5, "rttm must be a path string"),
+        ("wavs", "sim/mixture.wav", "wavs must be a list of paths"),
+        ("wavs", [5], "wavs[0] must be a path string"),
+        ("out_dir", 5, "out_dir must be a path string"),
+    ],
+    ids=["session", "rttm", "wavs-string", "wavs-item", "out_dir"],
+)
+def test_enhance_rejects_wrongly_typed_manifest_values(
+    workspace, tmp_path, capsys, key, value, message
+):
+    manifest = {
+        "session": "mtg",
+        "wavs": [str(workspace / "sim" / "mixture.wav")],
+        "rttm": str(workspace / "sim" / "reference.rttm"),
+        "out_dir": str(tmp_path / "enh"),
+    }
+    manifest[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    rc = main(["enhance", str(tmp_path / "manifest.json"),
+               "--config", str(workspace / "cfg.json")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "enh").exists()
+
+
+def _enhance_rttm(workspace, name, rttm_text):
+    """Run enhance on the simulated mixture against the given RTTM text."""
+    (workspace / f"{name}.rttm").write_text(rttm_text)
+    (workspace / f"{name}.json").write_text(
+        json.dumps({"session": "mtg", "wavs": ["sim/mixture.wav"], "rttm": f"{name}.rttm"})
+    )
+    return main(["enhance", str(workspace / f"{name}.json"),
+                 "--config", str(workspace / "cfg.json"),
+                 "--out", str(workspace / f"enh_{name}")])
+
+
+def test_enhance_warns_once_per_sub_frame_segment(workspace, capsys, caplog):
+    reference = (workspace / "sim" / "reference.rttm").read_text()
+    short = "SPEAKER mtg 1 0.100 0.010 <NA> <NA> ann <NA> <NA>\n"
+    with caplog.at_level(logging.WARNING, logger="farfield.gss"):
+        rc = _enhance_rttm(workspace, "short", reference + short)
+    assert rc == 0
+    skips = [r for r in caplog.records if "shorter than one frame" in r.getMessage()]
+    assert len(skips) == 1
+    n_kept = len(reference.splitlines())
+    assert f"session=mtg files={n_kept}" in capsys.readouterr().out
+
+
+def test_enhance_writes_a_repeated_segment_once(workspace, capsys):
+    lines = (workspace / "sim" / "reference.rttm").read_text().splitlines(keepends=True)
+    rc = _enhance_rttm(workspace, "repeat", "".join(lines + lines[:1]))
+    assert rc == 0
+    assert f"session=mtg files={len(lines)}" in capsys.readouterr().out
+    session_dir = workspace / "enh_repeat" / "mtg"
+    index = json.loads((session_dir / "index.json").read_text())
+    paths = [entry["path"] for entry in index["outputs"]]
+    assert len(set(paths)) == len(paths) == len(lines)
+    written = sorted(p.relative_to(session_dir).as_posix() for p in session_dir.rglob("*.wav"))
+    assert written == sorted(paths)
 
 
 def _enhance_failing_sessions(tmp_path, monkeypatch, errors):
@@ -513,9 +586,12 @@ def test_help_exits_zero(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the package under test, installed or not
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "farfield.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "farfield" in proc.stdout

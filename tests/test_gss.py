@@ -354,19 +354,47 @@ def _toy_meeting(seed):
     return make_meeting(plan, room)
 
 
+P_SEGMENT = ("p", 0.0, 1.6)
+Q_SEGMENT = ("q", 0.6, 2.2)
+
+
 def _toy_segments():
-    return DiarizationSet.from_rows([("m", "p", 0.0, 1.6), ("m", "q", 0.6, 2.2)])
+    return DiarizationSet.from_rows([("m", *P_SEGMENT), ("m", *Q_SEGMENT)])
 
 
 def test_gss_enhance_structure_and_lengths():
     meeting = _toy_meeting(0)
     cfg = GssConfig(stft=StftParams(), wpe=None, em_iterations=10, seed=0)
     out = gss_enhance(meeting.mixture, _toy_segments(), cfg)
-    assert sorted(out) == ["p", "q"]
-    assert len(out["p"]) == 1 and len(out["q"]) == 1
-    assert out["p"][0].channels == 1
-    assert out["p"][0].n_samples == int(1.6 * FS)
-    assert out["q"][0].n_samples == int(2.2 * FS) - int(0.6 * FS)
+    assert list(out) == [P_SEGMENT, Q_SEGMENT]
+    assert out[P_SEGMENT].channels == 1
+    assert out[P_SEGMENT].n_samples == int(1.6 * FS)
+    assert out[Q_SEGMENT].n_samples == int(2.2 * FS) - int(0.6 * FS)
+
+
+def test_gss_enhance_keys_are_the_eligible_segments_in_order():
+    meeting = _toy_meeting(0)
+    # unsorted, with a repeated line and a sub-frame segment
+    segments = DiarizationSet.from_rows(
+        [
+            ("m", *Q_SEGMENT),
+            ("m", "p", 1.2, 2.0),
+            ("m", *P_SEGMENT),
+            ("m", "q", 0.0, 0.01),
+            ("m", *Q_SEGMENT),
+        ]
+    )
+    cfg = GssConfig(stft=StftParams(), wpe=None, em_iterations=2, seed=0)
+    out = gss_enhance(meeting.mixture, segments, cfg)
+    expected = [P_SEGMENT, Q_SEGMENT, ("p", 1.2, 2.0)]
+    assert eligible_segments(segments, cfg.stft, meeting.mixture.n_samples, FS) == expected
+    assert list(out) == expected
+
+
+def test_gss_enhance_without_segments_returns_an_empty_dict():
+    meeting = _toy_meeting(0)
+    cfg = GssConfig(stft=StftParams(), wpe=None, em_iterations=2, seed=0)
+    assert gss_enhance(meeting.mixture, DiarizationSet(()), cfg) == {}
 
 
 def test_gss_enhance_rejects_mono_input():
@@ -394,8 +422,8 @@ def test_gss_enhance_is_deterministic():
     cfg = GssConfig(stft=StftParams(), wpe=None, em_iterations=8, seed=42)
     a = gss_enhance(meeting.mixture, _toy_segments(), cfg)
     b = gss_enhance(meeting.mixture, _toy_segments(), cfg)
-    for spk in a:
-        np.testing.assert_array_equal(a[spk][0].samples, b[spk][0].samples)
+    for key in a:
+        np.testing.assert_array_equal(a[key].samples, b[key].samples)
 
 
 def test_gss_enhance_postfilter_changes_output():
@@ -406,7 +434,7 @@ def test_gss_enhance_postfilter_changes_output():
     )
     a = gss_enhance(meeting.mixture, _toy_segments(), base)
     b = gss_enhance(meeting.mixture, _toy_segments(), filtered)
-    assert np.any(a["p"][0].samples != b["p"][0].samples)
+    assert np.any(a[P_SEGMENT].samples != b[P_SEGMENT].samples)
 
 
 def test_gss_single_speaker_clean_anechoic_passthrough():
@@ -432,7 +460,7 @@ def test_gss_single_speaker_clean_anechoic_passthrough():
     segs = DiarizationSet.from_rows([("m", "solo", 0.05, 1.15)])
     cfg = GssConfig(stft=StftParams(), wpe=None, em_iterations=10, seed=3)
     out = gss_enhance(meeting.mixture, segs, cfg)
-    est = out["solo"][0].samples[0]
+    est = out["solo", 0.05, 1.15].samples[0]
     lo, hi = int(0.05 * FS), int(1.15 * FS)
     rho = max(
         abs(np.corrcoef(est, meeting.mixture.samples[c, lo:hi])[0, 1]) for c in range(2)
@@ -447,10 +475,8 @@ _SMALL_WPE = WpeConfig(taps=4, delay=2, iterations=2)
 
 def _assert_same_outputs(actual, expected):
     assert list(actual) == list(expected)
-    for spk in expected:
-        assert len(actual[spk]) == len(expected[spk])
-        for a, b in zip(actual[spk], expected[spk]):
-            assert a.samples.tobytes() == b.samples.tobytes()
+    for key in expected:
+        assert actual[key].samples.tobytes() == expected[key].samples.tobytes()
 
 
 def _first_target_seed(cfg, segments, n_samples):
@@ -483,8 +509,8 @@ def test_targets_sharing_a_window_use_one_fit_seeded_by_the_first(postfilter):
     )
     # the second target's own seed would give a different fit
     per_segment = ref.enhance_per_segment(meeting.mixture, segments, cfg)
-    assert per_segment["p"][0].samples.tobytes() == out["p"][0].samples.tobytes()
-    assert per_segment["q"][0].samples.tobytes() != out["q"][0].samples.tobytes()
+    assert per_segment[P_SEGMENT].samples.tobytes() == out[P_SEGMENT].samples.tobytes()
+    assert per_segment[Q_SEGMENT].samples.tobytes() != out[Q_SEGMENT].samples.tobytes()
 
 
 def _count_calls(monkeypatch, name):
@@ -522,8 +548,12 @@ def test_each_distinct_window_is_analysed_once(monkeypatch):
         "mvdr_beamform": 4,
         "istft": 4,
     }
-    assert [w.n_samples for w in out["p"]] == [8000, 16000]
-    assert [w.n_samples for w in out["q"]] == [16000, 8000]
+    assert [(key, w.n_samples) for key, w in out.items()] == [
+        (("p", 0.0, 0.5), 8000),
+        (("p", 0.6, 1.6), 16000),
+        (("q", 0.6, 1.6), 16000),
+        (("q", 1.7, 2.2), 8000),
+    ]
 
 
 def test_dropped_sub_frame_segment_keeps_order_lengths_and_seed():
@@ -540,8 +570,11 @@ def test_dropped_sub_frame_segment_keeps_order_lengths_and_seed():
     )
     cfg = GssConfig(wpe=None, em_iterations=6, seed=2)
     out = gss_enhance(meeting.mixture, segments, cfg)
-    assert [w.n_samples for w in out["p"]] == [int(1.6 * FS), int(0.8 * FS)]
-    assert [w.n_samples for w in out["q"]] == [int(2.2 * FS) - int(0.6 * FS)]
+    assert [(key, w.n_samples) for key, w in out.items()] == [
+        (("p", 0.0, 1.6), int(1.6 * FS)),
+        (("q", 0.6, 2.2), int(2.2 * FS) - int(0.6 * FS)),
+        (("p", 1.2, 2.0), int(0.8 * FS)),
+    ]
     seed_for = _first_target_seed(cfg, segments, meeting.mixture.n_samples)
     _assert_same_outputs(
         out, ref.enhance_per_segment(meeting.mixture, segments, cfg, seed_for)

@@ -37,6 +37,12 @@ def test_waveform_buffer_rejects_bad_rate():
         WaveformBuffer(np.zeros(10), -16000)
 
 
+@pytest.mark.parametrize("rate", [16000.7, "16000", True])
+def test_waveform_buffer_rejects_a_rate_that_is_not_an_integer(rate):
+    with pytest.raises(ParameterError, match="sample_rate_hz must be an integer"):
+        WaveformBuffer(np.zeros(10), rate)
+
+
 def test_waveform_buffer_rejects_bad_shape():
     with pytest.raises(ParameterError):
         WaveformBuffer(np.zeros((2, 3, 4)), FS)

@@ -57,6 +57,19 @@ def test_room_spec_validation():
         _room(mic_positions=())
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sample_rate_hz", 16000.7),
+        ("speed_of_sound", math.inf),
+        ("dimensions", (4.0, math.nan, 6.0)),
+    ],
+)
+def test_room_spec_rejects_truncated_or_non_finite_values(field, value):
+    with pytest.raises(ParameterError, match=field):
+        _room(**{field: value})
+
+
 def test_room_spec_positions_must_be_strictly_inside():
     with pytest.raises(ParameterError, match=r"source_positions\[0\]"):
         _room(source_positions=((0.0, 2.0, 3.0),))
