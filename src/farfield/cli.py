@@ -146,6 +146,8 @@ def _enhance_session(manifest, cfg, out_root: Path) -> dict:
 
 
 def cmd_enhance(args) -> int:
+    if args.jobs < 1:
+        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = formats.load_pipeline_config(args.config) if args.config else GssConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

@@ -360,7 +360,7 @@ def mvdr_weights(
 
     w_f = (Phi_nn^{-1} Phi_ss u_ref) / max(trace(Phi_nn^{-1} Phi_ss), eps),
     for all bins in one batched Hermitian solve. If a noise covariance is
-    not positive definite, the bins are solved one by one instead, and a
+    exactly singular, the bins are solved one by one instead, and a
     singular one is diagonally loaded once and retried; if it stays
     singular a numerical error names the bin. Weight vectors longer than
     ``weight_cap`` are rescaled onto the cap.
@@ -457,16 +457,18 @@ def eligible_segments(
     """Segments that enhancement will produce output for, in time order.
 
     Segments extending outside the file raise a range error; segments
-    shorter than one analysis frame are dropped with a warning, and an
-    exact repeat of a segment is kept once. The returned list of distinct
-    (speaker, start_s, end_s) tuples gives the keys, in order, of the dict
-    :func:`gss_enhance` returns.
+    shorter than one analysis frame are dropped with a warning, and of
+    the segments of one speaker whose bounds round to the same
+    milliseconds only the first in time order is kept, so each output
+    name ``<speaker>/<start_ms>-<end_ms>`` has one segment. The returned
+    list of distinct (speaker, start_s, end_s) tuples gives the keys, in
+    order, of the dict :func:`gss_enhance` returns.
     """
     sessions = {s.session for s in segments.segments}
     if len(sessions) > 1:
         raise ParameterError(f"segments span multiple sessions: {sorted(sessions)}")
     duration = n_samples / sample_rate_hz
-    kept = []
+    kept = {}  # (speaker, start_ms, end_ms) -> (speaker, start_s, end_s)
     for seg in sorted(segments.segments, key=lambda s: (s.start_s, s.end_s, s.speaker)):
         if seg.start_s < 0 or seg.end_s > duration + 1e-9:
             raise RangeError(
@@ -481,8 +483,9 @@ def eligible_segments(
                 seg.end_s,
             )
             continue
-        kept.append((seg.speaker, seg.start_s, seg.end_s))
-    return list(dict.fromkeys(kept))
+        key = (seg.speaker, int(round(seg.start_s * 1000)), int(round(seg.end_s * 1000)))
+        kept.setdefault(key, (seg.speaker, seg.start_s, seg.end_s))
+    return list(kept.values())
 
 
 def _window_activity(

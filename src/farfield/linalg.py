@@ -8,12 +8,12 @@ import numpy as np
 def solve_hermitian(a: np.ndarray, b: np.ndarray, fallback) -> np.ndarray:
     """Solve ``a[i] @ x[i] = b[i]`` for a stack of Hermitian matrices.
 
-    One batched Cholesky factorization checks that every matrix is
-    numerically positive definite; if so, one batched solve handles the
-    whole stack (numpy has no batched triangular solve to reuse the
-    factor with). Otherwise every item is solved by
+    One batched ``np.linalg.solve`` (LU with partial pivoting) handles the
+    whole stack, indefinite matrices included, and solves each item
+    exactly as it would be solved alone. It fails only when an item is
+    exactly singular; then every item is solved by
     ``fallback(i, a[i], b[i])``, the caller's per-matrix recovery path
-    (pivoted LDL, diagonal loading), which can also name the failing item.
+    (diagonal loading, or an error that names the failing item).
 
     Parameters
     ----------
@@ -25,7 +25,6 @@ def solve_hermitian(a: np.ndarray, b: np.ndarray, fallback) -> np.ndarray:
     ndarray, shape (n, m, r)
     """
     try:
-        np.linalg.cholesky(a)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         return np.stack([fallback(i, a[i], b[i]) for i in range(a.shape[0])])
-    return np.linalg.solve(a, b)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ParameterError, UndefinedMetricError
+from .errors import ParameterError, UndefinedMetricError, check_finite
 
 log = logging.getLogger(__name__)
 
@@ -297,9 +297,12 @@ def der(
 
     Raises
     ------
+    ParameterError
+        ``collar_s`` is negative or not finite.
     UndefinedMetricError
         No scored reference speech at all.
     """
+    check_finite("collar_s", collar_s)
     if collar_s < 0:
         raise ParameterError(f"collar must be >= 0, got {collar_s}")
     sessions = sorted(set(ref.sessions()) | set(hyp.sessions()))

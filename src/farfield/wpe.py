@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import NumericalError, ParameterError, check_finite, check_int
 from .linalg import solve_hermitian
@@ -134,36 +133,6 @@ def _stack_history(x: np.ndarray, taps: int, delay: int) -> np.ndarray:
     return out
 
 
-def _solve_hermitian(r: np.ndarray, p: np.ndarray, bin_index: int) -> np.ndarray:
-    """Solve r @ g = p for Hermitian r, Cholesky first, pivoted LDL after."""
-    try:
-        factor = sla.cho_factor(r, lower=True, check_finite=False)
-        return sla.cho_solve(factor, p, check_finite=False)
-    except np.linalg.LinAlgError:
-        pass
-    # ldl reads only the real part of the diagonal; rounding leaves an
-    # imaginary residue there that would make scipy warn
-    r = r.copy()
-    np.fill_diagonal(r, r.diagonal().real)
-    try:
-        lu, d, perm = sla.ldl(r, lower=True)
-        tri = lu[perm]
-        w = sla.solve_triangular(
-            tri, p[perm], lower=True, unit_diagonal=True, check_finite=False
-        )
-        v = np.linalg.solve(d, w)
-        h = sla.solve_triangular(
-            tri, v, lower=True, unit_diagonal=True, trans="C", check_finite=False
-        )
-        g = np.empty_like(h)
-        g[perm] = h
-        return g
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(
-            f"prediction filter solve failed in frequency bin {bin_index}"
-        ) from exc
-
-
 def _prediction_filters(
     r: np.ndarray, p: np.ndarray, diagonal_loading: float, first_bin: int
 ) -> np.ndarray:
@@ -177,10 +146,17 @@ def _prediction_filters(
     trace = np.trace(r, axis1=1, axis2=2).real
     live = np.flatnonzero(trace > 0.0)
     loaded = r[live] + (diagonal_loading * trace[live] / ck)[:, None, None] * np.eye(ck)
+
+    def solve_bin(i, ri, pi):
+        try:
+            return np.linalg.solve(ri, pi)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"prediction filter solve failed in frequency bin {first_bin + live[i]}"
+            ) from exc
+
     g = np.zeros(p.shape, dtype=np.complex128)
-    g[live] = solve_hermitian(
-        loaded, p[live], lambda i, ri, pi: _solve_hermitian(ri, pi, first_bin + live[i])
-    )
+    g[live] = solve_hermitian(loaded, p[live], solve_bin)
     return g
 
 
@@ -214,10 +190,10 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
     ``_BLOCK_BINS`` bins at a time, which bounds the working set by the
     block instead of by bins x channels x taps x frames. Within a block
     the correlations are batched matrix products and the filters come
-    from one batched Hermitian solve (:func:`~farfield.linalg.solve_hermitian`);
-    only if a block has a matrix that is not numerically positive
-    definite are its bins solved one by one, Cholesky first and pivoted
-    LDL after.
+    from one batched Hermitian solve (:func:`~farfield.linalg.solve_hermitian`),
+    an LU solve that also handles indefinite matrices and gives each bin
+    the same filter as solving it alone. Only if a block has an exactly
+    singular matrix are its bins solved one by one, to name that bin.
 
     Raises
     ------

@@ -18,6 +18,7 @@ from farfield import (
     WaveformBuffer,
     read_utterances,
     read_wav,
+    sha256_file,
     write_wav,
 )
 from farfield import cli
@@ -330,6 +331,36 @@ def test_enhance_writes_a_repeated_segment_once(workspace, capsys):
     assert written == sorted(paths)
 
 
+def test_enhance_keeps_the_first_of_segments_with_one_output_name(workspace, capsys):
+    # both bounds round to ann/100-700.wav; the earlier segment is the one kept
+    rttm = (
+        "SPEAKER mtg 1 0.1000 0.6000 <NA> <NA> ann <NA> <NA>\n"
+        "SPEAKER mtg 1 0.1002 0.5998 <NA> <NA> ann <NA> <NA>\n"
+    )
+    rc = _enhance_rttm(workspace, "same_ms", rttm)
+    assert rc == 0
+    assert "session=mtg files=1" in capsys.readouterr().out
+    session_dir = workspace / "enh_same_ms" / "mtg"
+    written = [p.relative_to(session_dir).as_posix() for p in session_dir.rglob("*.wav")]
+    assert written == ["ann/100-700.wav"]
+    index = json.loads((session_dir / "index.json").read_text())
+    assert [entry["path"] for entry in index["outputs"]] == written
+    assert index["outputs"][0]["sha256"] == sha256_file(session_dir / written[0])
+    assert read_wav(session_dir / written[0]).n_samples == int(0.6 * FS)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_enhance_jobs_below_one_is_a_usage_error(workspace, capsys, jobs):
+    out = workspace / f"enh_jobs{jobs}"
+    rc = main(["enhance", str(workspace / "only_mtg.json"),
+               "--config", str(workspace / "cfg.json"), "--out", str(out),
+               f"--jobs={jobs}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and f"--jobs must be >= 1, got {jobs}" in err
+    assert not out.exists()
+
+
 def _enhance_failing_sessions(tmp_path, monkeypatch, errors):
     """Run enhance over one session per error; session i raises errors[i]."""
     by_session = {f"s{i}": exc for i, exc in enumerate(errors)}
@@ -435,6 +466,16 @@ def test_score_der_overlap_toggle(tmp_path, capsys):
                "--no-score-overlap"])
     assert rc == 0
     assert "metric=der session=ALL value=1.000000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("collar", ["nan", "inf"])
+def test_score_der_non_finite_collar_is_a_usage_error(tmp_path, capsys, collar):
+    ref = tmp_path / "ref.rttm"
+    ref.write_text("SPEAKER m 1 0.000 8.000 <NA> <NA> A <NA> <NA>\n")
+    rc = main(["score", "--mode", "der", str(ref), str(ref), "--collar", collar])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "collar_s must be a finite number" in err
 
 
 def test_score_intersects_sessions_with_warning(tmp_path, capsys, caplog):
