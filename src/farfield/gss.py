@@ -92,10 +92,11 @@ class ActivityPattern:
 class CacgmmState:
     """CACGMM parameters: one Hermitian matrix per (frequency, class).
 
-    ``B`` has shape (bins, classes, channels, channels), every matrix
-    trace-normalized to the channel count. ``log_likelihood_trace``
-    holds the average log-likelihood recorded at the start of each EM
-    iteration; it is non-decreasing up to the covariance floor.
+    ``B`` has shape (bins, classes, channels, channels) with finite
+    entries, every matrix trace-normalized to the channel count.
+    ``log_likelihood_trace`` holds the average log-likelihood recorded at
+    the start of each EM iteration; it is non-decreasing up to the
+    covariance floor.
     """
 
     B: np.ndarray
@@ -105,6 +106,8 @@ class CacgmmState:
         b = np.asarray(self.B, dtype=np.complex128)
         if b.ndim != 4 or b.shape[2] != b.shape[3]:
             raise ParameterError(f"B must be (bins, classes, C, C), got {b.shape}")
+        if not np.all(np.isfinite(b)):
+            raise ParameterError("B entries must be finite")
         herm = np.max(np.abs(b - np.conj(np.swapaxes(b, 2, 3))))
         scale = max(float(np.max(np.abs(b))), 1.0)
         if herm > 1e-10 * scale:
@@ -117,7 +120,10 @@ class CacgmmState:
 
 @dataclass(frozen=True)
 class MaskSet:
-    """Posterior masks gamma, shape (classes, frames, bins), simplex per bin."""
+    """Posterior masks gamma, shape (classes, frames, bins), simplex per bin.
+
+    Entries must be finite and lie in [0, 1].
+    """
 
     gamma: np.ndarray
 
@@ -125,6 +131,8 @@ class MaskSet:
         g = np.asarray(self.gamma, dtype=np.float64)
         if g.ndim != 3:
             raise ParameterError(f"gamma must be (classes, frames, bins), got {g.shape}")
+        if not np.all(np.isfinite(g)):
+            raise ParameterError("gamma entries must be finite")
         if np.any(g < 0.0) or np.any(g > 1.0 + 1e-12):
             raise ParameterError("gamma entries must lie in [0, 1]")
         if np.max(np.abs(g.sum(axis=0) - 1.0)) > 1e-9:
@@ -157,39 +165,116 @@ class BeamformerWeights:
 
 
 def _directions(values: np.ndarray):
-    """Outer products z z^H of the unit-normalized bins, (F, T, C * C) with
-    entry c * C + d = z_c conj(z_d), and the nonzero-norm mask (F, T)."""
-    x = np.transpose(values, (1, 0, 2))  # (F, T, C)
-    norm = np.linalg.norm(x, axis=2)
+    """Packed real direction statistics of the unit-normalized bins z.
+
+    Returns an (F, T, C * C) array whose rows hold |z_c|^2 for every c,
+    then the real and then the imaginary parts of z_c conj(z_d) for
+    c < d (row-major upper triangle), and the nonzero-norm mask (F, T).
+    Zero-norm bins have all-zero rows. The array is a view of an
+    (F, C * C, T) buffer, so the E-step product reads it without a copy.
+    """
+    x = np.transpose(values, (2, 1, 0))  # (C, F, T)
+    norm = np.linalg.norm(x, axis=0)
     nonzero = norm > 0.0
-    z = np.where(nonzero[:, :, None], x / np.where(nonzero, norm, 1.0)[:, :, None], 0.0)
-    outer = z[:, :, :, None] * z[:, :, None, :].conj()
-    return outer.reshape(z.shape[0], z.shape[1], -1), nonzero
+    scale = np.where(nonzero, norm, 1.0)
+    re = np.ascontiguousarray(x.real)
+    im = np.ascontiguousarray(x.imag)
+    re /= scale
+    im /= scale
+    c, n_bins, n_frames = re.shape
+    row, col = np.triu_indices(c, 1)
+    n_upper = row.size
+    packed = np.empty((n_bins, c * c, n_frames))
+    for i in range(c):
+        np.square(re[i], out=packed[:, i])
+        packed[:, i] += np.square(im[i])
+    for p, (i, j) in enumerate(zip(row, col), start=c):
+        np.multiply(re[i], re[j], out=packed[:, p])
+        packed[:, p] += im[i] * im[j]
+        np.multiply(im[i], re[j], out=packed[:, p + n_upper])
+        packed[:, p + n_upper] -= re[i] * im[j]
+    return np.swapaxes(packed, 1, 2), nonzero
 
 
-def _e_step(outer: np.ndarray, b: np.ndarray, active: np.ndarray, nonzero: np.ndarray):
+def _pack(h: np.ndarray) -> np.ndarray:
+    """Packed real (..., C * C) rows of Hermitian (..., C, C) matrices: the
+    diagonal, then the real and then the imaginary parts of the upper
+    triangle, the layout of :func:`_directions`."""
+    row, col = np.triu_indices(h.shape[-1], 1)
+    upper = h[..., row, col]
+    diag = np.diagonal(h, axis1=-2, axis2=-1).real
+    return np.concatenate((diag, upper.real, upper.imag), axis=-1)
+
+
+def _unpack(packed: np.ndarray, c: int) -> np.ndarray:
+    """Hermitian (..., C, C) matrices from packed (..., C * C) rows."""
+    row, col = np.triu_indices(c, 1)
+    upper = packed[..., c : c + row.size] + 1j * packed[..., c + row.size :]
+    out = np.zeros(packed.shape[:-1] + (c, c), dtype=np.complex128)
+    diag = np.arange(c)
+    out[..., diag, diag] = packed[..., :c]
+    out[..., row, col] = upper
+    out[..., col, row] = upper.conj()
+    return out
+
+
+def _inv_logdet(b: np.ndarray):
+    """Inverses and log-determinants of Hermitian positive-definite (F, K, C, C)
+    matrices by one Gauss-Jordan pass without pivoting, in place on a copy.
+
+    Elimination on a positive-definite matrix needs no pivoting: every
+    pivot is a positive Schur complement. A pivot that is not positive
+    and finite names the class whose covariance is not positive definite.
+    """
+    a = np.array(b, dtype=np.complex128)
+    c = a.shape[-1]
+    logdet = np.zeros(a.shape[:-2])
+    for j in range(c):
+        pivot = a[..., j, j].real
+        bad = ~((pivot > 0.0) & np.isfinite(pivot))
+        if np.any(bad):
+            k = int(np.argmax(bad.any(axis=0)))
+            raise NumericalError(f"class {k} covariance is not positive definite")
+        logdet += np.log(pivot)
+        row = a[..., j, :] / pivot[..., None]
+        row[..., j] = 1.0 / pivot
+        col = a[..., :, j].copy()
+        col[..., j] = 0.0
+        a[..., :, j] = 0.0
+        a -= col[..., :, None] * row[..., None, :]
+        a[..., j, :] = row
+    return a, logdet
+
+
+def _e_step(packed: np.ndarray, b: np.ndarray, active: np.ndarray, nonzero: np.ndarray):
     """One E-step: masks (bins, classes, frames) that are exact zeros for
     inactive classes and uniform over the active ones at zero-norm bins,
     their log-normalizer log sum_k 1[active] exp(log density) over (bins,
-    frames), and the quadratic forms z^H B^{-1} z (bins, classes, frames)."""
-    n_bins, n_classes, c, _ = b.shape
-    sign, logdet = np.linalg.slogdet(b)  # (F, K)
-    bad = (sign.real <= 0) | ~np.isfinite(logdet)
-    if np.any(bad):
-        k = int(np.argmax(bad.any(axis=0)))
-        raise NumericalError(f"class {k} covariance is not positive definite")
-    binv_conj = np.linalg.inv(b).conj().reshape(n_bins, n_classes, c * c)
-    # sum_cd conj(B^-1_cd) z_c conj(z_d) = conj(z^H B^-1 z): same real part
-    quad = (binv_conj @ np.swapaxes(outer, 1, 2)).real
-    quad = np.maximum(quad, 1e-30)  # exact arithmetic guarantees q >= 1/C
-    logits = np.where(active, -logdet[:, :, None] - c * np.log(quad), -np.inf)
-    top = np.max(logits, axis=1)
-    stable = np.exp(logits - top[:, None, :])
-    total = stable.sum(axis=1)
-    gamma = stable / total[:, None, :]
+    frames), and the quadratic forms z^H B^{-1} z (bins, classes, frames).
+
+    With A = B^{-1} Hermitian, z^H A z = sum_c A_cc |z_c|^2 + sum_{c<d}
+    2 Re(A_cd) Re(z_c conj(z_d)) + 2 Im(A_cd) Im(z_c conj(z_d)), so the
+    quadratic forms of every class are one real product of the packed
+    inverses, off-diagonal entries doubled, with the packed statistics of
+    :func:`_directions`.
+    """
+    c = b.shape[-1]
+    binv, logdet = _inv_logdet(b)
+    coef = _pack(binv)
+    coef[:, :, c:] *= 2.0
+    quad = coef @ np.swapaxes(packed, 1, 2)  # (F, K, T)
+    np.maximum(quad, 1e-30, out=quad)  # exact arithmetic guarantees q >= 1/C
+    gamma = np.log(quad)
+    gamma *= -c
+    gamma -= logdet[:, :, None]
+    gamma += np.where(active, 0.0, -np.inf)
+    top = np.max(gamma, axis=1)
+    gamma -= top[:, None, :]
+    np.exp(gamma, out=gamma)
+    total = gamma.sum(axis=1)
+    gamma /= total[:, None, :]
     # zero-norm bins carry no direction information: uniform over active
-    uniform = active / active.sum(axis=0)
-    gamma = np.where(nonzero[:, None, :], gamma, uniform)
+    np.copyto(gamma, active / active.sum(axis=0), where=~nonzero[:, None, :])
     return gamma, top + np.log(total), quad
 
 
@@ -202,6 +287,12 @@ def cacgmm_posteriors(
     1[active(k, t)] * det(B_{f,k})^{-1} * (z^H B_{f,k}^{-1} z)^{-C} with
     z the unit-normalized observation. Bins with zero norm receive the
     uniform posterior over the classes active at their frame.
+
+    Raises
+    ------
+    NumericalError
+        A covariance in ``state`` is not positive definite; the message
+        names its class.
     """
     _check_alignment(spec, activity)
     if state.B.shape[:3] != (spec.bins, activity.n_classes, spec.channels):
@@ -209,8 +300,8 @@ def cacgmm_posteriors(
             f"state B shape {state.B.shape} inconsistent with {spec.bins} bins, "
             f"{activity.n_classes} classes and {spec.channels} channels"
         )
-    outer, nonzero = _directions(spec.values)
-    gamma = _e_step(outer, state.B, activity.active, nonzero)[0]
+    packed, nonzero = _directions(spec.values)
+    gamma = _e_step(packed, state.B, activity.active, nonzero)[0]
     return MaskSet(gamma=np.ascontiguousarray(gamma.transpose(1, 2, 0)))
 
 
@@ -237,23 +328,34 @@ def fit_cacgmm(
     statistics, trace-normalizes to the channel count, and adds
     1e-10 * C to the diagonal.
 
-    Every per-class array is kept in one (bins, classes, frames) layout.
-    The direction outer products z z^H are formed once; one E-step, shared
-    with :func:`cacgmm_posteriors`, gives the quadratic forms z^H B^{-1} z
-    of every class as one batched product with the conjugated inverses,
-    the masks, and their log-normalizer, from which the log-likelihood
-    entry is taken. The M-step numerators of every class are one batched
-    product of the weights with the outer products. The masks of the
-    final E-step are rearranged to (classes, frames, bins) once.
+    The EM runs in real arithmetic, with every per-class array in one
+    (bins, classes, frames) layout. The direction statistics z z^H are
+    packed once as C * C real numbers per bin: |z_c|^2, then the real
+    and imaginary parts of z_c conj(z_d) for c < d. One E-step, shared
+    with :func:`cacgmm_posteriors`, inverts every B and takes its log
+    determinant in one Gauss-Jordan pass, and gives the quadratic forms
+    z^H B^{-1} z of every class as one real product of the packed
+    inverses with the packed statistics, the masks, and their
+    log-normalizer, from which the log-likelihood entry is taken. The
+    M-step numerators of every class are one real product of the
+    weights with the packed statistics, unpacked into Hermitian
+    matrices. The masks of the final E-step are rearranged to (classes,
+    frames, bins) once.
 
     Returns
     -------
     (CacgmmState, MaskSet)
         Final parameters with one average log-likelihood entry per
         iteration, and the masks of a final E-step under them.
+
+    Raises
+    ------
+    ParameterError
+        ``iterations`` is not an integer >= 1, or ``seed`` is not an
+        integer >= 0.
     """
-    if iterations < 1:
-        raise ParameterError(f"iterations must be >= 1, got {iterations}")
+    check_int("iterations", iterations, 1)
+    check_int("seed", seed, 0)
     _check_alignment(spec, activity)
     _, n_bins, n_ch = spec.values.shape
     eps_b = 1e-10 * n_ch
@@ -266,7 +368,7 @@ def fit_cacgmm(
     eye = np.eye(n_ch)
     b = (1.0 - _INIT_JITTER) * eye[None, None] + _INIT_JITTER * jitter
 
-    outer, nonzero = _directions(spec.values)
+    packed, nonzero = _directions(spec.values)
     act = activity.active
     ever_active = act.any(axis=1)
     # uniform prior over the active classes, plus the density's constant;
@@ -277,11 +379,13 @@ def fit_cacgmm(
     trace = []
 
     for _ in range(iterations):
-        gamma, log_norm, quad = _e_step(outer, b, act, nonzero)
+        gamma, log_norm, quad = _e_step(packed, b, act, nonzero)
         trace.append(float(np.sum((log_norm + log_prior)[nonzero]) / n_dirs + const))
-        weights = gamma * nonzero[:, None, :]  # zero-norm bins carry no statistics
-        denom = weights.sum(axis=2)  # (F, K)
-        numer = ((weights / quad) @ outer).reshape(b.shape)
+        gamma *= nonzero[:, None, :]  # zero-norm bins carry no statistics
+        denom = gamma.sum(axis=2)  # (F, K)
+        gamma /= quad
+        numer = _unpack(gamma @ packed, n_ch)
+        del gamma, log_norm, quad  # free them before the next E-step allocates its own
         ok = (denom > 0.0) & ever_active
         new = b.copy()
         new[ok] = n_ch * numer[ok] / denom[ok][:, None, None]
@@ -292,7 +396,7 @@ def fit_cacgmm(
         # never-active classes keep their initial covariance; masks stay zero
         b = np.where(ever_active[None, :, None, None], new, b)
 
-    gamma = np.ascontiguousarray(_e_step(outer, b, act, nonzero)[0].transpose(1, 2, 0))
+    gamma = np.ascontiguousarray(_e_step(packed, b, act, nonzero)[0].transpose(1, 2, 0))
     return CacgmmState(B=b, log_likelihood_trace=tuple(trace)), MaskSet(gamma=gamma)
 
 
@@ -302,7 +406,7 @@ def spatial_covariance(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndar
     Parameters
     ----------
     weights : ndarray, shape (frames, bins)
-        Nonnegative bin weights, typically a posterior mask.
+        Nonnegative finite bin weights, typically a posterior mask.
 
     Returns
     -------
@@ -313,6 +417,8 @@ def spatial_covariance(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndar
         raise ParameterError(
             f"weights shape {w.shape} does not match (frames, bins)"
         )
+    if not np.all(np.isfinite(w)):
+        raise ParameterError("weights must be finite")
     totals = w.sum(axis=0)
     if np.any(totals <= 0.0):
         raise ParameterError("weights sum to zero in at least one frequency bin")

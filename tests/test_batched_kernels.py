@@ -8,7 +8,10 @@ weights, and 1e-12 absolute for the EM log-likelihood trace. The
 fallback tests check that an indefinite matrix is solved in the batch
 without touching its neighbours' bits, that a batch holding one
 singular matrix takes the per-bin path, and that errors name the global
-frequency bin.
+frequency bin. The CACGMM's packed real direction statistics must equal
+the complex outer products within 1e-14, and its Gauss-Jordan inverses
+and log-determinants numpy's within 4 * C * cond * eps, including
+covariances held up only by the fit's 1e-10 * C floor.
 """
 
 import importlib
@@ -233,6 +236,75 @@ def test_fit_masks_equal_the_posteriors_of_the_fitted_state(seed):
     again = cacgmm_posteriors(_spec(values), activity, state)
     np.testing.assert_array_equal(masks.gamma, again.gamma)
     assert masks.gamma.flags.c_contiguous
+
+
+def test_packed_directions_match_the_complex_outer_products():
+    values, _ = _cacgmm_instance(4, channels=4)
+    packed, nonzero = gss_module._directions(values)
+    z, expected_nonzero = ref.unit_directions(values)
+    np.testing.assert_array_equal(nonzero, expected_nonzero.T)
+    outer = np.einsum("tfc,tfd->ftcd", z, z.conj())
+    c = values.shape[2]
+    row, col = np.triu_indices(c, 1)
+    upper = outer[:, :, row, col]
+    expected = np.concatenate(
+        (np.einsum("ftcc->ftc", outer).real, upper.real, upper.imag), axis=2
+    )
+    assert packed.shape == values.shape[1::-1] + (c * c,)
+    np.testing.assert_allclose(packed, expected, rtol=0, atol=1e-14)
+    assert np.all(packed[~nonzero] == 0.0)
+
+
+def _hpd_stack(rng, c, rank, floor=0.0):
+    """(5, 3, c, c) Gram matrices of the given rank, trace-normalized to c,
+    plus ``floor`` on the diagonal."""
+    g = _gram(_complex(rng, (5, 3, c, rank)))
+    g *= c / np.trace(g, axis1=2, axis2=3).real[:, :, None, None]
+    return g + floor * np.eye(c)
+
+
+@pytest.mark.parametrize("c", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["well_conditioned", "loaded_by_the_floor"])
+def test_inv_logdet_matches_numpy(c, kind):
+    rng = np.random.default_rng(20 + c)
+    if kind == "well_conditioned":
+        b = _hpd_stack(rng, c, 2 * c)
+    else:  # rank one plus the fit's 1e-10 * C loading: cond about 1e10
+        b = _hpd_stack(rng, c, 1, floor=1e-10 * c)
+    inv, logdet = gss_module._inv_logdet(b)
+    sign, expected_logdet = np.linalg.slogdet(b)
+    assert np.all(sign.real > 0.0)
+    expected_inv = np.linalg.inv(b)
+    cond = np.linalg.cond(b)
+    if kind == "loaded_by_the_floor":
+        assert np.all(cond > 1e9)
+    # both are backward stable: they may differ by about cond * eps
+    tol = 4 * c * cond * np.finfo(np.float64).eps
+    scale = np.max(np.abs(expected_inv), axis=(2, 3))
+    assert np.all(np.max(np.abs(inv - expected_inv), axis=(2, 3)) <= tol * scale)
+    assert np.all(np.abs(logdet - expected_logdet.real) <= tol)
+
+
+def test_inv_logdet_rejects_a_non_finite_pivot():
+    b = _hpd_stack(np.random.default_rng(30), 3, 6)
+    b[1, 2, 0, 0] = np.nan
+    with pytest.raises(NumericalError, match="^class 2 covariance is not positive definite$"):
+        gss_module._inv_logdet(b)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_posteriors_non_positive_definite_state_names_the_class(k):
+    values, activity = _cacgmm_instance(5)  # 7 bins, 4 classes, 3 channels
+    rng = np.random.default_rng(31)
+    b = np.stack(
+        [
+            [_hermitian_with_eigenvalues(rng, rng.uniform(1.0, 2.0, 3)) for _ in range(4)]
+            for _ in range(7)
+        ]
+    )
+    b[4, k] = _hermitian_with_eigenvalues(rng, [2.0, 1.0, -0.5])
+    with pytest.raises(NumericalError, match=f"^class {k} covariance is not positive definite$"):
+        cacgmm_posteriors(_spec(values), activity, CacgmmState(B=b))
 
 
 @pytest.mark.parametrize(

@@ -103,6 +103,40 @@ def test_cacgmm_state_requires_hermitian():
         CacgmmState(b)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mask_set_rejects_non_finite_entries(bad):
+    gamma = np.full((2, 3, 4), 0.5)
+    gamma[1, 2, 3] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        MaskSet(gamma)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_cacgmm_state_rejects_non_finite_entries(bad):
+    b = np.broadcast_to(np.eye(2, dtype=complex), (3, 2, 2, 2)).copy()
+    b[1, 0, 1, 1] = bad
+    with pytest.raises(ParameterError, match="finite"):
+        CacgmmState(b)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("iterations", 2.5),
+        ("iterations", True),
+        ("iterations", 0),
+        ("seed", 1.5),
+        ("seed", -3),
+        ("seed", True),
+    ],
+)
+def test_fit_cacgmm_rejects_bad_iterations_and_seed(name, value):
+    spec, activity = _random_instance(0, frames=10)
+    kwargs = {"iterations": 2, "seed": 0, name: value}
+    with pytest.raises(ParameterError, match=f"^{name} must be"):
+        fit_cacgmm(spec, activity, **kwargs)
+
+
 # --------------------------------------------------------------- em
 
 
@@ -201,6 +235,15 @@ def test_spatial_covariance_rejects_zero_weight_bin():
     weights = np.ones((5, 5))
     weights[:, 1] = 0.0
     with pytest.raises(ParameterError):
+        spatial_covariance(spec, weights)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spatial_covariance_rejects_non_finite_weight(bad):
+    spec, _ = _random_instance(14, frames=5)
+    weights = np.ones((5, 5))
+    weights[2, 3] = bad
+    with pytest.raises(ParameterError, match="finite"):
         spatial_covariance(spec, weights)
 
 
