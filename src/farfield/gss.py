@@ -389,7 +389,6 @@ def fit_cacgmm(
         ok = (denom > 0.0) & ever_active
         new = b.copy()
         new[ok] = n_ch * numer[ok] / denom[ok][:, None, None]
-        new = 0.5 * (new + np.conj(np.swapaxes(new, 2, 3)))
         tr = np.trace(new, axis1=2, axis2=3).real
         tr = np.where(tr > 0.0, tr, 1.0)
         new = new * (n_ch / tr)[:, :, None, None] + eps_b * eye
@@ -682,7 +681,7 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
             if cfg.masking_postfilter:
                 post = np.maximum(masks.gamma[target], cfg.mask_floor)
                 enhanced = replace(enhanced, values=enhanced.values * post[:, :, None])
-            audio = istft(enhanced, cfg.stft, hi - lo)
+            audio = istft(enhanced, hi - lo)
             a = int(round(start_s * rate)) - lo
             b = int(round(end_s * rate)) - lo
             pieces[i] = WaveformBuffer(audio.samples[:, a:b], rate)

@@ -111,9 +111,9 @@ class DiarSegment:
     end_s: float
 
     def __post_init__(self):
-        if not self.start_s < self.end_s:
+        if not 0 <= self.start_s < self.end_s < np.inf:
             raise ParameterError(
-                f"segment [{self.start_s}, {self.end_s}] must have start < end"
+                f"segment [{self.start_s}, {self.end_s}] must have 0 <= start < end < inf"
             )
 
 

@@ -8,7 +8,8 @@ Conventions
 -----------
 * Waveforms are float64 matrices of shape ``(channels, samples)``.
 * Spectrograms are complex128 tensors of shape ``(frames, bins, channels)``
-  with one-sided spectra (``bins = fft_size // 2 + 1``).
+  with one-sided spectra (``bins = fft_size // 2 + 1``). Each carries the
+  :class:`StftParams` that made it, which :func:`istft` synthesizes with.
 * Analysis reflect-pads ``frame_length - frame_shift`` samples at both
   ends so every original sample sits in the constant-overlap region and
   the round trip is exact; :func:`istft` removes that padding again.
@@ -17,7 +18,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,12 +162,11 @@ class StftParams:
 
 @dataclass(frozen=True)
 class ComplexSpectrogram:
-    """One-sided multichannel STFT with its framing parameters."""
+    """One-sided multichannel STFT with the framing parameters that made it."""
 
     values: np.ndarray  # (frames, bins, channels) complex128
     params: StftParams
     sample_rate_hz: int
-    source_length: int = field(default=0)  # samples before padding, 0 if unknown
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.complex128)
@@ -195,8 +195,8 @@ def stft(wav: WaveformBuffer, p: StftParams) -> ComplexSpectrogram:
     """Short-time Fourier transform of a multichannel waveform.
 
     The input is reflect-padded by ``frame_length - frame_shift`` at both
-    ends, framed with hop ``frame_shift``, windowed and transformed to
-    one-sided spectra. A zero tail completes the final frame.
+    ends, cut into the fewest frames of hop ``frame_shift`` that cover it
+    (a zero tail completes the last), windowed and transformed by rfft.
 
     Parameters
     ----------
@@ -209,15 +209,10 @@ def stft(wav: WaveformBuffer, p: StftParams) -> ComplexSpectrogram:
     """
     if not isinstance(wav, WaveformBuffer):
         raise ParameterError("stft expects a WaveformBuffer")
-    n = wav.n_samples
     pad = p.edge_padding
     x = np.pad(wav.samples, ((0, 0), (pad, pad)), mode="reflect")
     n_padded = x.shape[1]
-
-    if n_padded <= p.frame_length:
-        n_frames = 1
-    else:
-        n_frames = int(math.ceil((n_padded - p.frame_length) / p.frame_shift)) + 1
+    n_frames = int(math.ceil((n_padded - p.frame_length) / p.frame_shift)) + 1
     full = (n_frames - 1) * p.frame_shift + p.frame_length
     if full > n_padded:
         x = np.pad(x, ((0, 0), (0, full - n_padded)))
@@ -230,22 +225,24 @@ def stft(wav: WaveformBuffer, p: StftParams) -> ComplexSpectrogram:
         values=np.transpose(spec, (1, 2, 0)),
         params=p,
         sample_rate_hz=wav.sample_rate_hz,
-        source_length=n,
     )
 
 
-def istft(spec: ComplexSpectrogram, p: StftParams, target_length: int) -> WaveformBuffer:
-    """Overlap-add synthesis, inverse of :func:`stft`.
+def istft(spec: ComplexSpectrogram, target_length: int) -> WaveformBuffer:
+    """Overlap-add synthesis with ``spec.params``, inverse of :func:`stft`.
 
     DC and Nyquist bins are forced real before Hermitian reconstruction.
     The overlap-add result is divided by the window overlap sum and the
     analysis edge padding is cut off, then the output is truncated or
-    zero-padded to ``target_length`` samples.
+    zero-padded to ``target_length`` samples, a nonnegative integer.
+
+    >>> x = WaveformBuffer(np.arange(1.0, 11.0), 16000)
+    >>> y = istft(stft(x, StftParams(8, 4, 8)), x.n_samples)
+    >>> float(np.max(np.abs(y.samples - x.samples))) < 1e-12
+    True
     """
-    if p != spec.params:
-        raise ParameterError("params do not match the spectrogram's params")
-    if target_length < 0:
-        raise ParameterError("target_length must be >= 0")
+    check_int("target_length", target_length, 0)
+    p = spec.params
 
     vals = np.array(spec.values, dtype=np.complex128)
     vals[:, 0, :] = vals[:, 0, :].real

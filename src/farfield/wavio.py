@@ -40,6 +40,7 @@ def read_wav(path) -> WaveformBuffer:
     """Read a WAVE file into a (channels, samples) float64 buffer.
 
     PCM16 samples are scaled by 1/32768; float32 samples are taken as-is.
+    A partial last sample frame is dropped, as the stdlib wave reader does.
 
     Raises
     ------
@@ -71,7 +72,7 @@ def read_wav(path) -> WaveformBuffer:
     if data is None:
         raise DataError(f"{path}: missing data chunk")
 
-    tag, n_ch, rate, _, block_align, bits = struct.unpack_from("<HHIIHH", fmt, 0)
+    tag, n_ch, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if tag == _TAG_EXTENSIBLE:
         if len(fmt) < 40:
             raise DataError(f"{path}: extensible fmt chunk too short")
@@ -80,11 +81,11 @@ def read_wav(path) -> WaveformBuffer:
     if tag == _TAG_PCM:
         if bits != 16:
             raise DataError(f"{path}: only 16-bit PCM supported, got {bits}-bit")
-        flat = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+        dtype = "<i2"
     elif tag == _TAG_FLOAT:
         if bits != 32:
             raise DataError(f"{path}: only 32-bit float supported, got {bits}-bit")
-        flat = np.frombuffer(data, dtype="<f4").astype(np.float64)
+        dtype = "<f4"
     else:
         name = _KNOWN_COMPRESSED.get(tag, "unknown")
         raise DataError(
@@ -94,11 +95,14 @@ def read_wav(path) -> WaveformBuffer:
 
     if n_ch < 1:
         raise DataError(f"{path}: channel count {n_ch} invalid")
-    if flat.size % n_ch:
-        flat = flat[: flat.size - flat.size % n_ch]
-    if flat.size == 0:
+    if rate < 1:
+        raise DataError(f"{path}: sample rate {rate} invalid")
+    n_frames = len(data) // (n_ch * bits // 8)
+    if n_frames == 0:
         raise DataError(f"{path}: no audio frames")
-    del block_align
+    flat = np.frombuffer(data, dtype, n_frames * n_ch).astype(np.float64)
+    if tag == _TAG_PCM:
+        flat /= 32768.0
     samples = flat.reshape(-1, n_ch).T
     check_finite_samples(samples, str(path))
     return WaveformBuffer(samples=samples, sample_rate_hz=int(rate))

@@ -128,8 +128,7 @@ def _stack_history(x: np.ndarray, taps: int, delay: int) -> np.ndarray:
     out = np.zeros((n_bins, n_ch * taps, n_frames), dtype=x.dtype)
     for k in range(taps):
         d = delay + k
-        if d < n_frames:
-            out[:, k * n_ch : (k + 1) * n_ch, d:] = x[:, :, : n_frames - d]
+        out[:, k * n_ch : (k + 1) * n_ch, d:] = x[:, :, : n_frames - d]
     return out
 
 
@@ -221,5 +220,4 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
         values=np.transpose(y, (2, 0, 1)),
         params=spec.params,
         sample_rate_hz=spec.sample_rate_hz,
-        source_length=spec.source_length,
     )

@@ -265,9 +265,8 @@ def enhance_per_segment(wav, segments, cfg, seed_for=None):
                 enhanced.values * post[:, :, None],
                 enhanced.params,
                 enhanced.sample_rate_hz,
-                enhanced.source_length,
             )
-        audio = istft(enhanced, p, hi - lo)
+        audio = istft(enhanced, hi - lo)
         a = int(round(start_s * rate)) - lo
         b = int(round(end_s * rate)) - lo
         out[speaker, start_s, end_s] = WaveformBuffer(audio.samples[:, a:b], rate)

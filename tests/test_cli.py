@@ -478,6 +478,28 @@ def test_score_der_non_finite_collar_is_a_usage_error(tmp_path, capsys, collar):
     assert err.count("error:") == 1 and "collar_s must be a finite number" in err
 
 
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "SPEAKER m 1 1.000 inf <NA> <NA> a <NA> <NA>\n",
+        "SPEAKER m 1 -1.000 0.500 <NA> <NA> a <NA> <NA>\n",
+    ],
+    ids=["inf-duration", "negative-start"],
+)
+def test_score_der_rejects_a_non_finite_or_negative_reference_time(tmp_path, capsys, bad_line):
+    ref = tmp_path / "ref.rttm"
+    hyp = tmp_path / "hyp.rttm"
+    ref.write_text(
+        "SPEAKER m 1 0.000 1.000 <NA> <NA> a <NA> <NA>\n"
+        "SPEAKER m 1 2.500 0.500 <NA> <NA> b <NA> <NA>\n" + bad_line
+    )
+    hyp.write_text("SPEAKER m 1 2.500 0.500 <NA> <NA> b <NA> <NA>\n")
+    rc = main(["score", "--mode", "der", str(ref), str(hyp), "--collar", "0"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("error:") == 1 and "ref.rttm" in err
+
+
 def test_score_intersects_sessions_with_warning(tmp_path, capsys, caplog):
     ref = tmp_path / "ref.trn"
     hyp = tmp_path / "hyp.trn"

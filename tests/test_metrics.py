@@ -7,6 +7,7 @@ import pytest
 
 from farfield import (
     DiarizationSet,
+    DiarSegment,
     ParameterError,
     TranscriptSet,
     UndefinedMetricError,
@@ -325,6 +326,10 @@ def test_der_empty_reference_rejected():
 def test_diar_segment_rejects_bad_interval():
     with pytest.raises(ParameterError, match="start < end"):
         DiarizationSet.from_rows([("m", "A", 2.0, 2.0)])
+    # times must also be finite and not negative
+    for start, end in [(0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0), (-1.0, -0.5), (-0.5, 1.0)]:
+        with pytest.raises(ParameterError, match="start < end"):
+            DiarSegment("m", "A", start, end)
 
 
 # -------------------------------------------------------------- SI-SDR

@@ -47,7 +47,7 @@ def cola_params(draw):
 )
 def test_stft_istft_round_trip(p, n, channels, seed):
     x = np.random.default_rng(seed).normal(size=(channels, n))
-    back = istft(stft(WaveformBuffer(x, FS), p), p, n).samples
+    back = istft(stft(WaveformBuffer(x, FS), p), n).samples
     assert back.shape == x.shape
     assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
 

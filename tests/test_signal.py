@@ -202,7 +202,7 @@ def test_stft_total_energy_tracks_window_normalization():
 def test_roundtrip_default_params():
     p = StftParams()
     wav = _noise(5, channels=2, n=FS)
-    back = istft(stft(wav, p), p, wav.n_samples)
+    back = istft(stft(wav, p), wav.n_samples)
     assert back.samples.shape == wav.samples.shape
     assert np.max(np.abs(back.samples - wav.samples)) <= 1e-6
 
@@ -218,18 +218,31 @@ def test_roundtrip_random_cola_configs():
         p = StftParams(length, shift, fft_size, window)
         n = int(rng.integers(length + 1, 4 * FS))
         wav = WaveformBuffer(rng.normal(size=(int(rng.integers(1, 4)), n)), FS)
-        back = istft(stft(wav, p), p, n)
+        back = istft(stft(wav, p), n)
         rel = np.linalg.norm(back.samples - wav.samples) / np.linalg.norm(wav.samples)
         assert rel <= 1e-6, (trial, length, shift, fft_size, window)
+    # inputs down to one sample, and (3, 2), a COLA framing with
+    # frame_length < 2 * frame_shift: stft takes the fewest frames that
+    # cover the padded input, and the round trip is exact
+    short = [StftParams(3, 2, 3), StftParams(3, 2, 4, "sqrt-hann"), StftParams(16, 4, 32)]
+    for p in short + [StftParams()]:
+        for n in range(1, 2 * p.frame_length + 1):
+            x = rng.normal(size=(2, n))
+            spec = stft(WaveformBuffer(x, FS), p)
+            covered = n + 2 * p.edge_padding
+            assert (spec.frames - 1) * p.frame_shift + p.frame_length >= covered, (p, n)
+            assert spec.frames == 1 or (
+                (spec.frames - 2) * p.frame_shift + p.frame_length < covered
+            ), (p, n)
+            back = istft(spec, n).samples
+            assert np.max(np.abs(back - x)) <= 1e-12 * np.max(np.abs(x)), (p, n)
 
 
 def test_istft_zero_spectrogram_is_zero():
     p = StftParams()
     spec = stft(_noise(7), p)
-    zero = ComplexSpectrogram(
-        np.zeros_like(spec.values), p, spec.sample_rate_hz, spec.source_length
-    )
-    out = istft(zero, p, FS)
+    zero = ComplexSpectrogram(np.zeros_like(spec.values), p, spec.sample_rate_hz)
+    out = istft(zero, FS)
     assert np.all(out.samples == 0)
 
 
@@ -237,28 +250,27 @@ def test_istft_scales_linearly():
     p = StftParams()
     wav = _noise(8, channels=1)
     spec = stft(wav, p)
-    doubled = ComplexSpectrogram(2.0 * spec.values, p, FS, spec.source_length)
-    out1 = istft(spec, p, FS)
-    out2 = istft(doubled, p, FS)
+    doubled = ComplexSpectrogram(2.0 * spec.values, p, FS)
+    out1 = istft(spec, FS)
+    out2 = istft(doubled, FS)
     np.testing.assert_allclose(out2.samples, 2.0 * out1.samples, atol=1e-12)
 
 
-def test_istft_rejects_param_mismatch():
-    p = StftParams()
-    spec = stft(_noise(9), p)
-    other = StftParams(frame_length=256, frame_shift=64, fft_size=256)
-    with pytest.raises(ParameterError):
-        istft(spec, other, FS)
+@pytest.mark.parametrize("target_length", [10.5, True, -1, "16000"])
+def test_istft_rejects_bad_target_length(target_length):
+    spec = stft(_noise(9), StftParams())
+    with pytest.raises(ParameterError, match="target_length"):
+        istft(spec, target_length)
 
 
 def test_istft_truncates_and_pads_to_target():
     p = StftParams()
     wav = _noise(10, channels=1)
     spec = stft(wav, p)
-    short = istft(spec, p, 1000)
+    short = istft(spec, 1000)
     assert short.n_samples == 1000
     np.testing.assert_allclose(short.samples, wav.samples[:, :1000], atol=1e-6)
-    longer = istft(spec, p, FS + 500)
+    longer = istft(spec, FS + 500)
     assert longer.n_samples == FS + 500
     # past the reconstructable region the output is zero-padded
     assert np.all(longer.samples[:, FS + p.edge_padding :] == 0)

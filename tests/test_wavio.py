@@ -97,19 +97,47 @@ def test_rejects_truncated_data(tmp_path):
         read_wav(path)
 
 
-def test_rejects_compressed_format_with_name(tmp_path):
-    # hand-built header claiming mu-law (format tag 0x0007)
-    fmt = struct.pack("<HHIIHH", 0x0007, 1, 8000, 8000, 1, 8)
-    data = b"\x00" * 16
+def _hand_built(path, tag, n_ch, rate, bits, data):
+    """Write a WAVE file from its header fields and raw data bytes."""
+    block = n_ch * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, n_ch, rate, rate * block, block, bits)
     body = (
         b"WAVE"
         + b"fmt " + struct.pack("<I", len(fmt)) + fmt
         + b"data" + struct.pack("<I", len(data)) + data
     )
-    blob = b"RIFF" + struct.pack("<I", len(body)) + body
-    path = tmp_path / "i.wav"
-    path.write_bytes(blob)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    return path
+
+
+def test_rejects_compressed_format_with_name(tmp_path):
+    # header claiming mu-law (format tag 0x0007)
+    path = _hand_built(tmp_path / "i.wav", 0x0007, 1, 8000, 8, b"\x00" * 16)
     with pytest.raises(DataError, match="mu-law"):
+        read_wav(path)
+
+
+@pytest.mark.parametrize(
+    ("tag", "n_ch", "bits", "data", "expected"),
+    [
+        (1, 1, 16, struct.pack("<h", -16384) + b"\x7f", [[-0.5]]),  # 3 bytes
+        (1, 2, 16, struct.pack("<hh", 8192, -8192) + b"\x01\x02\x03", [[0.25], [-0.25]]),
+        (3, 1, 32, struct.pack("<f", 0.75) + b"\x00", [[0.75]]),  # 5 bytes
+    ],
+    ids=["pcm16-3-bytes", "pcm16-stereo-7-bytes", "float32-5-bytes"],
+)
+def test_partial_last_sample_frame_is_dropped(tmp_path, tag, n_ch, bits, data, expected):
+    path = _hand_built(tmp_path / "odd.wav", tag, n_ch, FS, bits, data)
+    wav = read_wav(path)
+    np.testing.assert_array_equal(wav.samples, expected)
+    if tag == 1:  # the stdlib reader counts whole frames the same way
+        with wave.open(str(path), "rb") as fh:
+            assert fh.getnframes() == wav.n_samples
+
+
+def test_rejects_zero_sample_rate_naming_the_file(tmp_path):
+    path = _hand_built(tmp_path / "rate0.wav", 1, 1, 0, 16, b"\x00\x01" * 4)
+    with pytest.raises(DataError, match=r"rate0\.wav: sample rate 0"):
         read_wav(path)
 
 
