@@ -3,8 +3,8 @@
 Three mock systems transcribe the same utterance with different
 mistakes. Folding them into a word transition network and voting per
 slot recovers the majority reading; the alpha knob trades vote counts
-against confidence scores, and the null confidence decides whether a
-word nobody else saw survives.
+against confidence scores, and a fixed null confidence of 0.5 decides
+whether a word nobody else saw survives.
 """
 
 import farfield as ff
@@ -38,12 +38,12 @@ def main():
         fused = ff.rover(scored, alpha=alpha)
         print(f"alpha={alpha:3.1f}: {' '.join(fused)}")
 
-    # null_conf is the standing score of "output nothing"; a low-score
-    # word only one system heard survives only while it beats the null
-    minority = [["ok", ("then", 0.3)], ["ok"], ["ok"]]
-    for null_conf in (0.1, 0.5):
-        fused = ff.rover(minority, alpha=0.0, null_conf=null_conf)
-        print(f"null_conf={null_conf}: {' '.join(fused)}")
+    # "output nothing" stands at confidence 0.5; a word only one system
+    # heard survives a confidence vote only when it scores above that
+    for conf in (0.3, 0.8):
+        minority = [["ok", ("then", conf)], ["ok"], ["ok"]]
+        fused = ff.rover(minority, alpha=0.0)
+        print(f"lone word at {conf}: {' '.join(fused)}")
 
 
 if __name__ == "__main__":

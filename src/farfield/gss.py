@@ -492,17 +492,15 @@ def mvdr_weights(
 
 
 def mvdr_beamform(
-    spec: ComplexSpectrogram,
-    masks: MaskSet,
-    target_class: int,
-    reference_channel: int | None = None,
-    weight_cap: float = 1e4,
+    spec: ComplexSpectrogram, masks: MaskSet, target_class: int
 ) -> ComplexSpectrogram:
     """Beamform one class of a masked mixture down to a single channel.
 
     Target and noise covariances are estimated from the class mask and
     its complement (the other classes pooled), then the Souden MVDR
-    weights are applied: y(t, f) = w_f^H x(t, f).
+    weights of :func:`mvdr_weights` are applied, with the reference
+    channel chosen by :func:`select_reference_channel` and the default
+    weight cap: y(t, f) = w_f^H x(t, f).
     """
     if masks.gamma.shape[1:] != (spec.frames, spec.bins):
         raise ParameterError("masks do not match the spectrogram grid")
@@ -511,7 +509,7 @@ def mvdr_beamform(
     gamma = masks.gamma[target_class]
     phi_ss = spatial_covariance(spec, gamma)
     phi_nn = spatial_covariance(spec, 1.0 - gamma)
-    weights = mvdr_weights(phi_ss, phi_nn, reference_channel, weight_cap)
+    weights = mvdr_weights(phi_ss, phi_nn)
     y = np.einsum("fc,tfc->tf", np.conj(weights.w), spec.values)
     return replace(spec, values=y[:, :, None])
 
@@ -524,26 +522,14 @@ class GssConfig:
     wpe: WpeConfig | None = WpeConfig()
     em_iterations: int = 20
     context_s: float = 15.0
-    masking_postfilter: bool = False
-    mask_floor: float = 0.1
-    weight_cap: float = 1e4
     seed: int = 0
 
     def __post_init__(self):
         check_int("em_iterations", self.em_iterations, 1)
         check_int("seed", self.seed)
-        if not isinstance(self.masking_postfilter, bool):
-            raise ParameterError(
-                f"masking_postfilter must be a bool, got {self.masking_postfilter!r}"
-            )
-        for name in ("context_s", "mask_floor", "weight_cap"):
-            check_finite(name, getattr(self, name))
+        check_finite("context_s", self.context_s)
         if self.context_s < 0:
             raise ParameterError("context_s must be >= 0")
-        if not 0.0 <= self.mask_floor <= 1.0:
-            raise ParameterError("mask_floor must lie in [0, 1]")
-        if not self.weight_cap > 0:
-            raise ParameterError(f"weight_cap must be > 0, got {self.weight_cap}")
 
 
 def segment_seed(base_seed: int, speaker: str, start_ms: int, end_ms: int) -> int:
@@ -619,10 +605,9 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
     built from all segments overlapping it, and one guided mixture model
     is fit, seeded by :func:`segment_seed` of the window's first target
     in :func:`eligible_segments` order. Every target of the window is
-    then beamformed from that fit as its own class, optionally
-    mask-postfiltered, synthesized, and trimmed to its segment. A window
-    holding a single target gives the same output as enhancing that
-    segment alone.
+    then beamformed from that fit as its own class, synthesized, and
+    trimmed to its segment. A window holding a single target gives the
+    same output as enhancing that segment alone.
 
     Returns
     -------
@@ -676,11 +661,7 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
         _, masks = fit_cacgmm(spec, activity, cfg.em_iterations, seed)
         for i in targets:
             speaker, start_s, end_s = todo[i]
-            target = speakers.index(speaker)
-            enhanced = mvdr_beamform(spec, masks, target, weight_cap=cfg.weight_cap)
-            if cfg.masking_postfilter:
-                post = np.maximum(masks.gamma[target], cfg.mask_floor)
-                enhanced = replace(enhanced, values=enhanced.values * post[:, :, None])
+            enhanced = mvdr_beamform(spec, masks, speakers.index(speaker))
             audio = istft(enhanced, hi - lo)
             a = int(round(start_s * rate)) - lo
             b = int(round(end_s * rate)) - lo

@@ -5,8 +5,9 @@ dynamic-programming alignment (match preferred over substitution over
 deletion over insertion), with the null token ``@`` standing for "this
 system had nothing here". Each slot then votes: the score of a token is
 alpha * count / n_systems + (1 - alpha) * average confidence, ties going
-to the token contributed earliest. Winning ``@`` arcs vanish from the
-fused output.
+to the token contributed earliest. The ``@`` token's confidence is the
+constant ``NULL_CONF`` (0.5). Winning ``@`` arcs vanish from the fused
+output.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import ParameterError
 
 NULL_TOKEN = "@"
+NULL_CONF = 0.5
 
 
 @dataclass(frozen=True)
@@ -164,14 +166,14 @@ def align_into_wtn(wtn: WordTransitionNetwork, hyp) -> WordTransitionNetwork:
     return WordTransitionNetwork(slots=tuple(new_slots), n_systems=system + 1)
 
 
-def _vote(wtn: WordTransitionNetwork, alpha: float, null_conf: float) -> tuple:
+def _vote(wtn: WordTransitionNetwork, alpha: float) -> tuple:
     out = []
     n = wtn.n_systems
     for slot in wtn.slots:
         best_tok = None
         best_key = None
         for tok, tally in slot.items():
-            conf = null_conf if tok == NULL_TOKEN else tally.conf_sum / tally.count
+            conf = NULL_CONF if tok == NULL_TOKEN else tally.conf_sum / tally.count
             score = alpha * tally.count / n + (1.0 - alpha) * conf
             key = (score, -tally.first_system)
             if best_key is None or key > best_key:
@@ -181,7 +183,7 @@ def _vote(wtn: WordTransitionNetwork, alpha: float, null_conf: float) -> tuple:
     return tuple(out)
 
 
-def rover(hyps, alpha: float = 1.0, null_conf: float = 0.5) -> tuple:
+def rover(hyps, alpha: float = 1.0) -> tuple:
     """Fuse hypotheses by progressive alignment and per-slot voting.
 
     Parameters
@@ -191,9 +193,7 @@ def rover(hyps, alpha: float = 1.0, null_conf: float = 0.5) -> tuple:
         (token, confidence) pairs, otherwise 1.0 is assumed.
     alpha : float in [0, 1]
         Weight of occupancy counts versus confidences; 1.0 votes by
-        frequency alone.
-    null_conf : float
-        Confidence stand-in for the null token.
+        frequency alone. The null token's confidence is ``NULL_CONF``.
 
     Returns
     -------
@@ -213,4 +213,4 @@ def rover(hyps, alpha: float = 1.0, null_conf: float = 0.5) -> tuple:
     wtn = WordTransitionNetwork.from_hypothesis(hyps[0])
     for hyp in hyps[1:]:
         wtn = align_into_wtn(wtn, hyp)
-    return _vote(wtn, alpha, null_conf)
+    return _vote(wtn, alpha)

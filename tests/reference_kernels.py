@@ -29,7 +29,6 @@ from farfield import (
     NULL_TOKEN,
     ActivityPattern,
     ArcTally,
-    ComplexSpectrogram,
     WaveformBuffer,
     WordTransitionNetwork,
     eligible_segments,
@@ -257,15 +256,7 @@ def enhance_per_segment(wav, segments, cfg, seed_for=None):
 
         seed = seed_for(speaker, int(round(start_s * 1000)), int(round(end_s * 1000)))
         _, masks = package_fit_cacgmm(spec, activity, cfg.em_iterations, seed)
-        target = speakers.index(speaker)
-        enhanced = mvdr_beamform(spec, masks, target, weight_cap=cfg.weight_cap)
-        if cfg.masking_postfilter:
-            post = np.maximum(masks.gamma[target], cfg.mask_floor)
-            enhanced = ComplexSpectrogram(
-                enhanced.values * post[:, :, None],
-                enhanced.params,
-                enhanced.sample_rate_hz,
-            )
+        enhanced = mvdr_beamform(spec, masks, speakers.index(speaker))
         audio = istft(enhanced, hi - lo)
         a = int(round(start_s * rate)) - lo
         b = int(round(end_s * rate)) - lo

@@ -295,6 +295,22 @@ def test_enhance_rejects_wrongly_typed_manifest_values(
     assert not (tmp_path / "enh").exists()
 
 
+def test_enhance_rejects_a_removed_config_key(workspace, tmp_path, capsys):
+    manifest = {
+        "session": "mtg",
+        "wavs": [str(workspace / "sim" / "mixture.wav")],
+        "rttm": str(workspace / "sim" / "reference.rttm"),
+        "out_dir": str(tmp_path / "enh"),
+    }
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "cfg.json").write_text(json.dumps({"gss": {"masking_postfilter": False}}))
+    rc = main(["enhance", str(tmp_path / "manifest.json"),
+               "--config", str(tmp_path / "cfg.json")])
+    assert rc == 2
+    assert "unknown keys ['masking_postfilter']" in capsys.readouterr().err
+    assert not (tmp_path / "enh").exists()
+
+
 def _enhance_rttm(workspace, name, rttm_text):
     """Run enhance on the simulated mixture against the given RTTM text."""
     (workspace / f"{name}.rttm").write_text(rttm_text)

@@ -279,9 +279,20 @@ def test_parse_pipeline_config_rejections():
     ],
 )
 def test_parse_pipeline_config_rejects_wrongly_typed_values(obj, field):
-    # each of these used to parse, or to fail with an uncaught TypeError
+    # each of these used to parse, or to fail with an uncaught TypeError;
+    # masking_postfilter, weight_cap and mask_floor are no longer fields,
+    # so they now fail as unknown keys (see the next test)
     with pytest.raises(DataError, match=field):
         parse_pipeline_config(obj)
+
+
+@pytest.mark.parametrize("key", ["masking_postfilter", "mask_floor", "weight_cap"])
+def test_parse_pipeline_config_rejects_removed_gss_keys(key):
+    default = describe_config(GssConfig())["gss"]
+    assert key not in default
+    for value in (False, 0.1, 1e4):
+        with pytest.raises(DataError, match=rf"config\.gss: unknown keys \['{key}'\]"):
+            parse_pipeline_config({"gss": {key: value}})
 
 
 def test_pipeline_config_describe_roundtrip():
@@ -290,7 +301,6 @@ def test_pipeline_config_describe_roundtrip():
         wpe=WpeConfig(taps=8, delay=2, iterations=2),
         em_iterations=7,
         context_s=5.0,
-        masking_postfilter=True,
         seed=3,
     )
     assert parse_pipeline_config(describe_config(cfg)) == cfg
@@ -303,8 +313,8 @@ def test_pipeline_config_describe_roundtrip():
 def test_describe_fingerprints_every_config_field():
     base = GssConfig()
     changed = [
-        replace(base, weight_cap=5.0),
-        replace(base, mask_floor=0.2),
+        replace(base, em_iterations=7),
+        replace(base, context_s=2.5),
         replace(base, wpe=replace(base.wpe, psd_floor=1e-9)),
         replace(base, stft=StftParams(window="sqrt-hann")),
     ]
@@ -312,19 +322,19 @@ def test_describe_fingerprints_every_config_field():
     assert len(prints) == len(changed) + 1
     for cfg in changed:
         assert parse_pipeline_config(describe_config(cfg)) == cfg
-    assert describe_config(base)["gss"]["weight_cap"] == 1e4
-    assert parse_pipeline_config({"gss": {"weight_cap": 5.0}}).weight_cap == 5.0
+    assert describe_config(base)["gss"] == {"em_iterations": 20, "context_s": 15.0}
+    assert parse_pipeline_config({"gss": {"context_s": 2.5}}).context_s == 2.5
 
 
 def test_config_fingerprints_pin_the_json_layout():
     # literal hashes: a renamed, moved or re-defaulted field changes them
     default = describe_config(parse_pipeline_config({}))
     assert config_fingerprint(default) == (
-        "e2cf9768f32d47c2ab169165a683c4d7fe83ae4a0cb2b90acd3df01dc7921e0b"
+        "ea3e149ce794d4636c502708db4360792a75c0474efd4c177ec145061f9a7f2e"
     )
     turns = describe_config(parse_pipeline_config({"wpe": None, "gss": {"context_s": 1.0}}))
     assert config_fingerprint(turns) == (
-        "a0335ff45b8f354d7b3cc11e1065d57fd1123edef907c5fc50c80d396514ae55"
+        "bb9e65f09f6da35f488508f2820791a4c2820909502dc8915f5a2399b96d8869"
     )
 
 

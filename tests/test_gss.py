@@ -469,17 +469,6 @@ def test_gss_enhance_is_deterministic():
         np.testing.assert_array_equal(a[key].samples, b[key].samples)
 
 
-def test_gss_enhance_postfilter_changes_output():
-    meeting = _toy_meeting(2)
-    base = GssConfig(stft=StftParams(), wpe=None, em_iterations=8, seed=0)
-    filtered = GssConfig(
-        stft=StftParams(), wpe=None, em_iterations=8, seed=0, masking_postfilter=True
-    )
-    a = gss_enhance(meeting.mixture, _toy_segments(), base)
-    b = gss_enhance(meeting.mixture, _toy_segments(), filtered)
-    assert np.any(a[P_SEGMENT].samples != b[P_SEGMENT].samples)
-
-
 def test_gss_single_speaker_clean_anechoic_passthrough():
     # one speaker, no interference, anechoic room: output ~ input segment
     from farfield import MixturePlan, PlannedSource, RoomSpec, make_meeting
@@ -537,13 +526,10 @@ def test_single_target_windows_match_the_per_segment_recipe():
     _assert_same_outputs(out, ref.enhance_per_segment(meeting.mixture, segments, cfg))
 
 
-@pytest.mark.parametrize("postfilter", [False, True])
-def test_targets_sharing_a_window_use_one_fit_seeded_by_the_first(postfilter):
+def test_targets_sharing_a_window_use_one_fit_seeded_by_the_first():
     meeting = _toy_meeting(4)
     # both windows clip to the whole file
-    cfg = GssConfig(
-        wpe=_SMALL_WPE, em_iterations=6, seed=9, masking_postfilter=postfilter
-    )
+    cfg = GssConfig(wpe=_SMALL_WPE, em_iterations=6, seed=9)
     segments = _toy_segments()
     out = gss_enhance(meeting.mixture, segments, cfg)
     seed_for = _first_target_seed(cfg, segments, meeting.mixture.n_samples)

@@ -150,8 +150,7 @@ def test_rover_blended_alpha_hand_value():
 
 def test_rover_null_conf_gates_weak_insertions():
     hyps = [["a", ("b", 0.2)], ["a"]]
-    assert rover(hyps, alpha=0.0, null_conf=0.5) == ("a",)
-    assert rover(hyps, alpha=0.0, null_conf=0.1) == ("a", "b")
+    assert rover(hyps, alpha=0.0) == ("a",)
 
 
 def test_rover_count_ties_go_to_earliest_system():
