@@ -234,14 +234,19 @@ def istft(spec: ComplexSpectrogram, target_length: int) -> WaveformBuffer:
     DC and Nyquist bins are forced real before Hermitian reconstruction.
     The overlap-add result is divided by the window overlap sum and the
     analysis edge padding is cut off, then the output is truncated or
-    zero-padded to ``target_length`` samples, a nonnegative integer.
+    zero-padded to ``target_length`` samples, a positive integer.
+
+    The overlap-add cuts every frame into ceil(frame_length /
+    frame_shift) blocks of one shift, the last one zero-padded, and adds
+    block j of all frames at once, j from last to first, so each output
+    sample sums its frames in frame order.
 
     >>> x = WaveformBuffer(np.arange(1.0, 11.0), 16000)
     >>> y = istft(stft(x, StftParams(8, 4, 8)), x.n_samples)
     >>> float(np.max(np.abs(y.samples - x.samples))) < 1e-12
     True
     """
-    check_int("target_length", target_length, 0)
+    check_int("target_length", target_length, 1)
     p = spec.params
 
     vals = np.array(spec.values, dtype=np.complex128)
@@ -250,18 +255,23 @@ def istft(spec: ComplexSpectrogram, target_length: int) -> WaveformBuffer:
         vals[:, -1, :] = vals[:, -1, :].real
 
     frames_td = np.fft.irfft(vals, n=p.fft_size, axis=1)[:, : p.frame_length, :]
-    n_frames = frames_td.shape[0]
-    n_ch = frames_td.shape[2]
-    length = (n_frames - 1) * p.frame_shift + p.frame_length
+    n_frames, _, n_ch = frames_td.shape
+    hop = p.frame_shift
+    k = -(-p.frame_length // hop)
 
     ws = p.synthesis_window
-    q = p.analysis_window * ws
-    y = np.zeros((n_ch, length))
-    denom = np.zeros(length)
-    for t in range(n_frames):
-        lo = t * p.frame_shift
-        y[:, lo : lo + p.frame_length] += (frames_td[t] * ws[:, None]).T
-        denom[lo : lo + p.frame_length] += q
+    blocks = np.zeros((n_ch, n_frames, k * hop))
+    np.multiply(np.moveaxis(frames_td, 2, 0), ws, out=blocks[:, :, : p.frame_length])
+    blocks = blocks.reshape(n_ch, n_frames, k, hop)
+    q = np.pad(p.analysis_window * ws, (0, k * hop - p.frame_length)).reshape(k, hop)
+    # block j of frame t lands on output block t + j
+    y = np.zeros((n_ch, n_frames + k - 1, hop))
+    denom = np.zeros((n_frames + k - 1, hop))
+    for j in reversed(range(k)):
+        y[:, j : j + n_frames] += blocks[:, :, j]
+        denom[j : j + n_frames] += q[j]
+    y = y.reshape(n_ch, -1)
+    denom = denom.reshape(-1)
     tiny = 1e-12 * max(denom.max(), 1.0)
     y = np.where(denom > tiny, y / np.maximum(denom, tiny), 0.0)
 

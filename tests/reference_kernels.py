@@ -1,5 +1,6 @@
-"""Reference implementations of the WPE, CACGMM and MVDR kernels, of the
-GSS recipe, of ROVER alignment and of the image-source expansion.
+"""Reference implementations of the iSTFT overlap-add, of the WPE, CACGMM
+and MVDR kernels, of the GSS recipe, of ROVER alignment and of the
+image-source expansion.
 
 The kernels are the straightforward per-bin and per-class loop-and-einsum
 formulations the batched kernels in ``farfield.wpe`` and ``farfield.gss``
@@ -11,11 +12,12 @@ replaces: it runs the package's STFT, WPE, mixture fit and beamformer
 once for every target segment, even when several targets share a
 context window.
 
-:func:`align_into_wtn` fills the ROVER alignment table as a list of
-lists, one cell at a time, and :func:`image_sources` visits every mirror
-combination in a Python loop with one ``np.linalg.norm`` each: the
-per-element formulations the array recurrences in ``farfield.rover`` and
-``farfield.simulate`` replace. Their outputs must be equal, not close.
+:func:`istft` overlap-adds one frame at a time, :func:`align_into_wtn`
+fills the ROVER alignment table as a list of lists, one cell at a time,
+and :func:`image_sources` visits every mirror combination in a Python
+loop with one ``np.linalg.norm`` each: the per-element formulations the
+array code in ``farfield.signal``, ``farfield.rover`` and
+``farfield.simulate`` replaces. Their outputs must be equal, not close.
 """
 
 import math
@@ -39,6 +41,35 @@ from farfield import (
 )
 from farfield import fit_cacgmm as package_fit_cacgmm
 from farfield import wpe as package_wpe
+
+
+# ---------------------------------------------------------------- iSTFT
+
+
+def istft(spec, target_length):
+    """Overlap-add synthesis one frame at a time, in frame order."""
+    p = spec.params
+    vals = np.array(spec.values, dtype=np.complex128)
+    vals[:, 0, :] = vals[:, 0, :].real
+    if p.fft_size % 2 == 0:
+        vals[:, -1, :] = vals[:, -1, :].real
+    frames_td = np.fft.irfft(vals, n=p.fft_size, axis=1)[:, : p.frame_length, :]
+    n_frames, _, n_ch = frames_td.shape
+    length = (n_frames - 1) * p.frame_shift + p.frame_length
+    ws = p.synthesis_window
+    q = p.analysis_window * ws
+    y = np.zeros((n_ch, length))
+    denom = np.zeros(length)
+    for t in range(n_frames):
+        lo = t * p.frame_shift
+        y[:, lo : lo + p.frame_length] += (frames_td[t] * ws[:, None]).T
+        denom[lo : lo + p.frame_length] += q
+    tiny = 1e-12 * max(denom.max(), 1.0)
+    y = np.where(denom > tiny, y / np.maximum(denom, tiny), 0.0)
+    out = y[:, p.edge_padding : p.edge_padding + target_length]
+    if out.shape[1] < target_length:
+        out = np.pad(out, ((0, 0), (0, target_length - out.shape[1])))
+    return WaveformBuffer(samples=out, sample_rate_hz=spec.sample_rate_hz)
 
 
 # ------------------------------------------------------------------ WPE

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_kernels as ref
 
 from farfield import (
     ComplexSpectrogram,
@@ -256,11 +257,37 @@ def test_istft_scales_linearly():
     np.testing.assert_allclose(out2.samples, 2.0 * out1.samples, atol=1e-12)
 
 
-@pytest.mark.parametrize("target_length", [10.5, True, -1, "16000"])
+@pytest.mark.parametrize("target_length", [10.5, True, -1, 0, "16000"])
 def test_istft_rejects_bad_target_length(target_length):
     spec = stft(_noise(9), StftParams())
     with pytest.raises(ParameterError, match="target_length"):
         istft(spec, target_length)
+
+
+# shifts that divide the frame length, and odd lengths at shift 2, whose
+# last overlap-add block is padded
+_OLA_FRAMINGS = [
+    (3, 2), (4, 1), (4, 2), (9, 2), (12, 3), (12, 4), (31, 2),
+    (64, 16), (100, 25), (100, 50), (512, 128), (512, 256),
+]
+
+
+@pytest.mark.parametrize("window", ["hann", "sqrt-hann"])
+def test_istft_block_overlap_add_matches_the_frame_loop(window):
+    rng = np.random.default_rng(17)
+    for length, shift in _OLA_FRAMINGS:
+        # an odd FFT size has no Nyquist bin
+        for fft_size in (length, 2 * length + 1):
+            p = StftParams(length, shift, fft_size, window)
+            frames = int(rng.integers(1, 40))
+            shape = (frames, p.n_bins, int(rng.integers(1, 4)))
+            values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            spec = ComplexSpectrogram(values, p, FS)
+            for target in (1, frames * shift, frames * shift + 7):
+                got = istft(spec, target).samples
+                want = ref.istft(spec, target).samples
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (p, frames, target)
 
 
 def test_istft_truncates_and_pads_to_target():
