@@ -320,9 +320,9 @@ def fit_cacgmm(
 ) -> tuple:
     """EM fit of the activity-guided CACGMM.
 
-    Covariances start at the identity plus a small seeded Hermitian
-    perturbation (scale 1e-3) that breaks the symmetry between classes
-    whose activity rows coincide; with exact identity for every class
+    Covariances start at the identity plus a small seeded, exactly
+    Hermitian perturbation (scale 1e-3) that breaks the symmetry between
+    classes whose activity rows coincide; with exact identity for every class
     the EM would start in a stationary point and never separate them.
     Each M-step re-estimates B from the posterior-weighted direction
     statistics, trace-normalizes to the channel count, and adds
@@ -364,6 +364,8 @@ def fit_cacgmm(
     shape = (n_bins, activity.n_classes, n_ch, n_ch)
     jitter = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     jitter = jitter @ np.conj(np.swapaxes(jitter, 2, 3))
+    # the BLAS product is exactly Hermitian only at some channel counts
+    jitter = 0.5 * (jitter + np.conj(np.swapaxes(jitter, 2, 3)))
     jitter *= n_ch / np.trace(jitter, axis1=2, axis2=3).real[:, :, None, None]
     eye = np.eye(n_ch)
     b = (1.0 - _INIT_JITTER) * eye[None, None] + _INIT_JITTER * jitter

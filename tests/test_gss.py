@@ -192,6 +192,18 @@ def test_zero_bins_get_uniform_posterior_over_active():
     np.testing.assert_allclose(masks.gamma[:, 3, 2], [0.0, 0.5, 0.5], atol=1e-12)
 
 
+@pytest.mark.parametrize("channels", [2, 3, 5, 6])
+def test_fit_covariances_are_exactly_hermitian(channels):
+    # class 0 never talks, so it keeps its seeded start; the E-step packs
+    # only the upper triangle of B^-1, so every B must be exactly Hermitian
+    spec, _ = _random_instance(12, channels=channels)
+    active = np.ones((3, spec.frames), dtype=bool)
+    active[0] = False
+    state, _ = fit_cacgmm(spec, ActivityPattern(("a", "b"), active), iterations=3, seed=12)
+    b = state.B
+    np.testing.assert_array_equal(b, np.conj(np.swapaxes(b, 2, 3)))
+
+
 def test_fit_is_deterministic_per_seed():
     spec, activity = _random_instance(11)
     state1, masks1 = fit_cacgmm(spec, activity, iterations=6, seed=123)
