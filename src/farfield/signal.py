@@ -236,11 +236,6 @@ def istft(spec: ComplexSpectrogram, target_length: int) -> WaveformBuffer:
     analysis edge padding is cut off, then the output is truncated or
     zero-padded to ``target_length`` samples, a positive integer.
 
-    The overlap-add cuts every frame into ceil(frame_length /
-    frame_shift) blocks of one shift, the last one zero-padded, and adds
-    block j of all frames at once, j from last to first, so each output
-    sample sums its frames in frame order.
-
     >>> x = WaveformBuffer(np.arange(1.0, 11.0), 16000)
     >>> y = istft(stft(x, StftParams(8, 4, 8)), x.n_samples)
     >>> float(np.max(np.abs(y.samples - x.samples))) < 1e-12
@@ -264,7 +259,9 @@ def istft(spec: ComplexSpectrogram, target_length: int) -> WaveformBuffer:
     np.multiply(np.moveaxis(frames_td, 2, 0), ws, out=blocks[:, :, : p.frame_length])
     blocks = blocks.reshape(n_ch, n_frames, k, hop)
     q = np.pad(p.analysis_window * ws, (0, k * hop - p.frame_length)).reshape(k, hop)
-    # block j of frame t lands on output block t + j
+    # frames are cut into k blocks of one shift, the last one zero-padded;
+    # block j of frame t lands on output block t + j, so adding j from last
+    # to first sums every output sample over its frames in frame order
     y = np.zeros((n_ch, n_frames + k - 1, hop))
     denom = np.zeros((n_frames + k - 1, hop))
     for j in reversed(range(k)):

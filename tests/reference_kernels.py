@@ -206,6 +206,7 @@ def initial_covariances(n_bins, n_classes, n_ch, seed):
     shape = (n_bins, n_classes, n_ch, n_ch)
     jitter = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     jitter = jitter @ np.conj(np.swapaxes(jitter, 2, 3))
+    jitter = (jitter + np.conj(np.swapaxes(jitter, 2, 3))) / 2
     jitter *= n_ch / np.trace(jitter, axis1=2, axis2=3).real[:, :, None, None]
     return (1.0 - 1e-3) * np.eye(n_ch)[None, None] + 1e-3 * jitter
 
