@@ -234,16 +234,6 @@ def _parse_fields(cls, obj, context: str):
     return _build(cls, d, context)
 
 
-def parse_stft_config(obj, context: str = "stft") -> StftParams:
-    return _parse_fields(StftParams, obj, context)
-
-
-def parse_wpe_config(obj, context: str = "wpe") -> WpeConfig | None:
-    if obj is None:
-        return None
-    return _parse_fields(WpeConfig, obj, context)
-
-
 # GssConfig fields at the top level of the JSON layout; the rest sit under "gss"
 _GSS_TOP_LEVEL = ("seed", "stft", "wpe")
 _GSS_NESTED = tuple(n for n in _field_names(GssConfig) if n not in _GSS_TOP_LEVEL)
@@ -270,8 +260,10 @@ def parse_pipeline_config(obj, context: str = "config") -> GssConfig:
     """
     d = _mapping(obj, context)
     _reject_unknown(d, _GSS_TOP_LEVEL + ("gss",), context)
-    stft = parse_stft_config(d.get("stft", {}), f"{context}.stft")
-    wpe_cfg = parse_wpe_config(d.get("wpe", {}), f"{context}.wpe")
+    stft = _parse_fields(StftParams, d.get("stft", {}), f"{context}.stft")
+    wpe_cfg = d.get("wpe", {})
+    if wpe_cfg is not None:
+        wpe_cfg = _parse_fields(WpeConfig, wpe_cfg, f"{context}.wpe")
     gss_part = _mapping(d.get("gss", {}), f"{context}.gss")
     _reject_unknown(gss_part, _GSS_NESTED, f"{context}.gss")
     return _build(
@@ -349,12 +341,8 @@ def parse_manifests(path) -> list:
 
 # ------------------------------------------------- simulation configs
 
-def parse_room(obj, context: str = "room") -> RoomSpec:
-    return _parse_fields(RoomSpec, obj, context)
-
-
 def load_room(path) -> RoomSpec:
-    return parse_room(load_json(path), context=str(path))
+    return _parse_fields(RoomSpec, load_json(path), str(path))
 
 
 def load_plan(path) -> MixturePlan:

@@ -43,6 +43,7 @@ log = logging.getLogger(__name__)
 _TRACE_FLOOR = 1e-10
 _INIT_JITTER = 1e-3
 _LOADING_STEP = 1e-6
+_WEIGHT_CAP = 1e4
 
 
 @dataclass(frozen=True)
@@ -457,40 +458,32 @@ def _loaded_solve(f: int, nn_f: np.ndarray, ss_f: np.ndarray) -> np.ndarray:
             raise NumericalError(f"noise covariance singular in frequency bin {f}") from exc
 
 
-def mvdr_weights(
-    phi_ss: np.ndarray,
-    phi_nn: np.ndarray,
-    reference_channel: int | None = None,
-    weight_cap: float = 1e4,
-) -> BeamformerWeights:
+def mvdr_weights(phi_ss: np.ndarray, phi_nn: np.ndarray) -> BeamformerWeights:
     """Souden MVDR weights from target and noise covariances.
 
     w_f = (Phi_nn^{-1} Phi_ss u_ref) / max(trace(Phi_nn^{-1} Phi_ss), eps),
-    for all bins in one batched Hermitian solve. If a noise covariance is
-    exactly singular, the bins are solved one by one instead, and a
-    singular one is diagonally loaded once and retried; if it stays
-    singular a numerical error names the bin. Weight vectors longer than
-    ``weight_cap`` are rescaled onto the cap.
+    for all bins in one batched Hermitian solve, with the reference
+    channel ref chosen by :func:`select_reference_channel`. If a noise
+    covariance is exactly singular, the bins are solved one by one
+    instead, and a singular one is diagonally loaded once and retried; if
+    it stays singular a numerical error names the bin. Weight vectors
+    longer than 1e4 are rescaled onto that length.
     """
     ss = np.asarray(phi_ss, dtype=np.complex128)
     nn = np.asarray(phi_nn, dtype=np.complex128)
     if ss.shape != nn.shape or ss.ndim != 3:
         raise ParameterError(f"covariance stacks must match, got {ss.shape} and {nn.shape}")
-    n_ch = ss.shape[1]
-    if reference_channel is None:
-        reference_channel = select_reference_channel(ss, nn)
-    if not 0 <= reference_channel < n_ch:
-        raise ParameterError(f"reference channel {reference_channel} out of range")
+    ref = select_reference_channel(ss, nn)
 
     numer = solve_hermitian(nn, ss, _loaded_solve)
     trace = np.maximum(np.trace(numer, axis1=1, axis2=2).real, _TRACE_FLOOR)
-    w = numer[:, :, reference_channel] / trace[:, None]
+    w = numer[:, :, ref] / trace[:, None]
 
     norms = np.linalg.norm(w, axis=1)
-    over = norms > weight_cap
+    over = norms > _WEIGHT_CAP
     if np.any(over):
-        w[over] *= (weight_cap / norms[over])[:, None]
-    return BeamformerWeights(w=w, reference_channel=int(reference_channel))
+        w[over] *= (_WEIGHT_CAP / norms[over])[:, None]
+    return BeamformerWeights(w=w, reference_channel=ref)
 
 
 def mvdr_beamform(
@@ -500,14 +493,15 @@ def mvdr_beamform(
 
     Target and noise covariances are estimated from the class mask and
     its complement (the other classes pooled), then the Souden MVDR
-    weights of :func:`mvdr_weights` are applied, with the reference
-    channel chosen by :func:`select_reference_channel` and the default
-    weight cap: y(t, f) = w_f^H x(t, f).
+    weights of :func:`mvdr_weights` are applied: y(t, f) = w_f^H x(t, f).
     """
     if masks.gamma.shape[1:] != (spec.frames, spec.bins):
         raise ParameterError("masks do not match the spectrogram grid")
-    if not 0 <= target_class < masks.n_classes:
-        raise ParameterError(f"target class {target_class} out of range")
+    check_int("target_class", target_class, 0)
+    if target_class >= masks.n_classes:
+        raise ParameterError(
+            f"target_class must be < {masks.n_classes} classes, got {target_class}"
+        )
     gamma = masks.gamma[target_class]
     phi_ss = spatial_covariance(spec, gamma)
     phi_nn = spatial_covariance(spec, 1.0 - gamma)

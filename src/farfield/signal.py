@@ -24,7 +24,6 @@ import numpy as np
 
 from .errors import DataError, ParameterError, check_int
 
-_WINDOWS = ("hann", "sqrt-hann")
 _COLA_TOL = 1e-10
 
 
@@ -99,15 +98,14 @@ def check_finite_samples(samples: np.ndarray, context: str) -> None:
 class StftParams:
     """Framing parameters for :func:`stft` / :func:`istft`.
 
-    The combination of window and shift must satisfy constant overlap-add
-    (checked on the product of analysis and synthesis windows, within
-    1e-10 relative deviation), otherwise construction fails.
+    Analysis uses a periodic Hann window and synthesis a rectangular one,
+    so the Hann window at this shift must satisfy constant overlap-add
+    (within 1e-10 relative deviation), otherwise construction fails.
     """
 
     frame_length: int = 512
     frame_shift: int = 128
     fft_size: int = 512
-    window: str = "hann"
 
     def __post_init__(self):
         for name in ("frame_length", "frame_shift", "fft_size"):
@@ -117,29 +115,16 @@ class StftParams:
                 "need 0 < frame_shift <= frame_length <= fft_size, got "
                 f"shift={self.frame_shift} length={self.frame_length} fft={self.fft_size}"
             )
-        if self.window not in _WINDOWS:
-            raise ParameterError(f"window must be one of {_WINDOWS}, got {self.window!r}")
         dev = self._cola_deviation()
         if dev > _COLA_TOL:
             raise ParameterError(
-                f"window={self.window!r} with shift={self.frame_shift} does not satisfy "
+                f"hann window with shift={self.frame_shift} does not satisfy "
                 f"constant overlap-add (relative deviation {dev:.3e} > {_COLA_TOL})"
             )
 
     @property
     def analysis_window(self) -> np.ndarray:
-        w = _periodic_hann(self.frame_length)
-        if self.window == "sqrt-hann":
-            return np.sqrt(w)
-        return w
-
-    @property
-    def synthesis_window(self) -> np.ndarray:
-        # Plain hann analysis reconstructs with a rectangular synthesis
-        # window; sqrt-hann uses itself on both sides (weighted OLA).
-        if self.window == "sqrt-hann":
-            return np.sqrt(_periodic_hann(self.frame_length))
-        return np.ones(self.frame_length)
+        return _periodic_hann(self.frame_length)
 
     @property
     def n_bins(self) -> int:
@@ -150,9 +135,9 @@ class StftParams:
         return self.frame_length - self.frame_shift
 
     def _cola_deviation(self) -> float:
-        q = self.analysis_window * self.synthesis_window
+        w = self.analysis_window
         sums = np.array(
-            [q[r :: self.frame_shift].sum() for r in range(self.frame_shift)]
+            [w[r :: self.frame_shift].sum() for r in range(self.frame_shift)]
         )
         mean = sums.mean()
         if mean <= 0:
@@ -232,8 +217,9 @@ def istft(spec: ComplexSpectrogram, target_length: int) -> WaveformBuffer:
     """Overlap-add synthesis with ``spec.params``, inverse of :func:`stft`.
 
     DC and Nyquist bins are forced real before Hermitian reconstruction.
-    The overlap-add result is divided by the window overlap sum and the
-    analysis edge padding is cut off, then the output is truncated or
+    Synthesis is rectangular: the frames are overlap-added as they are,
+    the sum is divided by the overlap sum of the Hann analysis window and
+    the analysis edge padding is cut off, then the output is truncated or
     zero-padded to ``target_length`` samples, a positive integer.
 
     >>> x = WaveformBuffer(np.arange(1.0, 11.0), 16000)
@@ -254,11 +240,10 @@ def istft(spec: ComplexSpectrogram, target_length: int) -> WaveformBuffer:
     hop = p.frame_shift
     k = -(-p.frame_length // hop)
 
-    ws = p.synthesis_window
     blocks = np.zeros((n_ch, n_frames, k * hop))
-    np.multiply(np.moveaxis(frames_td, 2, 0), ws, out=blocks[:, :, : p.frame_length])
+    blocks[:, :, : p.frame_length] = np.moveaxis(frames_td, 2, 0)
     blocks = blocks.reshape(n_ch, n_frames, k, hop)
-    q = np.pad(p.analysis_window * ws, (0, k * hop - p.frame_length)).reshape(k, hop)
+    q = np.pad(p.analysis_window, (0, k * hop - p.frame_length)).reshape(k, hop)
     # frames are cut into k blocks of one shift, the last one zero-padded;
     # block j of frame t lands on output block t + j, so adding j from last
     # to first sums every output sample over its frames in frame order

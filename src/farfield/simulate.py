@@ -112,7 +112,20 @@ def image_sources(room: RoomSpec, src: int, mic: int) -> tuple:
         enumeration order): arrival time in samples (fractional),
         amplitude (1 - absorption)^order / (4 pi dist), and the total
         reflection count of each image.
+
+    Raises
+    ------
+    ParameterError
+        ``src`` or ``mic`` is not an integer index of a source or
+        microphone position of ``room``.
     """
+    for name, index, positions in (
+        ("src", src, room.source_positions),
+        ("mic", mic, room.mic_positions),
+    ):
+        check_int(name, index, 0)
+        if index >= len(positions):
+            raise ParameterError(f"{name} must be < {len(positions)}, got {index}")
     s = np.asarray(room.source_positions[src])
     m = np.asarray(room.mic_positions[mic])
     if np.allclose(s, m):
@@ -198,9 +211,10 @@ def add_noise_at_snr(
     """Mix a randomly cropped noise into a signal at an exact average SNR.
 
     The crop offset is drawn from ``seed``; the noise is scaled so that
-    10 log10(P_clean / P_noise) equals ``snr_db`` with powers averaged
-    over the full extent and all channels.
+    10 log10(P_clean / P_noise) equals ``snr_db``, a finite number, with
+    powers averaged over the full extent and all channels.
     """
+    check_finite("snr_db", snr_db)
     if noise.sample_rate_hz != clean.sample_rate_hz:
         raise ParameterError("sample rates differ between clean and noise")
     crop = _seeded_crop(noise, clean.channels, clean.n_samples, seed, "clean")

@@ -24,9 +24,6 @@ _TAG_PCM = 0x0001
 _TAG_FLOAT = 0x0003
 _TAG_EXTENSIBLE = 0xFFFE
 
-# First two bytes of the 16-byte extensible subformat GUID.
-_SUBFORMAT_NAMES = {_TAG_PCM: "pcm16", _TAG_FLOAT: "float32"}
-
 _KNOWN_COMPRESSED = {
     0x0002: "ADPCM",
     0x0006: "A-law",

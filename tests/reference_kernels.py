@@ -56,13 +56,12 @@ def istft(spec, target_length):
     frames_td = np.fft.irfft(vals, n=p.fft_size, axis=1)[:, : p.frame_length, :]
     n_frames, _, n_ch = frames_td.shape
     length = (n_frames - 1) * p.frame_shift + p.frame_length
-    ws = p.synthesis_window
-    q = p.analysis_window * ws
+    q = p.analysis_window
     y = np.zeros((n_ch, length))
     denom = np.zeros(length)
     for t in range(n_frames):
         lo = t * p.frame_shift
-        y[:, lo : lo + p.frame_length] += (frames_td[t] * ws[:, None]).T
+        y[:, lo : lo + p.frame_length] += frames_td[t].T
         denom[lo : lo + p.frame_length] += q
     tiny = 1e-12 * max(denom.max(), 1.0)
     y = np.where(denom > tiny, y / np.maximum(denom, tiny), 0.0)

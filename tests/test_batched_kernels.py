@@ -31,6 +31,7 @@ from farfield import (
     cacgmm_posteriors,
     fit_cacgmm,
     mvdr_weights,
+    select_reference_channel,
     wpe,
 )
 
@@ -327,8 +328,9 @@ def _covariances(rng, bins, channels):
 
 def test_mvdr_matches_reference_loop():
     phi_ss, phi_nn = _covariances(np.random.default_rng(10), 9, 4)
-    w = mvdr_weights(phi_ss, phi_nn, reference_channel=2, weight_cap=np.inf).w
-    assert_rel_close(w, ref.mvdr_weights(phi_ss, phi_nn, 2))
+    w = mvdr_weights(phi_ss, phi_nn).w
+    channel = select_reference_channel(phi_ss, phi_nn)
+    assert_rel_close(w, ref.mvdr_weights(phi_ss, phi_nn, channel))
 
 
 def test_mvdr_singular_noise_covariance_takes_the_loading_retry(monkeypatch):
@@ -339,9 +341,10 @@ def test_mvdr_singular_noise_covariance_takes_the_loading_retry(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(phi_nn[4], phi_ss[4])
     calls = _spy(monkeypatch, gss_module, "_loaded_solve")
-    w = mvdr_weights(phi_ss, phi_nn, reference_channel=0, weight_cap=np.inf).w
+    w = mvdr_weights(phi_ss, phi_nn).w
     assert [c[0] for c in calls] == list(range(6))
-    assert_rel_close(w, ref.mvdr_weights(phi_ss, phi_nn, 0))
+    channel = select_reference_channel(phi_ss, phi_nn)
+    assert_rel_close(w, ref.mvdr_weights(phi_ss, phi_nn, channel))
 
 
 def test_mvdr_unrecoverable_bin_error_names_the_bin():
@@ -349,4 +352,4 @@ def test_mvdr_unrecoverable_bin_error_names_the_bin():
     # negative trace: the loading floor is absorbed and it stays singular
     phi_nn[4] = -1e10 * np.ones((2, 2))
     with pytest.raises(NumericalError, match="frequency bin 4$"):
-        mvdr_weights(phi_ss, phi_nn, reference_channel=0)
+        mvdr_weights(phi_ss, phi_nn)

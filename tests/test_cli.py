@@ -303,12 +303,13 @@ def test_enhance_rejects_a_removed_config_key(workspace, tmp_path, capsys):
         "out_dir": str(tmp_path / "enh"),
     }
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    (tmp_path / "cfg.json").write_text(json.dumps({"gss": {"masking_postfilter": False}}))
-    rc = main(["enhance", str(tmp_path / "manifest.json"),
-               "--config", str(tmp_path / "cfg.json")])
-    assert rc == 2
-    assert "unknown keys ['masking_postfilter']" in capsys.readouterr().err
-    assert not (tmp_path / "enh").exists()
+    for section, key, value in (("gss", "masking_postfilter", False), ("stft", "window", "hann")):
+        (tmp_path / "cfg.json").write_text(json.dumps({section: {key: value}}))
+        rc = main(["enhance", str(tmp_path / "manifest.json"),
+                   "--config", str(tmp_path / "cfg.json")])
+        assert rc == 2
+        assert f"{section}: unknown keys ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "enh").exists()
 
 
 def _enhance_rttm(workspace, name, rttm_text):

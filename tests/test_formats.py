@@ -27,9 +27,7 @@ from farfield import (
     load_room,
     parse_manifests,
     parse_pipeline_config,
-    parse_stft_config,
     parse_utt_id,
-    parse_wpe_config,
     read_rttm,
     read_transcripts,
     read_utterances,
@@ -214,20 +212,20 @@ def test_load_json_errors(tmp_path):
 
 
 def test_parse_stft_config():
-    p = parse_stft_config({"frame_length": 256, "frame_shift": 64})
+    p = parse_pipeline_config({"stft": {"frame_length": 256, "frame_shift": 64}}).stft
     assert p == StftParams(frame_length=256, frame_shift=64, fft_size=512)
-    with pytest.raises(DataError, match=r"stft.*unknown keys.*frame_len"):
-        parse_stft_config({"frame_len": 256})
-    with pytest.raises(DataError, match="stft"):
-        parse_stft_config({"frame_shift": 100})  # breaks overlap-add
+    with pytest.raises(DataError, match=r"config\.stft.*unknown keys.*frame_len"):
+        parse_pipeline_config({"stft": {"frame_len": 256}})
+    with pytest.raises(DataError, match=r"config\.stft"):
+        parse_pipeline_config({"stft": {"frame_shift": 100}})  # breaks overlap-add
 
 
 def test_parse_wpe_config():
-    assert parse_wpe_config(None) is None
-    p = parse_wpe_config({"taps": 8, "delay": 2})
+    assert parse_pipeline_config({"wpe": None}).wpe is None
+    p = parse_pipeline_config({"wpe": {"taps": 8, "delay": 2}}).wpe
     assert p == WpeConfig(taps=8, delay=2)
-    with pytest.raises(DataError, match="unknown keys"):
-        parse_wpe_config({"tap": 8})
+    with pytest.raises(DataError, match=r"config\.wpe.*unknown keys"):
+        parse_pipeline_config({"wpe": {"tap": 8}})
 
 
 def test_parse_pipeline_config_defaults_and_nesting():
@@ -286,13 +284,26 @@ def test_parse_pipeline_config_rejects_wrongly_typed_values(obj, field):
         parse_pipeline_config(obj)
 
 
-@pytest.mark.parametrize("key", ["masking_postfilter", "mask_floor", "weight_cap"])
-def test_parse_pipeline_config_rejects_removed_gss_keys(key):
-    default = describe_config(GssConfig())["gss"]
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("gss", "masking_postfilter"),
+        ("gss", "mask_floor"),
+        ("gss", "weight_cap"),
+        ("stft", "window"),
+    ],
+    ids=["masking_postfilter", "mask_floor", "weight_cap", "window"],
+)
+def test_parse_pipeline_config_rejects_removed_gss_keys(section, key):
+    # settings that became constants: a config that still sets one is a
+    # data error, not silently ignored
+    default = describe_config(GssConfig())[section]
     assert key not in default
-    for value in (False, 0.1, 1e4):
-        with pytest.raises(DataError, match=rf"config\.gss: unknown keys \['{key}'\]"):
-            parse_pipeline_config({"gss": {key: value}})
+    for value in (False, 0.1, 1e4, "hann"):
+        with pytest.raises(
+            DataError, match=rf"config\.{section}: unknown keys \['{key}'\]"
+        ):
+            parse_pipeline_config({section: {key: value}})
 
 
 def test_pipeline_config_describe_roundtrip():
@@ -316,7 +327,7 @@ def test_describe_fingerprints_every_config_field():
         replace(base, em_iterations=7),
         replace(base, context_s=2.5),
         replace(base, wpe=replace(base.wpe, psd_floor=1e-9)),
-        replace(base, stft=StftParams(window="sqrt-hann")),
+        replace(base, stft=StftParams(fft_size=1024)),
     ]
     prints = {config_fingerprint(describe_config(c)) for c in [base, *changed]}
     assert len(prints) == len(changed) + 1
@@ -330,11 +341,11 @@ def test_config_fingerprints_pin_the_json_layout():
     # literal hashes: a renamed, moved or re-defaulted field changes them
     default = describe_config(parse_pipeline_config({}))
     assert config_fingerprint(default) == (
-        "ea3e149ce794d4636c502708db4360792a75c0474efd4c177ec145061f9a7f2e"
+        "f1c0e81326d83888f0647527d7e0b2f80ae5b4f3d7b1a291d02afa112caf73c9"
     )
     turns = describe_config(parse_pipeline_config({"wpe": None, "gss": {"context_s": 1.0}}))
     assert config_fingerprint(turns) == (
-        "bb9e65f09f6da35f488508f2820791a4c2820909502dc8915f5a2399b96d8869"
+        "ceef6ce795777d0a8939876e425326e6e097e5d28278066d037719798946880f"
     )
 
 

@@ -281,9 +281,9 @@ def test_mvdr_matches_rank_one_closed_form():
         )
         phi_nn[f] = a @ a.conj().T + np.eye(channels)
         phi_ss[f] = np.outer(steering[f], steering[f].conj())
-    ref = 1
-    weights = mvdr_weights(phi_ss, phi_nn, reference_channel=ref)
-    assert weights.reference_channel == ref
+    weights = mvdr_weights(phi_ss, phi_nn)
+    ref = weights.reference_channel
+    assert ref == select_reference_channel(phi_ss, phi_nn)
     u = np.zeros(channels)
     u[ref] = 1.0
     for f in range(bins):
@@ -302,16 +302,18 @@ def test_mvdr_loads_singular_noise_covariance():
     # rank-one noise covariance: singular but fixable by loading
     n = np.array([1.0 + 0j, 0.5 + 0j])
     phi_nn = np.stack([np.outer(n, n.conj())] * bins)
-    weights = mvdr_weights(phi_ss, phi_nn, reference_channel=0)
+    weights = mvdr_weights(phi_ss, phi_nn)
     assert np.all(np.isfinite(weights.w.view(np.float64)))
 
 
 def test_mvdr_weight_cap_rescales():
-    bins, channels = 1, 2
-    phi_ss = np.array([[[1.0 + 0j, 0.0], [0.0, 0.0]]]) * 1e-12
-    phi_nn = np.array([np.eye(2, dtype=complex) * 1e-12])
-    capped = mvdr_weights(phi_ss, phi_nn, reference_channel=0, weight_cap=0.1)
-    assert np.max(np.abs(capped.w)) <= 0.1 + 1e-12
+    # a zero-trace target covariance: the 1e-10 trace floor divides the
+    # reference column (0, 1) up to length 1e10, which is rescaled onto 1e4
+    phi_ss = np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+    phi_nn = np.array([np.eye(2, dtype=complex)])
+    capped = mvdr_weights(phi_ss, phi_nn)
+    assert capped.reference_channel == 0
+    np.testing.assert_allclose(capped.w, [[0.0, 1e4]], rtol=1e-12)
 
 
 def test_mvdr_beamform_applies_weights():
@@ -323,10 +325,17 @@ def test_mvdr_beamform_applies_weights():
     gamma = masks.gamma[0]
     phi_ss = spatial_covariance(spec, gamma)
     phi_nn = spatial_covariance(spec, 1.0 - gamma)
-    ref = select_reference_channel(phi_ss, phi_nn)
-    weights = mvdr_weights(phi_ss, phi_nn, reference_channel=ref)
+    weights = mvdr_weights(phi_ss, phi_nn)
     oracle = np.einsum("fc,tfc->tf", weights.w.conj(), spec.values)
     np.testing.assert_allclose(mono.values[:, :, 0], oracle, atol=1e-12)
+
+
+@pytest.mark.parametrize("target_class", [1.5, True, "0", -1, 3])
+def test_mvdr_beamform_rejects_a_bad_target_class(target_class):
+    spec, _ = _random_instance(16, frames=30, bins=5, channels=2)
+    masks = MaskSet(np.full((3, 30, 5), 1.0 / 3.0))
+    with pytest.raises(ParameterError, match="^target_class "):
+        mvdr_beamform(spec, masks, target_class)
 
 
 # ------------------------------------------------------------ recipe

@@ -29,13 +29,12 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None)
 @st.composite
 def cola_params(draw):
     # a periodic Hann window of length k * m with shift m overlap-adds to a
-    # constant for every k >= 2; sqrt-hann on both sides has the same product
+    # constant for every k >= 2
     k = draw(st.integers(2, 8))
     shift = draw(st.integers(2, 64))
     length = k * shift
     fft_size = length + draw(st.integers(0, length))
-    window = draw(st.sampled_from(["hann", "sqrt-hann"]))
-    return StftParams(length, shift, fft_size, window)
+    return StftParams(length, shift, fft_size)
 
 
 @settings(PROPERTY, max_examples=80)

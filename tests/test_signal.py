@@ -67,7 +67,6 @@ def test_stft_params_defaults_are_cola():
         dict(frame_shift=0),
         dict(frame_shift=600),  # shift > length
         dict(frame_length=600),  # length > fft
-        dict(window="blackman"),
     ],
 )
 def test_stft_params_rejects_invalid(kwargs):
@@ -79,15 +78,6 @@ def test_stft_params_rejects_non_cola_shift():
     # hann with a shift that does not tile the window is not COLA
     with pytest.raises(ParameterError):
         StftParams(frame_length=512, frame_shift=100)
-
-
-def test_sqrt_hann_params_accepted():
-    p = StftParams(window="sqrt-hann")
-    np.testing.assert_allclose(
-        p.analysis_window * p.synthesis_window,
-        StftParams(window="hann").analysis_window,
-        atol=1e-12,
-    )
 
 
 # --------------------------------------------------------------- stft
@@ -209,23 +199,22 @@ def test_roundtrip_default_params():
 
 
 def test_roundtrip_random_cola_configs():
-    # property loop over COLA-valid configurations, both window families
+    # property loop over COLA-valid configurations
     rng = np.random.default_rng(6)
     for trial in range(20):
         length = int(rng.choice([128, 256, 320, 512]))
         shift = length // int(rng.choice([2, 4, 8]))
         fft_size = length if rng.random() < 0.7 else 2 * length
-        window = "hann" if rng.random() < 0.5 else "sqrt-hann"
-        p = StftParams(length, shift, fft_size, window)
+        p = StftParams(length, shift, fft_size)
         n = int(rng.integers(length + 1, 4 * FS))
         wav = WaveformBuffer(rng.normal(size=(int(rng.integers(1, 4)), n)), FS)
         back = istft(stft(wav, p), n)
         rel = np.linalg.norm(back.samples - wav.samples) / np.linalg.norm(wav.samples)
-        assert rel <= 1e-6, (trial, length, shift, fft_size, window)
+        assert rel <= 1e-6, (trial, length, shift, fft_size)
     # inputs down to one sample, and (3, 2), a COLA framing with
     # frame_length < 2 * frame_shift: stft takes the fewest frames that
     # cover the padded input, and the round trip is exact
-    short = [StftParams(3, 2, 3), StftParams(3, 2, 4, "sqrt-hann"), StftParams(16, 4, 32)]
+    short = [StftParams(3, 2, 3), StftParams(3, 2, 4), StftParams(16, 4, 32)]
     for p in short + [StftParams()]:
         for n in range(1, 2 * p.frame_length + 1):
             x = rng.normal(size=(2, n))
@@ -272,13 +261,12 @@ _OLA_FRAMINGS = [
 ]
 
 
-@pytest.mark.parametrize("window", ["hann", "sqrt-hann"])
-def test_istft_block_overlap_add_matches_the_frame_loop(window):
+def test_istft_block_overlap_add_matches_the_frame_loop():
     rng = np.random.default_rng(17)
     for length, shift in _OLA_FRAMINGS:
         # an odd FFT size has no Nyquist bin
         for fft_size in (length, 2 * length + 1):
-            p = StftParams(length, shift, fft_size, window)
+            p = StftParams(length, shift, fft_size)
             frames = int(rng.integers(1, 40))
             shape = (frames, p.n_bins, int(rng.integers(1, 4)))
             values = rng.normal(size=shape) + 1j * rng.normal(size=shape)

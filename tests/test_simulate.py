@@ -135,6 +135,18 @@ def test_image_sources_coincident_source_and_mic_rejected():
         image_sources(room, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "src, mic, name",
+    [(-1, 0, "src"), (1, 0, "src"), (1.0, 0, "src"), (True, 0, "src"),
+     (0, -2, "mic"), (0, 2, "mic"), (0, 0.0, "mic")],
+)
+def test_image_sources_reject_bad_indices(src, mic, name):
+    room = _room(mic_positions=((2.5, 2.2, 1.4), (2.0, 2.0, 1.0)))
+    for fn in (image_sources, image_source_rir):
+        with pytest.raises(ParameterError, match=f"^{name} "):
+            fn(room, src, mic)
+
+
 def test_image_amplitude_halves_when_distance_doubles():
     near = _room(max_order=0, mic_positions=((2.0, 2.0, 3.0),))
     far = _room(max_order=0, mic_positions=((3.0, 2.0, 3.0),))
@@ -296,6 +308,10 @@ def test_add_noise_at_snr_validation():
         add_noise_at_snr(
             WaveformBuffer(np.zeros(100), FS), WaveformBuffer(rng.normal(size=200), FS), 10.0
         )
+    noise = WaveformBuffer(rng.normal(size=600), FS)
+    for snr_db in (math.nan, math.inf, -math.inf, "10", None):
+        with pytest.raises(ParameterError, match="snr_db"):
+            add_noise_at_snr(clean, noise, snr_db)
 
 
 # -------------------------------------------------------- meeting plan
