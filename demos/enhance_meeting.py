@@ -49,7 +49,6 @@ def main():
         [("meeting", "ann", 0.0, 2.4), ("meeting", "bob", 0.8, 3.2)]
     )
     cfg = ff.GssConfig(
-        stft=ff.StftParams(),
         wpe=ff.WpeConfig(taps=5, delay=2, iterations=2),
         em_iterations=20,
         seed=0,

@@ -64,11 +64,7 @@ def _exit_code(exc: BaseException) -> int:
 
 
 def _write_wav_atomic(path, wav: WaveformBuffer) -> None:
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(target.name + ".part")
-    write_wav(tmp, wav, encoding="float32")
-    os.replace(tmp, target)
+    formats.atomic_write(path, lambda tmp: write_wav(tmp, wav, encoding="float32"))
 
 
 def _input_hashes(paths) -> dict:
@@ -124,13 +120,9 @@ def _enhance_session(manifest, cfg, out_root: Path) -> dict:
     outputs.sort(key=lambda o: (o["speaker"], o["start_ms"], o["end_ms"]))
     described = formats.describe_config(cfg)
     inputs = _input_hashes(list(manifest.wav_paths) + [manifest.rttm_path])
-    formats.atomic_write_bytes(
+    formats.write_json(
         session_dir / "provenance.json",
-        (formats.canonical_json({
-            "config": described,
-            "inputs": inputs,
-            "session": manifest.session,
-        }) + "\n").encode("utf-8"),
+        {"config": described, "inputs": inputs, "session": manifest.session},
     )
     index = {
         "session": manifest.session,
@@ -138,10 +130,7 @@ def _enhance_session(manifest, cfg, out_root: Path) -> dict:
         "config_sha256": formats.config_fingerprint(described),
         "outputs": outputs,
     }
-    formats.atomic_write_bytes(
-        session_dir / "index.json",
-        (formats.canonical_json(index) + "\n").encode("utf-8"),
-    )
+    formats.write_json(session_dir / "index.json", index)
     return index
 
 
@@ -153,12 +142,18 @@ def cmd_enhance(args) -> int:
         cfg = replace(cfg, seed=args.seed)
     manifests = formats.parse_manifests(args.manifest)
     jobs = []
+    session_dirs = set()
     for m in manifests:
         out_root = Path(args.out) if args.out else m.out_dir
         if out_root is None:
             raise ParameterError(
                 f"session {m.session}: no output directory (set out_dir or --out)"
             )
+        # two runs into one directory would overwrite each other's index
+        session_dir = (out_root / m.session).resolve()
+        if session_dir in session_dirs:
+            raise DataError(f"session {m.session}: listed twice for the output {session_dir}")
+        session_dirs.add(session_dir)
         jobs.append((m, out_root))
     failures = []
 
@@ -199,15 +194,12 @@ def cmd_simulate(args) -> int:
     if result.noise is not None:
         _write_wav_atomic(out / "noise.wav", result.noise)
     formats.write_rttm(out / "reference.rttm", result.reference)
-    formats.atomic_write_bytes(
-        out / "provenance.json",
-        (formats.canonical_json({
-            "plan_sha256": formats.sha256_file(args.plan),
-            "room_sha256": formats.sha256_file(args.room),
-            "seed": plan.seed,
-            "session": plan.session,
-        }) + "\n").encode("utf-8"),
-    )
+    formats.write_json(out / "provenance.json", {
+        "plan_sha256": formats.sha256_file(args.plan),
+        "room_sha256": formats.sha256_file(args.room),
+        "seed": plan.seed,
+        "session": plan.session,
+    })
     print(f"session={plan.session} samples={result.mixture.n_samples} "
           f"channels={result.mixture.channels}")
     return 0

@@ -18,10 +18,6 @@ class ParameterError(FarfieldError, ValueError):
     """Invalid argument values, violated preconditions, mismatched shapes."""
 
 
-class RangeError(ParameterError):
-    """A segment or index refers outside the extent of its signal."""
-
-
 class DataError(FarfieldError):
     """Malformed or unreadable input data (files, configs, manifests)."""
 

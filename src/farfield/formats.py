@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import DataError, FarfieldError, ParameterError
 from .gss import GssConfig
 from .metrics import DiarizationSet, TranscriptSet
-from .signal import StftParams, WaveformBuffer
+from .signal import WaveformBuffer
 from .simulate import MixturePlan, PlannedSource, RoomSpec
 from .wavio import read_wav
 from .wpe import WpeConfig
@@ -158,17 +158,27 @@ def sha256_file(path) -> str:
     return sha256_bytes(Path(path).read_bytes())
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file and rename, never leaving partial output."""
+def atomic_write(path, write) -> None:
+    """Call ``write(tmp)`` on a temp path beside ``path``, then rename the
+    temp file onto ``path``, so no partial output is ever left there."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + ".part")
-    tmp.write_bytes(data)
+    write(tmp)
     os.replace(tmp, target)
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    atomic_write(path, lambda tmp: tmp.write_bytes(data))
 
 
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
+def write_json(path, obj) -> None:
+    """``obj`` as one line of canonical JSON, written atomically."""
+    atomic_write_bytes(path, (canonical_json(obj) + "\n").encode("utf-8"))
 
 
 def config_fingerprint(obj) -> str:
@@ -235,7 +245,7 @@ def _parse_fields(cls, obj, context: str):
 
 
 # GssConfig fields at the top level of the JSON layout; the rest sit under "gss"
-_GSS_TOP_LEVEL = ("seed", "stft", "wpe")
+_GSS_TOP_LEVEL = ("seed", "wpe")
 _GSS_NESTED = tuple(n for n in _field_names(GssConfig) if n not in _GSS_TOP_LEVEL)
 
 
@@ -247,7 +257,6 @@ def describe_config(cfg: GssConfig) -> dict:
     """
     return {
         "seed": cfg.seed,
-        "stft": asdict(cfg.stft),
         "wpe": None if cfg.wpe is None else asdict(cfg.wpe),
         "gss": {name: getattr(cfg, name) for name in _GSS_NESTED},
     }
@@ -260,7 +269,6 @@ def parse_pipeline_config(obj, context: str = "config") -> GssConfig:
     """
     d = _mapping(obj, context)
     _reject_unknown(d, _GSS_TOP_LEVEL + ("gss",), context)
-    stft = _parse_fields(StftParams, d.get("stft", {}), f"{context}.stft")
     wpe_cfg = d.get("wpe", {})
     if wpe_cfg is not None:
         wpe_cfg = _parse_fields(WpeConfig, wpe_cfg, f"{context}.wpe")
@@ -268,7 +276,7 @@ def parse_pipeline_config(obj, context: str = "config") -> GssConfig:
     _reject_unknown(gss_part, _GSS_NESTED, f"{context}.gss")
     return _build(
         GssConfig,
-        {"stft": stft, "wpe": wpe_cfg, "seed": d.get("seed", 0), **gss_part},
+        {"wpe": wpe_cfg, "seed": d.get("seed", 0), **gss_part},
         context,
     )
 

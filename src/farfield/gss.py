@@ -23,9 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    DataError, NumericalError, ParameterError, RangeError, check_finite, check_int
-)
+from .errors import DataError, NumericalError, ParameterError, check_finite, check_int
 from .linalg import solve_hermitian
 from .metrics import DiarizationSet
 from .signal import (
@@ -44,6 +42,7 @@ _TRACE_FLOOR = 1e-10
 _INIT_JITTER = 1e-3
 _LOADING_STEP = 1e-6
 _WEIGHT_CAP = 1e4
+_STFT = StftParams()  # the framing of every gss_enhance analysis
 
 
 @dataclass(frozen=True)
@@ -81,12 +80,6 @@ class ActivityPattern:
     @property
     def n_frames(self) -> int:
         return self.active.shape[1]
-
-    def class_index(self, speaker: str) -> int:
-        try:
-            return self.speakers.index(speaker)
-        except ValueError:
-            raise ParameterError(f"unknown speaker {speaker!r}") from None
 
 
 @dataclass(frozen=True)
@@ -514,7 +507,6 @@ def mvdr_beamform(
 class GssConfig:
     """Settings for the end-to-end enhancement recipe of :func:`gss_enhance`."""
 
-    stft: StftParams = StftParams()
     wpe: WpeConfig | None = WpeConfig()
     em_iterations: int = 20
     context_s: float = 15.0
@@ -538,12 +530,10 @@ def segment_seed(base_seed: int, speaker: str, start_ms: int, end_ms: int) -> in
     return (base_seed * 1000003 + zlib.crc32(tag)) % (2**63)
 
 
-def eligible_segments(
-    segments: DiarizationSet, stft_params: StftParams, n_samples: int, sample_rate_hz: int
-) -> list:
+def eligible_segments(segments: DiarizationSet, n_samples: int, sample_rate_hz: int) -> list:
     """Segments that enhancement will produce output for, in time order.
 
-    Segments extending outside the file raise a range error; segments
+    Segments extending outside the file raise a data error; segments
     shorter than one analysis frame are dropped with a warning, and of
     the segments of one speaker whose bounds round to the same
     milliseconds only the first in time order is kept, so each output
@@ -558,11 +548,11 @@ def eligible_segments(
     kept = {}  # (speaker, start_ms, end_ms) -> (speaker, start_s, end_s)
     for seg in sorted(segments.segments, key=lambda s: (s.start_s, s.end_s, s.speaker)):
         if seg.start_s < 0 or seg.end_s > duration + 1e-9:
-            raise RangeError(
+            raise DataError(
                 f"segment {seg.speaker} [{seg.start_s}, {seg.end_s}] outside the "
                 f"{duration:.3f} s file"
             )
-        if (seg.end_s - seg.start_s) * sample_rate_hz < stft_params.frame_length:
+        if (seg.end_s - seg.start_s) * sample_rate_hz < _STFT.frame_length:
             log.warning(
                 "skipping segment %s [%.3f, %.3f]: shorter than one frame",
                 seg.speaker,
@@ -576,13 +566,13 @@ def eligible_segments(
 
 
 def _window_activity(
-    window_segments, speakers, win_start_s, n_frames, p: StftParams, rate: int
+    window_segments, speakers, win_start_s, n_frames, rate: int
 ) -> ActivityPattern:
     """Frame activity of each speaker inside an analysis window."""
     active = np.zeros((len(speakers) + 1, n_frames), dtype=bool)
     active[-1] = True
-    starts = np.arange(n_frames) * p.frame_shift - p.edge_padding
-    ends = starts + p.frame_length
+    starts = np.arange(n_frames) * _STFT.frame_shift - _STFT.edge_padding
+    ends = starts + _STFT.frame_length
     for seg in window_segments:
         k = speakers.index(seg.speaker)
         a = (seg.start_s - win_start_s) * rate
@@ -616,8 +606,9 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
     ------
     DataError
         The recording has fewer than 2 channels (the mixture model
-        separates by direction and one channel has none), or a NaN or
-        infinite sample, named by channel and sample index.
+        separates by direction and one channel has none), a NaN or
+        infinite sample, named by channel and sample index, or a segment
+        outside the recording.
     """
     if wav.channels < 2:
         raise DataError(
@@ -625,7 +616,7 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
         )
     check_finite_samples(wav.samples, "recording")
     rate = wav.sample_rate_hz
-    todo = eligible_segments(segments, cfg.stft, wav.n_samples, rate)
+    todo = eligible_segments(segments, wav.n_samples, rate)
     # (lo, hi) sample bounds -> (window start s, window end s, target indices);
     # the activity pattern depends only on the window, so the bounds are the key
     windows: dict = {}
@@ -637,7 +628,7 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
 
     pieces = [None] * len(todo)
     for (lo, hi), (win_start, win_end, targets) in windows.items():
-        spec = stft(WaveformBuffer(wav.samples[:, lo:hi], rate), cfg.stft)
+        spec = stft(WaveformBuffer(wav.samples[:, lo:hi], rate), _STFT)
         if cfg.wpe is not None:
             spec = wpe(spec, cfg.wpe)
 
@@ -647,9 +638,7 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
             if s.end_s > win_start and s.start_s < win_end
         ]
         speakers = sorted({s.speaker for s in overlapping})
-        activity = _window_activity(
-            overlapping, speakers, win_start, spec.frames, cfg.stft, rate
-        )
+        activity = _window_activity(overlapping, speakers, win_start, spec.frames, rate)
         speaker, start_s, end_s = todo[targets[0]]
         seed = segment_seed(
             cfg.seed, speaker, int(round(start_s * 1000)), int(round(end_s * 1000))

@@ -184,46 +184,6 @@ def _power(x: np.ndarray) -> float:
     return float(np.mean(np.square(x)))
 
 
-def _seeded_crop(noise: WaveformBuffer, channels: int, length: int, seed: int, what: str):
-    """``length`` samples of ``noise`` from an offset drawn from ``seed``, mono broadcast."""
-    if noise.n_samples < length:
-        raise ParameterError(f"noise ({noise.n_samples}) shorter than {what} ({length})")
-    if noise.channels not in (1, channels):
-        raise ParameterError(f"noise has {noise.channels} channels, expected 1 or {channels}")
-    offset = int(np.random.default_rng(seed).integers(0, noise.n_samples - length + 1))
-    return np.broadcast_to(noise.samples[:, offset : offset + length], (channels, length))
-
-
-def _scaled_to_snr(clean: np.ndarray, noise: np.ndarray, snr_db: float, what: str):
-    """``noise`` scaled so that 10 log10(P_clean / P_noise) equals ``snr_db``."""
-    p_clean = _power(clean)
-    p_noise = _power(noise)
-    if p_clean == 0.0:
-        raise ParameterError(f"{what} has zero power")
-    if p_noise == 0.0:
-        raise ParameterError("noise crop has zero power")
-    return math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0))) * noise
-
-
-def add_noise_at_snr(
-    clean: WaveformBuffer, noise: WaveformBuffer, snr_db: float, seed: int = 0
-) -> WaveformBuffer:
-    """Mix a randomly cropped noise into a signal at an exact average SNR.
-
-    The crop offset is drawn from ``seed``; the noise is scaled so that
-    10 log10(P_clean / P_noise) equals ``snr_db``, a finite number, with
-    powers averaged over the full extent and all channels.
-    """
-    check_finite("snr_db", snr_db)
-    if noise.sample_rate_hz != clean.sample_rate_hz:
-        raise ParameterError("sample rates differ between clean and noise")
-    crop = _seeded_crop(noise, clean.channels, clean.n_samples, seed, "clean")
-    return WaveformBuffer(
-        samples=clean.samples + _scaled_to_snr(clean.samples, crop, snr_db, "clean signal"),
-        sample_rate_hz=clean.sample_rate_hz,
-    )
-
-
 @dataclass(frozen=True)
 class PlannedSource:
     speaker: str
@@ -366,10 +326,22 @@ def make_meeting(plan: MixturePlan, room: RoomSpec) -> MeetingResult:
         if plan.noise is None:
             noise = np.random.default_rng(plan.seed).standard_normal((n_mics, length))
         else:
-            noise = _seeded_crop(plan.noise, n_mics, length, plan.seed, "mixture")
-        noise_buf = WaveformBuffer(
-            _scaled_to_snr(clean, noise, plan.snr_db, "mixture of sources"), rate
-        )
+            # a seeded crop of the noise recording, a mono one broadcast to every mic
+            src = plan.noise
+            if src.n_samples < length:
+                raise ParameterError(f"noise ({src.n_samples}) shorter than mixture ({length})")
+            if src.channels not in (1, n_mics):
+                raise ParameterError(f"noise has {src.channels} channels, expected 1 or {n_mics}")
+            offset = int(np.random.default_rng(plan.seed).integers(0, src.n_samples - length + 1))
+            noise = np.broadcast_to(src.samples[:, offset : offset + length], (n_mics, length))
+        p_clean = _power(clean)
+        p_noise = _power(noise)
+        if p_clean == 0.0:
+            raise ParameterError("mixture of sources has zero power")
+        if p_noise == 0.0:
+            raise ParameterError("noise crop has zero power")
+        scale = math.sqrt(p_clean / (p_noise * 10.0 ** (plan.snr_db / 10.0)))
+        noise_buf = WaveformBuffer(scale * noise, rate)
         mixture = clean + noise_buf.samples
 
     return MeetingResult(

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, check_finite, check_int
+from .errors import NumericalError, ParameterError, check_int
 from .linalg import solve_hermitian
 from .signal import ComplexSpectrogram
 
-DEFAULT_PSD_FLOOR = 1e-10
+DEFAULT_PSD_FLOOR = 1e-10  # lower bound epsilon on the per-bin power estimate
+_DIAGONAL_LOADING = 1e-6  # relative Tikhonov term, scaled by trace(R) / (C*K)
 _BLOCK_BINS = 8  # frequency bins per WPE block; bounds the working set
 
 
@@ -36,30 +37,15 @@ class WpeConfig:
         direct path and early reflections out of the regression.
     iterations : int
         Alternations between power estimation and filter estimation.
-    psd_floor : float
-        Lower bound epsilon on the per-bin power estimate.
-    diagonal_loading : float
-        Relative Tikhonov term: delta = diagonal_loading * trace(R) / (C*K)
-        is added to the correlation matrix before solving.
     """
 
     taps: int = 10
     delay: int = 3
     iterations: int = 3
-    psd_floor: float = DEFAULT_PSD_FLOOR
-    diagonal_loading: float = 1e-6
 
     def __post_init__(self):
         for name in ("taps", "delay", "iterations"):
             check_int(name, getattr(self, name), 1)
-        check_finite("psd_floor", self.psd_floor)
-        check_finite("diagonal_loading", self.diagonal_loading)
-        if not self.psd_floor > 0:
-            raise ParameterError(f"psd_floor must be > 0, got {self.psd_floor}")
-        if self.diagonal_loading < 0:
-            raise ParameterError(
-                f"diagonal_loading must be >= 0, got {self.diagonal_loading}"
-            )
 
 
 def frame_powers(spec: ComplexSpectrogram, floor: float = DEFAULT_PSD_FLOOR) -> np.ndarray:
@@ -166,10 +152,10 @@ def _wpe_block(x: np.ndarray, cfg: WpeConfig, first_bin: int) -> np.ndarray:
     x_h = x.conj().transpose(0, 2, 1)  # (B, T, C)
     y = x
     for _ in range(cfg.iterations):
-        lam = np.maximum(np.mean(np.abs(y) ** 2, axis=1), cfg.psd_floor)  # (B, T)
+        lam = np.maximum(np.mean(np.abs(y) ** 2, axis=1), DEFAULT_PSD_FLOOR)  # (B, T)
         weighted = history * (1.0 / lam)[:, None, :]
         g = _prediction_filters(
-            weighted @ history_h, weighted @ x_h, cfg.diagonal_loading, first_bin
+            weighted @ history_h, weighted @ x_h, _DIAGONAL_LOADING, first_bin
         )
         y = x - g.conj().transpose(0, 2, 1) @ history
     return y

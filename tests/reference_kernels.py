@@ -31,6 +31,7 @@ from farfield import (
     NULL_TOKEN,
     ActivityPattern,
     ArcTally,
+    StftParams,
     WaveformBuffer,
     WordTransitionNetwork,
     eligible_segments,
@@ -41,6 +42,9 @@ from farfield import (
 )
 from farfield import fit_cacgmm as package_fit_cacgmm
 from farfield import wpe as package_wpe
+
+WPE_PSD_FLOOR = 1e-10  # the floor on the WPE power estimate
+WPE_LOADING = 1e-6  # the relative diagonal loading of the WPE solve
 
 
 # ---------------------------------------------------------------- iSTFT
@@ -121,11 +125,11 @@ def wpe(values, cfg):
     history = stack_history(x, cfg.taps, cfg.delay)
     y = x
     for _ in range(cfg.iterations):
-        lam = np.maximum(np.mean(np.abs(y) ** 2, axis=1), cfg.psd_floor)
+        lam = np.maximum(np.mean(np.abs(y) ** 2, axis=1), WPE_PSD_FLOOR)
         weighted = history / lam[:, None, :]
         r = np.einsum("fit,fjt->fij", weighted, history.conj())
         p = np.einsum("fit,fjt->fij", weighted, x.conj())
-        g = wpe_filters(r, p, cfg.diagonal_loading)
+        g = wpe_filters(r, p, WPE_LOADING)
         y = x - np.einsum("fic,fit->fct", g.conj(), history)
     return np.transpose(y, (2, 0, 1))
 
@@ -259,10 +263,8 @@ def enhance_per_segment(wav, segments, cfg, seed_for=None):
 
     out = {}
     rate = wav.sample_rate_hz
-    p = cfg.stft
-    for speaker, start_s, end_s in eligible_segments(
-        segments, p, wav.n_samples, rate
-    ):
+    p = StftParams()
+    for speaker, start_s, end_s in eligible_segments(segments, wav.n_samples, rate):
         win_start = max(0.0, start_s - cfg.context_s)
         win_end = min(wav.n_samples / rate, end_s + cfg.context_s)
         lo = int(round(win_start * rate))

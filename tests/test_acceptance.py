@@ -104,7 +104,8 @@ def test_c01_stft_roundtrip_on_random_cola_configs():
 
 
 def test_c02_wpe_single_iteration_solves_the_normal_equations():
-    # unit lambda: floor 1.0 with inputs scaled well below unit power
+    # power-weighted normal equations, lambda = max(channel-mean |x|^2, 1e-10),
+    # loaded by 1e-6 * trace(R) / CK
     for seed in range(10):
         rng = np.random.default_rng(200 + seed)
         channels = int(rng.integers(1, 4))
@@ -116,10 +117,7 @@ def test_c02_wpe_single_iteration_solves_the_normal_equations():
             + 1j * rng.normal(size=(frames, 5, channels))
         )
         spec = ComplexSpectrogram(values, SMALL, FS)
-        cfg = WpeConfig(
-            taps=taps, delay=delay, iterations=1, psd_floor=1.0, diagonal_loading=1e-12
-        )
-        out = wpe(spec, cfg)
+        out = wpe(spec, WpeConfig(taps=taps, delay=delay, iterations=1))
         x = values.transpose(1, 2, 0)
         for f in range(5):
             ck = channels * taps
@@ -127,7 +125,10 @@ def test_c02_wpe_single_iteration_solves_the_normal_equations():
             for k in range(taps):
                 shift = delay + k
                 hist[k * channels : (k + 1) * channels, shift:] = x[f, :, : frames - shift]
-            g = np.linalg.lstsq(hist @ hist.conj().T, hist @ x[f].conj().T, rcond=None)[0]
+            lam = np.maximum(np.mean(np.abs(x[f]) ** 2, axis=0), 1e-10)
+            r = (hist / lam) @ hist.conj().T
+            r = r + 1e-6 * np.trace(r).real / ck * np.eye(ck)
+            g = np.linalg.solve(r, (hist / lam) @ x[f].conj().T)
             resid = x[f] - g.conj().T @ hist
             np.testing.assert_allclose(
                 out.values[:, f, :].T, resid, rtol=0, atol=1e-5,
@@ -146,7 +147,7 @@ def test_c03_wpe_objective_non_increasing_on_simulated_reverb():
         for iterations in range(1, 6):
             cfg = WpeConfig(taps=8, delay=2, iterations=iterations)
             dereverbed = wpe(spec, cfg)
-            lam = frame_powers(spec if previous is None else previous, cfg.psd_floor)
+            lam = frame_powers(spec if previous is None else previous)
             scores.append(wpe_objective(spec, dereverbed, lam))
             previous = dereverbed
         assert np.all(np.diff(scores) <= 1e-6), (seed, scores)
@@ -218,7 +219,6 @@ def test_c05_gss_gains_five_db_over_best_input_channel():
             [("mix", spk, a, b) for spk, (a, b) in windows]
         )
         cfg = GssConfig(
-            stft=StftParams(),
             wpe=WpeConfig(taps=5, delay=2, iterations=2),
             em_iterations=20,
             context_s=15.0,

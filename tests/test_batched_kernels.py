@@ -178,10 +178,11 @@ def test_wpe_singular_matrix_error_names_the_global_bin():
 @pytest.mark.filterwarnings("error")
 def test_wpe_error_in_a_later_block_names_the_global_bin(monkeypatch):
     monkeypatch.setattr(wpe_module, "_BLOCK_BINS", 4)
+    monkeypatch.setattr(wpe_module, "_DIAGONAL_LOADING", 0.0)
     values = _complex(np.random.default_rng(7), (60, 9, 2))
     values[:, 6, 1] = 0.0  # bin 6 = second bin of the second block
     with pytest.raises(NumericalError, match="frequency bin 6$"):
-        wpe(_spec(values), WpeConfig(taps=3, delay=2, iterations=1, diagonal_loading=0.0))
+        wpe(_spec(values), WpeConfig(taps=3, delay=2, iterations=1))
 
 
 # --------------------------------------------------------------- CACGMM

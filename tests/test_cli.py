@@ -303,13 +303,50 @@ def test_enhance_rejects_a_removed_config_key(workspace, tmp_path, capsys):
         "out_dir": str(tmp_path / "enh"),
     }
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    for section, key, value in (("gss", "masking_postfilter", False), ("stft", "window", "hann")):
-        (tmp_path / "cfg.json").write_text(json.dumps({section: {key: value}}))
+    for config, message in (
+        (
+            {"gss": {"masking_postfilter": False}},
+            "cfg.json.gss: unknown keys ['masking_postfilter']",
+        ),
+        ({"wpe": {"psd_floor": 1e-10}}, "cfg.json.wpe: unknown keys ['psd_floor']"),
+        ({"wpe": {"diagonal_loading": 1e-6}}, "cfg.json.wpe: unknown keys ['diagonal_loading']"),
+        ({"stft": {"window": "hann"}}, "cfg.json: unknown keys ['stft']"),
+        ({"stft": {"frame_length": 512}}, "cfg.json: unknown keys ['stft']"),
+    ):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
         rc = main(["enhance", str(tmp_path / "manifest.json"),
                    "--config", str(tmp_path / "cfg.json")])
         assert rc == 2
-        assert f"{section}: unknown keys ['{key}']" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "enh").exists()
+
+
+@pytest.mark.parametrize(
+    "out_dirs, out_flag",
+    [(("enh", "enh"), False), (("enh", "sub/../enh"), False), (("a", "b"), True)],
+    ids=["same-out_dir", "same-resolved-out_dir", "same-out"],
+)
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_enhance_rejects_a_session_listed_twice_for_one_output(
+    workspace, tmp_path, capsys, out_dirs, out_flag, jobs
+):
+    # two runs into one session directory would overwrite each other's index
+    sim = workspace / "sim"
+    (tmp_path / "a.rttm").write_text("SPEAKER mtg 1 0.000 1.600 <NA> <NA> ann <NA> <NA>\n")
+    (tmp_path / "b.rttm").write_text("SPEAKER mtg 1 0.600 1.600 <NA> <NA> bob <NA> <NA>\n")
+    manifest = [
+        {"session": "mtg", "wavs": [str(sim / "mixture.wav")], "rttm": rttm, "out_dir": out}
+        for rttm, out in zip(("a.rttm", "b.rttm"), out_dirs)
+    ]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    out = ["--out", str(tmp_path / "enh")] if out_flag else []
+    rc = main(["enhance", str(tmp_path / "manifest.json"),
+               "--config", str(workspace / "cfg.json"), "--jobs", jobs, *out])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "session mtg: listed twice" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.rttm", "b.rttm", "manifest.json"]
 
 
 def _enhance_rttm(workspace, name, rttm_text):
@@ -333,6 +370,30 @@ def test_enhance_warns_once_per_sub_frame_segment(workspace, capsys, caplog):
     assert len(skips) == 1
     n_kept = len(reference.splitlines())
     assert f"session=mtg files={n_kept}" in capsys.readouterr().out
+
+
+def test_wav_outputs_are_written_through_the_module_write_wav(tmp_path, monkeypatch):
+    # the bench tracer wraps farfield.cli.write_wav and sizes the file at
+    # its first argument when the call returns
+    sizes = []
+
+    def sized(path, wav, **kwargs):
+        write_wav(path, wav, **kwargs)
+        sizes.append(os.path.getsize(path))
+
+    monkeypatch.setattr(cli, "write_wav", sized)
+    target = tmp_path / "deep" / "out.wav"
+    cli._write_wav_atomic(target, WaveformBuffer(np.zeros((2, 10)), FS))
+    assert sizes == [target.stat().st_size]
+    assert [p.name for p in target.parent.iterdir()] == ["out.wav"]
+
+
+def test_enhance_segment_outside_the_recording_is_a_data_error(workspace, capsys):
+    # the simulated mixture lasts 2.225 s
+    rc = _enhance_rttm(workspace, "outside", "SPEAKER mtg 1 1.000 5.000 <NA> <NA> ann <NA> <NA>\n")
+    assert rc == 2
+    assert "outside the 2.225 s file" in capsys.readouterr().err
+    assert not (workspace / "enh_outside").exists()
 
 
 def test_enhance_writes_a_repeated_segment_once(workspace, capsys):

@@ -11,7 +11,6 @@ from farfield import (
     DiarizationSet,
     GssConfig,
     ParameterError,
-    StftParams,
     WaveformBuffer,
     WpeConfig,
     atomic_write_bytes,
@@ -212,12 +211,10 @@ def test_load_json_errors(tmp_path):
 
 
 def test_parse_stft_config():
-    p = parse_pipeline_config({"stft": {"frame_length": 256, "frame_shift": 64}}).stft
-    assert p == StftParams(frame_length=256, frame_shift=64, fft_size=512)
-    with pytest.raises(DataError, match=r"config\.stft.*unknown keys.*frame_len"):
-        parse_pipeline_config({"stft": {"frame_len": 256}})
-    with pytest.raises(DataError, match=r"config\.stft"):
-        parse_pipeline_config({"stft": {"frame_shift": 100}})  # breaks overlap-add
+    # the framing is fixed: an "stft" section is an unknown key, whatever it holds
+    for value in ({"frame_length": 256, "frame_shift": 64}, {"frame_len": 256}, {}, [1, 2]):
+        with pytest.raises(DataError, match=r"config: unknown keys \['stft'\]"):
+            parse_pipeline_config({"stft": value})
 
 
 def test_parse_wpe_config():
@@ -234,14 +231,12 @@ def test_parse_pipeline_config_defaults_and_nesting():
     cfg = parse_pipeline_config(
         {
             "seed": 7,
-            "stft": {"frame_length": 256, "frame_shift": 64, "fft_size": 256},
             "wpe": None,
             "gss": {"em_iterations": 5, "context_s": 4.0},
         }
     )
     assert cfg.seed == 7
     assert cfg.wpe is None
-    assert cfg.stft.frame_length == 256
     assert cfg.em_iterations == 5
 
 
@@ -255,8 +250,8 @@ def test_parse_pipeline_config_rejections():
         parse_pipeline_config({"gss": {"iterations": 5}})
     with pytest.raises(DataError, match="seed must be an integer"):
         parse_pipeline_config({"seed": "7"})
-    with pytest.raises(DataError, match=r"config\.stft"):
-        parse_pipeline_config({"stft": [1, 2]})
+    with pytest.raises(DataError, match=r"config\.wpe"):
+        parse_pipeline_config({"wpe": [1, 2]})
 
 
 @pytest.mark.parametrize(
@@ -265,7 +260,7 @@ def test_parse_pipeline_config_rejections():
         ({"gss": {"em_iterations": 2.5}}, "em_iterations"),
         ({"gss": {"em_iterations": True}}, "em_iterations"),
         ({"wpe": {"taps": 2.5}}, "taps"),
-        ({"stft": {"frame_shift": 128.0}}, "frame_shift"),
+        ({"wpe": {"iterations": 2.0}}, "iterations"),
         ({"gss": {"masking_postfilter": "no"}}, "masking_postfilter"),
         ({"gss": {"masking_postfilter": 1}}, "masking_postfilter"),
         ({"gss": {"weight_cap": -1.0}}, "weight_cap"),
@@ -278,8 +273,8 @@ def test_parse_pipeline_config_rejections():
 )
 def test_parse_pipeline_config_rejects_wrongly_typed_values(obj, field):
     # each of these used to parse, or to fail with an uncaught TypeError;
-    # masking_postfilter, weight_cap and mask_floor are no longer fields,
-    # so they now fail as unknown keys (see the next test)
+    # masking_postfilter, weight_cap, mask_floor and psd_floor are no
+    # longer fields, so they now fail as unknown keys (see the next test)
     with pytest.raises(DataError, match=field):
         parse_pipeline_config(obj)
 
@@ -291,24 +286,28 @@ def test_parse_pipeline_config_rejects_wrongly_typed_values(obj, field):
         ("gss", "mask_floor"),
         ("gss", "weight_cap"),
         ("stft", "window"),
+        ("wpe", "psd_floor"),
+        ("wpe", "diagonal_loading"),
     ],
-    ids=["masking_postfilter", "mask_floor", "weight_cap", "window"],
+    ids=["masking_postfilter", "mask_floor", "weight_cap", "window", "psd_floor",
+         "diagonal_loading"],
 )
 def test_parse_pipeline_config_rejects_removed_gss_keys(section, key):
     # settings that became constants: a config that still sets one is a
-    # data error, not silently ignored
-    default = describe_config(GssConfig())[section]
-    assert key not in default
+    # data error, not silently ignored; the whole "stft" section is gone
+    default = describe_config(GssConfig())
+    if section in default:
+        assert key not in default[section]
+        unknown = rf"config\.{section}: unknown keys \['{key}'\]"
+    else:
+        unknown = rf"config: unknown keys \['{section}'\]"
     for value in (False, 0.1, 1e4, "hann"):
-        with pytest.raises(
-            DataError, match=rf"config\.{section}: unknown keys \['{key}'\]"
-        ):
+        with pytest.raises(DataError, match=unknown):
             parse_pipeline_config({section: {key: value}})
 
 
 def test_pipeline_config_describe_roundtrip():
     cfg = GssConfig(
-        stft=StftParams(frame_length=256, frame_shift=64, fft_size=256),
         wpe=WpeConfig(taps=8, delay=2, iterations=2),
         em_iterations=7,
         context_s=5.0,
@@ -326,8 +325,9 @@ def test_describe_fingerprints_every_config_field():
     changed = [
         replace(base, em_iterations=7),
         replace(base, context_s=2.5),
-        replace(base, wpe=replace(base.wpe, psd_floor=1e-9)),
-        replace(base, stft=StftParams(fft_size=1024)),
+        replace(base, wpe=replace(base.wpe, iterations=2)),
+        replace(base, wpe=None),
+        replace(base, seed=1),
     ]
     prints = {config_fingerprint(describe_config(c)) for c in [base, *changed]}
     assert len(prints) == len(changed) + 1
@@ -341,11 +341,11 @@ def test_config_fingerprints_pin_the_json_layout():
     # literal hashes: a renamed, moved or re-defaulted field changes them
     default = describe_config(parse_pipeline_config({}))
     assert config_fingerprint(default) == (
-        "f1c0e81326d83888f0647527d7e0b2f80ae5b4f3d7b1a291d02afa112caf73c9"
+        "b3b1ad946daf62117c14bd51ccce41eb313fa162cb9fd4631d51f5e409e3088c"
     )
     turns = describe_config(parse_pipeline_config({"wpe": None, "gss": {"context_s": 1.0}}))
     assert config_fingerprint(turns) == (
-        "ceef6ce795777d0a8939876e425326e6e097e5d28278066d037719798946880f"
+        "5921a78980db355963bda397b0eb5d10c7d7968c8b71b7646d96eb68854b1561"
     )
 
 

@@ -1,6 +1,7 @@
 """Image-source room simulation and meeting synthesis."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from farfield import (
     PlannedSource,
     RoomSpec,
     WaveformBuffer,
-    add_noise_at_snr,
     convolve,
     image_source_rir,
     image_sources,
@@ -259,61 +259,6 @@ def test_convolve_rejects_multichannel_input():
         convolve(WaveformBuffer(np.zeros((2, 8)), FS), np.ones(3))
 
 
-# ----------------------------------------------------- noise injection
-
-
-def test_add_noise_at_snr_hits_target_exactly():
-    rng = np.random.default_rng(0)
-    clean = WaveformBuffer(0.1 * rng.normal(size=(2, 4000)), FS)
-    noise = WaveformBuffer(rng.normal(size=(2, 9000)), FS)
-    for seed, snr in [(0, 20.0), (1, 5.0), (2, 0.0), (3, -5.0), (4, 35.0)]:
-        mixed = add_noise_at_snr(clean, noise, snr, seed=seed)
-        added = mixed.samples - clean.samples
-        got = 10 * np.log10(np.mean(clean.samples**2) / np.mean(added**2))
-        assert got == pytest.approx(snr, abs=0.05)
-
-
-def test_add_noise_at_snr_seed_controls_crop():
-    rng = np.random.default_rng(1)
-    clean = WaveformBuffer(rng.normal(size=1000), FS)
-    noise = WaveformBuffer(rng.normal(size=50000), FS)
-    a = add_noise_at_snr(clean, noise, 10.0, seed=7)
-    b = add_noise_at_snr(clean, noise, 10.0, seed=7)
-    c = add_noise_at_snr(clean, noise, 10.0, seed=8)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
-
-
-def test_add_noise_at_snr_broadcasts_mono_noise():
-    rng = np.random.default_rng(2)
-    # identical clean channels isolate the broadcast: equal outputs mean
-    # the same mono noise crop went into both
-    row = rng.normal(size=500)
-    clean = WaveformBuffer(np.tile(row, (2, 1)), FS)
-    noise = WaveformBuffer(rng.normal(size=600), FS)
-    mixed = add_noise_at_snr(clean, noise, 15.0, seed=0)
-    assert np.array_equal(mixed.samples[0], mixed.samples[1])
-
-
-def test_add_noise_at_snr_validation():
-    rng = np.random.default_rng(3)
-    clean = WaveformBuffer(rng.normal(size=(2, 500)), FS)
-    with pytest.raises(ParameterError, match="shorter"):
-        add_noise_at_snr(clean, WaveformBuffer(rng.normal(size=100), FS), 10.0)
-    with pytest.raises(ParameterError, match="sample rates"):
-        add_noise_at_snr(clean, WaveformBuffer(rng.normal(size=600), 8000), 10.0)
-    with pytest.raises(ParameterError, match="channels"):
-        add_noise_at_snr(clean, WaveformBuffer(rng.normal(size=(3, 600)), FS), 10.0)
-    with pytest.raises(ParameterError, match="zero power"):
-        add_noise_at_snr(
-            WaveformBuffer(np.zeros(100), FS), WaveformBuffer(rng.normal(size=200), FS), 10.0
-        )
-    noise = WaveformBuffer(rng.normal(size=600), FS)
-    for snr_db in (math.nan, math.inf, -math.inf, "10", None):
-        with pytest.raises(ParameterError, match="snr_db"):
-            add_noise_at_snr(clean, noise, snr_db)
-
-
 # -------------------------------------------------------- meeting plan
 
 
@@ -338,6 +283,9 @@ def test_mixture_plan_validation():
     src = PlannedSource("a", WaveformBuffer(np.ones(10), FS))
     with pytest.raises(ParameterError, match="snr_db"):
         MixturePlan(sources=(src,), noise=WaveformBuffer(np.ones(100), FS))
+    for snr_db in (math.nan, math.inf, -math.inf, "10"):
+        with pytest.raises(ParameterError, match="snr_db"):
+            MixturePlan(sources=(src,), snr_db=snr_db)
 
 
 def _two_source_setup(seed=0, snr=None):
@@ -460,6 +408,34 @@ def test_make_meeting_validation():
     )
     with pytest.raises(ParameterError, match="channels"):
         make_meeting(three_channel_noise, room)
+    wrong_rate_noise = replace(short_noise, noise=WaveformBuffer(np.ones(40000), 8000))
+    with pytest.raises(ParameterError, match="noise sample rate"):
+        make_meeting(wrong_rate_noise, room)
+    silent_noise = replace(short_noise, noise=WaveformBuffer(np.zeros(40000), FS))
+    with pytest.raises(ParameterError, match="noise crop has zero power"):
+        make_meeting(silent_noise, room)
+    silent = WaveformBuffer(np.zeros(FS // 2), FS)
+    silent_sources = MixturePlan(
+        sources=(PlannedSource("ann", silent), PlannedSource("bob", silent)),
+        snr_db=10.0,
+        session="m",
+    )
+    with pytest.raises(ParameterError, match="mixture of sources has zero power"):
+        make_meeting(silent_sources, room)
+
+
+def test_make_meeting_seed_controls_the_wav_noise_crop():
+    plan, room = _two_source_setup(seed=13, snr=10.0)
+    noise = WaveformBuffer(np.random.default_rng(4).normal(size=(2, 50000)), FS)
+    plan = replace(plan, noise=noise, seed=7)
+    a = make_meeting(plan, room).noise.samples
+    assert np.array_equal(a, make_meeting(plan, room).noise.samples)
+    assert not np.array_equal(a, make_meeting(replace(plan, seed=8), room).noise.samples)
+    # the noise is the recording's window at the seeded offset, times one scale
+    length = a.shape[1]
+    offset = int(np.random.default_rng(7).integers(0, 50000 - length + 1))
+    crop = noise.samples[:, offset : offset + length]
+    np.testing.assert_allclose(a, crop * (a[0, 0] / crop[0, 0]), rtol=1e-12)
 
 
 def test_make_meeting_broadcasts_mono_wav_noise():

@@ -69,8 +69,8 @@ def test_config_defaults():
         dict(taps=0),
         dict(delay=-1),
         dict(iterations=0),
-        dict(psd_floor=0.0),
-        dict(diagonal_loading=-1e-6),
+        dict(taps=2.5),
+        dict(iterations=True),
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -140,7 +140,8 @@ def test_objective_hand_value():
 
 
 def test_single_iteration_matches_normal_equations():
-    # unit lambda: psd_floor 1.0 with inputs scaled well below unit power
+    # power-weighted normal equations, lambda = max(channel-mean |x|^2, 1e-10),
+    # loaded by 1e-6 * trace(R) / CK
     for seed in range(4):
         rng = np.random.default_rng(100 + seed)
         channels = int(rng.integers(1, 4))
@@ -153,21 +154,20 @@ def test_single_iteration_matches_normal_equations():
         )
         p = StftParams(frame_length=8, frame_shift=2, fft_size=8)
         spec = ComplexSpectrogram(values, p, FS)
-        cfg = WpeConfig(
-            taps=taps, delay=delay, iterations=1, psd_floor=1.0, diagonal_loading=1e-12
-        )
-        out = wpe(spec, cfg)
+        out = wpe(spec, WpeConfig(taps=taps, delay=delay, iterations=1))
         x = values.transpose(1, 2, 0)  # (F, C, T)
         for f in range(5):
-            # oracle: stack delayed frames by hand and solve least squares
+            # oracle: stack delayed frames by hand and solve the weighted equations
             ck = channels * taps
             hist = np.zeros((ck, frames), dtype=complex)
             for k in range(taps):
                 shift = delay + k
                 hist[k * channels : (k + 1) * channels, shift:] = x[f, :, : frames - shift]
-            r = hist @ hist.conj().T
-            pmat = hist @ x[f].conj().T  # (CK, C)
-            g = np.linalg.lstsq(r, pmat, rcond=None)[0]
+            lam = np.maximum(np.mean(np.abs(x[f]) ** 2, axis=0), 1e-10)  # (T,)
+            r = (hist / lam) @ hist.conj().T
+            pmat = (hist / lam) @ x[f].conj().T  # (CK, C)
+            r = r + 1e-6 * np.trace(r).real / ck * np.eye(ck)
+            g = np.linalg.solve(r, pmat)
             resid = x[f] - g.conj().T @ hist
             np.testing.assert_allclose(
                 out.values[:, f, :].T, resid, atol=1e-5, err_msg=f"seed {seed} bin {f}"
@@ -198,7 +198,7 @@ def test_objective_non_increasing_on_reverberant_utterances():
         for iterations in range(1, 6):
             cfg = WpeConfig(taps=8, delay=2, iterations=iterations)
             dereverbed = wpe(spec, cfg)
-            lam = frame_powers(spec if previous is None else previous, cfg.psd_floor)
+            lam = frame_powers(spec if previous is None else previous)
             scores.append(wpe_objective(spec, dereverbed, lam))
             previous = dereverbed
         assert np.all(np.diff(scores) <= 1e-6), scores
