@@ -283,9 +283,6 @@ def test_mixture_plan_validation():
     src = PlannedSource("a", WaveformBuffer(np.ones(10), FS))
     with pytest.raises(ParameterError, match="snr_db"):
         MixturePlan(sources=(src,), noise=WaveformBuffer(np.ones(100), FS))
-    for snr_db in (math.nan, math.inf, -math.inf, "10"):
-        with pytest.raises(ParameterError, match="snr_db"):
-            MixturePlan(sources=(src,), snr_db=snr_db)
 
 
 def _two_source_setup(seed=0, snr=None):
@@ -408,20 +405,36 @@ def test_make_meeting_validation():
     )
     with pytest.raises(ParameterError, match="channels"):
         make_meeting(three_channel_noise, room)
-    wrong_rate_noise = replace(short_noise, noise=WaveformBuffer(np.ones(40000), 8000))
+
+
+def test_make_meeting_rejects_unusable_noise_settings():
+    plan, room = _two_source_setup(seed=10, snr=10.0)
+    for snr_db in (math.nan, math.inf, -math.inf, "10"):
+        with pytest.raises(ParameterError, match="snr_db"):
+            replace(plan, snr_db=snr_db)
+    wrong_rate_noise = replace(plan, noise=WaveformBuffer(np.ones(40000), 8000))
     with pytest.raises(ParameterError, match="noise sample rate"):
         make_meeting(wrong_rate_noise, room)
-    silent_noise = replace(short_noise, noise=WaveformBuffer(np.zeros(40000), FS))
+    silent_noise = replace(plan, noise=WaveformBuffer(np.zeros(40000), FS))
     with pytest.raises(ParameterError, match="noise crop has zero power"):
         make_meeting(silent_noise, room)
     silent = WaveformBuffer(np.zeros(FS // 2), FS)
-    silent_sources = MixturePlan(
-        sources=(PlannedSource("ann", silent), PlannedSource("bob", silent)),
-        snr_db=10.0,
-        session="m",
+    silent_sources = replace(
+        plan, sources=(PlannedSource("ann", silent), PlannedSource("bob", silent))
     )
     with pytest.raises(ParameterError, match="mixture of sources has zero power"):
         make_meeting(silent_sources, room)
+
+
+def test_make_meeting_hits_the_target_snr_exactly():
+    plan, room = _two_source_setup(seed=14)
+    noise = WaveformBuffer(np.random.default_rng(0).normal(size=(2, 50000)), FS)
+    for seed, snr, wav in [(0, 20.0, noise), (1, 5.0, noise), (2, 0.0, None),
+                           (3, -5.0, noise), (4, 35.0, None)]:
+        meeting = make_meeting(replace(plan, snr_db=snr, noise=wav, seed=seed), room)
+        clean = meeting.mixture.samples - meeting.noise.samples
+        got = 10 * np.log10(np.mean(clean**2) / np.mean(meeting.noise.samples**2))
+        assert got == pytest.approx(snr, abs=1e-9)
 
 
 def test_make_meeting_seed_controls_the_wav_noise_crop():
@@ -452,6 +465,17 @@ def test_make_meeting_broadcasts_mono_wav_noise():
     assert np.array_equal(meeting.mixture.samples, total + noise)
     snr = 10 * np.log10(np.mean(total**2) / np.mean(noise**2))
     assert snr == pytest.approx(5.0, abs=1e-9)
+
+
+def test_make_meeting_broadcasts_mono_noise_to_three_mics():
+    plan, room = _two_source_setup(seed=15, snr=15.0)
+    room = replace(room, mic_positions=room.mic_positions + ((3.0, 2.5, 1.6),))
+    mono = WaveformBuffer(np.random.default_rng(2).normal(size=40000), FS)
+    noise = make_meeting(replace(plan, noise=mono), room).noise.samples
+    assert noise.shape[0] == 3
+    # one scale for all mics: every row is the same mono crop
+    assert np.array_equal(noise[0], noise[1])
+    assert np.array_equal(noise[0], noise[2])
 
 
 def test_make_meeting_image_shapes():
