@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .errors import DataError, FarfieldError, NumericalError, ParameterError
+from .errors import DataError, FarfieldError, NumericalError, ParameterError, check_file_name
 from .fusion import (
     CrossFusionParams,
     FeatureSequence,
@@ -38,7 +38,7 @@ from .fusion import (
 )
 from .gss import GssConfig, gss_enhance
 from .metrics import DiarizationSet, TranscriptSet, cpcer, der
-from .rover import rover
+from .rover import NULL_TOKEN, rover
 from .signal import WaveformBuffer
 from .simulate import make_meeting
 from .wavio import read_wav, write_wav
@@ -99,6 +99,11 @@ def _read_session_audio(manifest) -> WaveformBuffer:
 def _enhance_session(manifest, cfg, out_root: Path) -> dict:
     wav = _read_session_audio(manifest)
     segments = formats.read_rttm(manifest.rttm_path).for_session(manifest.session)
+    for speaker in sorted({s.speaker for s in segments.segments}):
+        try:
+            check_file_name("speaker", speaker)  # names an output directory
+        except ParameterError as exc:
+            raise DataError(f"{manifest.rttm_path}: {exc}") from exc
     session_dir = out_root / manifest.session
     outputs = []
     if not segments.segments:
@@ -186,7 +191,10 @@ def cmd_simulate(args) -> int:
     room = formats.load_room(args.room)
     if args.seed is not None:
         plan = replace(plan, seed=args.seed)
-    result = make_meeting(plan, room)
+    try:
+        result = make_meeting(plan, room)
+    except ParameterError as exc:  # the plan and room disagree
+        raise DataError(f"{args.plan}, {args.room}: {exc}") from exc
     out = Path(args.out)
     _write_wav_atomic(out / "mixture.wav", result.mixture)
     for speaker in sorted(result.images):
@@ -265,6 +273,12 @@ def cmd_score(args) -> int:
 def cmd_rover(args) -> int:
     files = sorted(args.hyps, key=lambda p: (Path(p).name, str(p)))
     maps = [formats.read_utterances(p) for p in files]
+    for path, utts in zip(files, maps):
+        for utt_id, tokens in utts.items():
+            if NULL_TOKEN in tokens:
+                raise DataError(
+                    f"{path}: utterance {utt_id!r} holds the reserved token {NULL_TOKEN!r}"
+                )
     all_ids = sorted(set().union(*maps))
     if not all_ids:
         raise DataError("rover: no utterances in any input file")

@@ -52,3 +52,14 @@ def check_finite(name: str, value) -> None:
     number, not a bool."""
     if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_file_name(name: str, value) -> None:
+    """Raise :class:`ParameterError` unless ``value`` names one path
+    component: a string other than ``""``, ``.`` and ``..``, without
+    ``/``, ``\\`` or NUL."""
+    if not isinstance(value, str) or value in ("", ".", "..") or any(c in value for c in "/\\\0"):
+        raise ParameterError(
+            f"{name} must be a non-empty string without '/', '\\' or NUL, "
+            f"and not '.' or '..', got {value!r}"
+        )

@@ -16,7 +16,7 @@ import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import DataError, FarfieldError, ParameterError
+from .errors import DataError, FarfieldError, ParameterError, check_file_name
 from .gss import GssConfig
 from .metrics import DiarizationSet, TranscriptSet
 from .signal import WaveformBuffer
@@ -78,18 +78,8 @@ def write_rttm(path, segments: DiarizationSet) -> None:
 
 # ------------------------------------------------------ transcript files
 
-def build_utt_id(speaker: str, session: str, start_s: float, end_s: float) -> str:
-    """``<speaker>-<session>-<start_ms>-<end_ms>``; ids must be dash-free."""
-    for name, value in (("speaker", speaker), ("session", session)):
-        if "-" in value or any(ch.isspace() for ch in value) or not value:
-            raise ParameterError(
-                f"{name} {value!r} must be non-empty without dashes or whitespace"
-            )
-    return f"{speaker}-{session}-{int(round(start_s * 1000))}-{int(round(end_s * 1000))}"
-
-
 def parse_utt_id(utt_id: str) -> tuple:
-    """Inverse of :func:`build_utt_id`: (speaker, session, start_s, end_s)."""
+    """``<speaker>-<session>-<start_ms>-<end_ms>`` as (speaker, session, start_s, end_s)."""
     parts = utt_id.split("-")
     if len(parts) != 4:
         raise DataError(f"utterance id {utt_id!r} is not speaker-session-start-end")
@@ -297,10 +287,7 @@ class SessionManifest:
     out_dir: Path | None = None
 
     def __post_init__(self):
-        if not isinstance(self.session, str) or not self.session:
-            raise ParameterError(
-                f"session must be a non-empty string, got {self.session!r}"
-            )
+        check_file_name("session", self.session)
         if not self.wav_paths:
             raise ParameterError("manifest needs at least one wav path")
         object.__setattr__(self, "wav_paths", tuple(Path(p) for p in self.wav_paths))

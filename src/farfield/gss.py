@@ -40,7 +40,6 @@ log = logging.getLogger(__name__)
 
 _TRACE_FLOOR = 1e-10
 _INIT_JITTER = 1e-3
-_LOADING_STEP = 1e-6
 _WEIGHT_CAP = 1e4
 _STFT = StftParams()  # the framing of every gss_enhance analysis
 
@@ -438,29 +437,14 @@ def select_reference_channel(phi_ss: np.ndarray, phi_nn: np.ndarray) -> int:
     return int(np.argmax(scores))
 
 
-def _loaded_solve(f: int, nn_f: np.ndarray, ss_f: np.ndarray) -> np.ndarray:
-    """Per-bin MVDR solve; a singular noise covariance is loaded and retried."""
-    try:
-        return np.linalg.solve(nn_f, ss_f)
-    except np.linalg.LinAlgError:
-        n_ch = nn_f.shape[0]
-        load = max(_LOADING_STEP * nn_f.trace().real / n_ch, _TRACE_FLOOR)
-        try:
-            return np.linalg.solve(nn_f + load * np.eye(n_ch), ss_f)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"noise covariance singular in frequency bin {f}") from exc
-
-
 def mvdr_weights(phi_ss: np.ndarray, phi_nn: np.ndarray) -> BeamformerWeights:
     """Souden MVDR weights from target and noise covariances.
 
     w_f = (Phi_nn^{-1} Phi_ss u_ref) / max(trace(Phi_nn^{-1} Phi_ss), eps),
-    for all bins in one batched Hermitian solve, with the reference
-    channel ref chosen by :func:`select_reference_channel`. If a noise
-    covariance is exactly singular, the bins are solved one by one
-    instead, and a singular one is diagonally loaded once and retried; if
-    it stays singular a numerical error names the bin. Weight vectors
-    longer than 1e4 are rescaled onto that length.
+    for all bins in one :func:`~farfield.linalg.solve_hermitian`, with the
+    reference channel ref chosen by :func:`select_reference_channel`. An
+    exactly singular noise covariance is loaded once and retried there.
+    Weight vectors longer than 1e4 are rescaled onto that length.
     """
     ss = np.asarray(phi_ss, dtype=np.complex128)
     nn = np.asarray(phi_nn, dtype=np.complex128)
@@ -468,7 +452,7 @@ def mvdr_weights(phi_ss: np.ndarray, phi_nn: np.ndarray) -> BeamformerWeights:
         raise ParameterError(f"covariance stacks must match, got {ss.shape} and {nn.shape}")
     ref = select_reference_channel(ss, nn)
 
-    numer = solve_hermitian(nn, ss, _loaded_solve)
+    numer = solve_hermitian(nn, ss, range(len(nn)), "noise covariance")
     trace = np.maximum(np.trace(numer, axis1=1, axis2=2).real, _TRACE_FLOOR)
     w = numer[:, :, ref] / trace[:, None]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_finite, check_int
+from .errors import ParameterError, check_file_name, check_finite, check_int
 from .metrics import DiarizationSet, DiarSegment
 from .signal import WaveformBuffer
 
@@ -191,8 +191,7 @@ class PlannedSource:
     onset_s: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.speaker, str):
-            raise ParameterError(f"speaker must be a string, got {self.speaker!r}")
+        check_file_name("speaker", self.speaker)  # names the image file
         check_finite("onset_s", self.onset_s)
         if self.onset_s < 0:
             raise ParameterError(f"onset must be >= 0, got {self.onset_s}")
@@ -203,7 +202,8 @@ class PlannedSource:
 
 @dataclass(frozen=True)
 class MixturePlan:
-    """What to mix: dry sources with onsets, plus an optional noise floor.
+    """What to mix: dry sources with onsets, one per speaker, plus an
+    optional noise floor.
 
     ``noise=None`` with an ``snr_db`` uses seeded white Gaussian noise;
     ``snr_db=None`` disables noise entirely.
@@ -224,6 +224,10 @@ class MixturePlan:
             check_finite("snr_db", self.snr_db)
         check_int("seed", self.seed, 0)
         object.__setattr__(self, "sources", tuple(self.sources))
+        speakers = [s.speaker for s in self.sources]
+        for speaker in speakers:
+            if speakers.count(speaker) > 1:  # its images would overwrite each other
+                raise ParameterError(f"speaker {speaker!r} has more than one source")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError, check_int
+from .errors import ParameterError, check_int
 from .linalg import solve_hermitian
 from .signal import ComplexSpectrogram
 
@@ -48,25 +48,18 @@ class WpeConfig:
             check_int(name, getattr(self, name), 1)
 
 
-def frame_powers(spec: ComplexSpectrogram, floor: float = DEFAULT_PSD_FLOOR) -> np.ndarray:
-    """Channel-averaged magnitude-squared per bin, floored at ``floor``.
+def frame_powers(spec: ComplexSpectrogram) -> np.ndarray:
+    """Channel-averaged magnitude-squared per bin, floored at 1e-10.
 
     Returns
     -------
     ndarray, shape (frames, bins)
     """
-    if not floor > 0:
-        raise ParameterError(f"floor must be > 0, got {floor}")
     power = np.mean(np.abs(spec.values) ** 2, axis=2)
-    return np.maximum(power, floor)
+    return np.maximum(power, DEFAULT_PSD_FLOOR)
 
 
-def wpe_objective(
-    x: ComplexSpectrogram,
-    y: ComplexSpectrogram,
-    powers: np.ndarray,
-    floor: float = DEFAULT_PSD_FLOOR,
-) -> float:
+def wpe_objective(x: ComplexSpectrogram, y: ComplexSpectrogram, powers: np.ndarray) -> float:
     """Maximum-likelihood surrogate descended by the WPE iteration.
 
     Computes sum over (t, f) of mean_c |y(t,f,c)|^2 / powers(t,f)
@@ -77,9 +70,8 @@ def wpe_objective(
     x, y : ComplexSpectrogram
         Observation and dereverberated estimate; shapes must match.
     powers : ndarray, shape (frames, bins)
-        Per-bin power estimate, every entry >= floor.
-    floor : float
-        The floor the powers were computed with.
+        Per-bin power estimate, every entry >= 1e-10 (the floor of
+        :func:`frame_powers`).
     """
     if x.values.shape != y.values.shape:
         raise ParameterError(
@@ -91,8 +83,8 @@ def wpe_objective(
             f"powers shape {lam.shape} does not match (frames, bins) = "
             f"({y.frames}, {y.bins})"
         )
-    if np.any(lam < floor):
-        raise ParameterError(f"powers below the floor {floor}")
+    if np.any(lam < DEFAULT_PSD_FLOOR):
+        raise ParameterError(f"powers below the floor {DEFAULT_PSD_FLOOR}")
     mean_mag2 = np.mean(np.abs(y.values) ** 2, axis=2)
     return float(np.sum(mean_mag2 / lam + np.log(lam)))
 
@@ -118,31 +110,17 @@ def _stack_history(x: np.ndarray, taps: int, delay: int) -> np.ndarray:
     return out
 
 
-def _prediction_filters(
-    r: np.ndarray, p: np.ndarray, diagonal_loading: float, first_bin: int
-) -> np.ndarray:
+def _prediction_filters(r: np.ndarray, p: np.ndarray, first_bin: int) -> np.ndarray:
     """Filters solving the loaded normal equations of one block of bins.
 
-    Bin ``i`` of the block is frequency bin ``first_bin + i``; the index
-    names the bin if its solve fails. Silent bins (trace <= 0) have
-    nothing to predict and get zero filters.
+    Bin ``i`` of the block is frequency bin ``first_bin + i``. A silent
+    bin (all-zero r and p) takes the retry of
+    :func:`~farfield.linalg.solve_hermitian` and gets zero filters.
     """
     ck = r.shape[1]
     trace = np.trace(r, axis1=1, axis2=2).real
-    live = np.flatnonzero(trace > 0.0)
-    loaded = r[live] + (diagonal_loading * trace[live] / ck)[:, None, None] * np.eye(ck)
-
-    def solve_bin(i, ri, pi):
-        try:
-            return np.linalg.solve(ri, pi)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"prediction filter solve failed in frequency bin {first_bin + live[i]}"
-            ) from exc
-
-    g = np.zeros(p.shape, dtype=np.complex128)
-    g[live] = solve_hermitian(loaded, p[live], solve_bin)
-    return g
+    loaded = r + (_DIAGONAL_LOADING * trace / ck)[:, None, None] * np.eye(ck)
+    return solve_hermitian(loaded, p, first_bin + np.arange(len(r)), "correlation matrix")
 
 
 def _wpe_block(x: np.ndarray, cfg: WpeConfig, first_bin: int) -> np.ndarray:
@@ -154,9 +132,7 @@ def _wpe_block(x: np.ndarray, cfg: WpeConfig, first_bin: int) -> np.ndarray:
     for _ in range(cfg.iterations):
         lam = np.maximum(np.mean(np.abs(y) ** 2, axis=1), DEFAULT_PSD_FLOOR)  # (B, T)
         weighted = history * (1.0 / lam)[:, None, :]
-        g = _prediction_filters(
-            weighted @ history_h, weighted @ x_h, _DIAGONAL_LOADING, first_bin
-        )
+        g = _prediction_filters(weighted @ history_h, weighted @ x_h, first_bin)
         y = x - g.conj().transpose(0, 2, 1) @ history
     return y
 
@@ -177,8 +153,8 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
     the correlations are batched matrix products and the filters come
     from one batched Hermitian solve (:func:`~farfield.linalg.solve_hermitian`),
     an LU solve that also handles indefinite matrices and gives each bin
-    the same filter as solving it alone. Only if a block has an exactly
-    singular matrix are its bins solved one by one, to name that bin.
+    the same filter as solving it alone. A bin whose loaded matrix is
+    still exactly singular is loaded once more and retried there.
 
     Raises
     ------
@@ -186,7 +162,7 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
         Too few frames to estimate filters (needs frames - delay >=
         channels * taps and frames > delay + taps).
     NumericalError
-        A correlation matrix was singular despite loading; the message
+        A correlation matrix stayed singular after the retry; the message
         names the frequency bin.
     """
     n_frames, n_bins, n_ch = spec.values.shape

@@ -5,12 +5,14 @@ mixture class) at a time with einsum and per-bin factorizations. The
 batched kernels must agree with them to float rounding: 1e-10 relative
 for filters, dereverberated output, masks, covariances and beamformer
 weights, and 1e-12 absolute for the EM log-likelihood trace. The
-fallback tests check that an indefinite matrix is solved in the batch
-without touching its neighbours' bits, that a batch holding one
-singular matrix takes the per-bin path, and that errors name the global
-frequency bin. The CACGMM's packed real direction statistics must equal
-the complex outer products within 1e-14, and its Gauss-Jordan inverses
-and log-determinants numpy's within 4 * C * cond * eps, including
+shared-solve tests call ``linalg.solve_hermitian`` directly: every item
+gets the bits of its solve alone, whether the batch succeeds or one
+singular item sends it down the per-item path; a singular item is
+loaded once and retried; one that stays singular names its bin. The
+WPE tests check that the global frequency bins reach that solve. The
+CACGMM's packed real direction statistics must equal the complex outer
+products within 1e-14, and its Gauss-Jordan inverses and
+log-determinants numpy's within 4 * C * cond * eps, including
 covariances held up only by the fit's 1e-10 * C floor.
 """
 
@@ -37,6 +39,7 @@ from farfield import (
 
 wpe_module = importlib.import_module("farfield.wpe")
 gss_module = importlib.import_module("farfield.gss")
+linalg_module = importlib.import_module("farfield.linalg")
 
 FS = 16000
 RTOL = 1e-10
@@ -103,13 +106,13 @@ def test_wpe_block_mixing_silent_and_live_bins(monkeypatch):
     assert_rel_close(out, ref.wpe(values, cfg))
 
 
-def test_wpe_all_silent_input_has_an_empty_batch(monkeypatch):
+def test_wpe_all_silent_input_gets_zero_filters(monkeypatch):
     monkeypatch.setattr(wpe_module, "_BLOCK_BINS", 4)
     values = np.zeros((40, 7, 2), dtype=complex)
     cfg = WpeConfig(taps=3, delay=1, iterations=2)
     out = wpe(_spec(values), cfg).values
     np.testing.assert_array_equal(out, ref.wpe(values, cfg))
-    g = wpe_module._prediction_filters(np.zeros((3, 6, 6)), np.zeros((3, 6, 2)), 1e-6, 0)
+    g = wpe_module._prediction_filters(np.zeros((3, 6, 6)), np.zeros((3, 6, 2)), 0)
     assert g.shape == (3, 6, 2) and np.all(g == 0.0)
 
 
@@ -117,8 +120,8 @@ def test_wpe_filters_match_reference_solve():
     rng = np.random.default_rng(4)
     r = _gram(_complex(rng, (6, 8, 50)))
     p = _complex(rng, (6, 8, 2))
-    r[2] = 0.0  # silent bin
-    g = wpe_module._prediction_filters(r, p, 1e-6, 16)
+    r[2] = p[2] = 0.0  # silent bin: no history, so no cross-correlation either
+    g = wpe_module._prediction_filters(r, p, 16)
     assert np.all(g[2] == 0.0)
     assert_rel_close(g, ref.wpe_filters(r, p, 1e-6))
 
@@ -135,8 +138,17 @@ def _spy(monkeypatch, module, name):
     return calls
 
 
+def _without_loading(monkeypatch, retry=True):
+    """Zero WPE's diagonal loading and, unless ``retry``, the solve's retry."""
+    monkeypatch.setattr(wpe_module, "_DIAGONAL_LOADING", 0.0)
+    if not retry:
+        monkeypatch.setattr(linalg_module, "_LOADING_STEP", 0.0)
+        monkeypatch.setattr(linalg_module, "_LOADING_FLOOR", 0.0)
+
+
 @pytest.mark.filterwarnings("error")
-def test_wpe_indefinite_matrix_falls_back_to_per_bin_ldl():
+def test_wpe_indefinite_matrix_falls_back_to_per_bin_ldl(monkeypatch):
+    _without_loading(monkeypatch)
     rng = np.random.default_rng(5)
     r = np.stack(
         [_hermitian_with_eigenvalues(rng, rng.uniform(1.0, 3.0, 6)) for _ in range(5)]
@@ -144,41 +156,58 @@ def test_wpe_indefinite_matrix_falls_back_to_per_bin_ldl():
     # indefinite but non-singular, positive trace: Cholesky fails, LDL solves
     r[3] = _hermitian_with_eigenvalues(rng, [4.0, 3.0, 2.0, 1.0, -1.0, -2.0])
     p = _complex(rng, (5, 6, 2))
-    g = wpe_module._prediction_filters(r, p, 0.0, 40)
+    g = wpe_module._prediction_filters(r, p, 40)
     assert_rel_close(g, ref.wpe_filters(r, p, 0.0))
     assert_rel_close(r @ g, p)
 
 
 @pytest.mark.parametrize("diagonal_loading", [0.0, 1e-6])
-def test_wpe_indefinite_bin_leaves_every_bin_as_solved_alone(diagonal_loading):
+def test_wpe_indefinite_bin_leaves_every_bin_as_solved_alone(monkeypatch, diagonal_loading):
+    monkeypatch.setattr(wpe_module, "_DIAGONAL_LOADING", diagonal_loading)
     rng = np.random.default_rng(8)
     r = np.stack(
         [_hermitian_with_eigenvalues(rng, rng.uniform(1.0, 3.0, 6)) for _ in range(5)]
     )
     r[1] = _hermitian_with_eigenvalues(rng, [4.0, 3.0, 2.0, 1.0, -1.0, -2.0])
     p = _complex(rng, (5, 6, 2))
-    g = wpe_module._prediction_filters(r, p, diagonal_loading, 40)
+    g = wpe_module._prediction_filters(r, p, 40)
     for i in range(5):
-        alone = wpe_module._prediction_filters(
-            r[i : i + 1], p[i : i + 1], diagonal_loading, 40 + i
-        )
+        alone = wpe_module._prediction_filters(r[i : i + 1], p[i : i + 1], 40 + i)
         np.testing.assert_array_equal(g[i], alone[0])
 
 
-def test_wpe_singular_matrix_error_names_the_global_bin():
-    rng = np.random.default_rng(6)
+def _singular_wpe_block(seed):
+    """Four bins of normal equations; one empty history row makes bin 2 singular."""
+    rng = np.random.default_rng(seed)
     hist = _complex(rng, (4, 6, 40))
-    hist[2, 1] = 0.0  # one history row empty: singular without loading
-    r = _gram(hist)
-    p = _complex(rng, (4, 6, 2))
-    with pytest.raises(NumericalError, match="frequency bin 42$"):
-        wpe_module._prediction_filters(r, p, 0.0, 40)
+    hist[2, 1] = 0.0
+    return _gram(hist), _complex(rng, (4, 6, 2))
+
+
+def test_wpe_singular_bin_takes_the_loading_retry(monkeypatch):
+    _without_loading(monkeypatch)
+    r, p = _singular_wpe_block(6)
+    calls = _spy(monkeypatch, wpe_module, "solve_hermitian")
+    g = wpe_module._prediction_filters(r, p, 40)
+    assert list(calls[0][2]) == [40, 41, 42, 43]
+    assert calls[0][3] == "correlation matrix"
+    for i in (0, 1, 3):
+        np.testing.assert_array_equal(g[i], np.linalg.solve(r[i], p[i]))
+    load = 1e-6 * r[2].trace().real / 6
+    np.testing.assert_array_equal(g[2], np.linalg.solve(r[2] + load * np.eye(6), p[2]))
+
+
+def test_wpe_singular_matrix_error_names_the_global_bin(monkeypatch):
+    _without_loading(monkeypatch, retry=False)
+    r, p = _singular_wpe_block(6)
+    with pytest.raises(NumericalError, match="^correlation matrix singular in frequency bin 42$"):
+        wpe_module._prediction_filters(r, p, 40)
 
 
 @pytest.mark.filterwarnings("error")
 def test_wpe_error_in_a_later_block_names_the_global_bin(monkeypatch):
     monkeypatch.setattr(wpe_module, "_BLOCK_BINS", 4)
-    monkeypatch.setattr(wpe_module, "_DIAGONAL_LOADING", 0.0)
+    _without_loading(monkeypatch, retry=False)
     values = _complex(np.random.default_rng(7), (60, 9, 2))
     values[:, 6, 1] = 0.0  # bin 6 = second bin of the second block
     with pytest.raises(NumericalError, match="frequency bin 6$"):
@@ -341,9 +370,9 @@ def test_mvdr_singular_noise_covariance_takes_the_loading_retry(monkeypatch):
     phi_nn[4] = n @ n.T  # rank one with exact elimination: singular, fixed by loading
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(phi_nn[4], phi_ss[4])
-    calls = _spy(monkeypatch, gss_module, "_loaded_solve")
+    calls = _spy(monkeypatch, linalg_module, "_loaded_solve")
     w = mvdr_weights(phi_ss, phi_nn).w
-    assert [c[0] for c in calls] == list(range(6))
+    assert [c[2:] for c in calls] == [(f, "noise covariance") for f in range(6)]
     channel = select_reference_channel(phi_ss, phi_nn)
     assert_rel_close(w, ref.mvdr_weights(phi_ss, phi_nn, channel))
 
@@ -352,5 +381,55 @@ def test_mvdr_unrecoverable_bin_error_names_the_bin():
     phi_ss, phi_nn = _covariances(np.random.default_rng(12), 6, 2)
     # negative trace: the loading floor is absorbed and it stays singular
     phi_nn[4] = -1e10 * np.ones((2, 2))
-    with pytest.raises(NumericalError, match="frequency bin 4$"):
+    with pytest.raises(NumericalError, match="^noise covariance singular in frequency bin 4$"):
         mvdr_weights(phi_ss, phi_nn)
+
+
+# ------------------------------------------------------- shared solve
+
+
+def _solve_stack(rng):
+    """Five 3x3 Hermitian systems: item 1 indefinite, item 3 singular."""
+    a = np.stack(
+        [_hermitian_with_eigenvalues(rng, rng.uniform(1.0, 3.0, 3)) for _ in range(5)]
+    )
+    a[1] = _hermitian_with_eigenvalues(rng, [2.0, 1.0, -1.5])
+    n = np.array([[1.0], [0.5], [-2.0]])
+    a[3] = n @ n.T  # rank one with exact elimination
+    return a, _complex(rng, (5, 3, 2))
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["batched", "per_item"])
+def test_solve_hermitian_gives_every_item_its_solve_alone(singular):
+    a, b = _solve_stack(np.random.default_rng(40))
+    if not singular:
+        a[3] = np.eye(3)
+    x = linalg_module.solve_hermitian(a, b, range(5), "test matrix")
+    for i in range(5):
+        if singular and i == 3:
+            continue
+        np.testing.assert_array_equal(x[i], np.linalg.solve(a[i], b[i]))
+
+
+def test_solve_hermitian_loads_a_singular_item_once():
+    a, b = _solve_stack(np.random.default_rng(41))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a[3], b[3])
+    x = linalg_module.solve_hermitian(a, b, range(5), "test matrix")
+    load = 1e-6 * a[3].trace().real / 3
+    np.testing.assert_array_equal(x[3], np.linalg.solve(a[3] + load * np.eye(3), b[3]))
+    assert_rel_close(a[3] @ x[3] + load * x[3], b[3])
+
+
+def test_solve_hermitian_zero_item_gets_zero_from_the_floor_loading():
+    a, b = _solve_stack(np.random.default_rng(42))
+    a[3] = b[3] = 0.0
+    x = linalg_module.solve_hermitian(a, b, range(5), "test matrix")
+    assert np.all(x[3] == 0.0)
+
+
+def test_solve_hermitian_unrecoverable_item_names_its_bin():
+    a, b = _solve_stack(np.random.default_rng(43))
+    a[2] = -1e10 * np.ones((3, 3))  # negative trace: the 1e-10 floor is absorbed
+    with pytest.raises(NumericalError, match="^test matrix singular in frequency bin 17$"):
+        linalg_module.solve_hermitian(a, b, [15, 16, 17, 18, 19], "test matrix")

@@ -116,6 +116,20 @@ def test_simulate_seed_override_changes_noise(workspace, capsys):
     assert not np.array_equal(a.samples, b.samples)
 
 
+def _simulate_edited(workspace, tmp_path, edit):
+    """Run simulate on copies of the workspace plan and room that
+    ``edit(plan, room, tmp_path)`` changes in place."""
+    plan = json.loads((workspace / "plan.json").read_text())
+    room = json.loads((workspace / "room.json").read_text())
+    for source in plan["sources"]:
+        source["wav"] = str(workspace / source["wav"])
+    edit(plan, room, tmp_path)
+    (tmp_path / "plan.json").write_text(json.dumps(plan))
+    (tmp_path / "room.json").write_text(json.dumps(room))
+    return main(["simulate", str(tmp_path / "plan.json"), str(tmp_path / "room.json"),
+                 "--out", str(tmp_path / "sim")])
+
+
 @pytest.mark.parametrize(
     "target, key, value",
     [
@@ -129,23 +143,51 @@ def test_simulate_seed_override_changes_noise(workspace, capsys):
         ("room", "dimensions", [6.0, float("nan"), 3.0]),
         ("source", "wav", 5),
         ("source", "speaker", 5),
+        ("source", "speaker", "ann"),  # a second source for one speaker
         ("plan", "noise", 5),
     ],
 )
 def test_simulate_rejects_wrongly_typed_plan_and_room_values(
     workspace, tmp_path, capsys, target, key, value
 ):
-    plan = json.loads((workspace / "plan.json").read_text())
-    room = json.loads((workspace / "room.json").read_text())
-    for source in plan["sources"]:
-        source["wav"] = str(workspace / source["wav"])
-    {"source": plan["sources"][1], "plan": plan, "room": room}[target][key] = value
-    (tmp_path / "plan.json").write_text(json.dumps(plan))
-    (tmp_path / "room.json").write_text(json.dumps(room))
-    rc = main(["simulate", str(tmp_path / "plan.json"), str(tmp_path / "room.json"),
-               "--out", str(tmp_path / "sim")])
-    assert rc == 2
+    def edit(plan, room, _):
+        {"source": plan["sources"][1], "plan": plan, "room": room}[target][key] = value
+
+    assert _simulate_edited(workspace, tmp_path, edit) == 2
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def _one_source(plan, room, _):
+    del plan["sources"][1]
+
+
+def _narrowband_source(plan, room, tmp_path):
+    write_wav(tmp_path / "bob8k.wav", WaveformBuffer(np.full(8000, 0.1), 8000))
+    plan["sources"][1]["wav"] = str(tmp_path / "bob8k.wav")
+
+
+def _short_noise(plan, room, tmp_path):
+    write_wav(tmp_path / "noise.wav", WaveformBuffer(np.full(100, 0.1), FS))
+    plan["noise"] = str(tmp_path / "noise.wav")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_one_source, "plan has 1 sources but the room declares 2"),
+        (_narrowband_source, "sample rate 8000 != room rate 16000"),
+        (_short_noise, "shorter than mixture"),
+    ],
+    ids=["source-count", "sample-rate", "short-noise"],
+)
+def test_simulate_plan_and_room_mismatch_is_a_data_error(
+    workspace, tmp_path, capsys, edit, message
+):
+    assert _simulate_edited(workspace, tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "plan.json") in err and str(tmp_path / "room.json") in err
+    assert message in err
     assert not (tmp_path / "sim").exists()
 
 
@@ -358,6 +400,53 @@ def _enhance_rttm(workspace, name, rttm_text):
     return main(["enhance", str(workspace / f"{name}.json"),
                  "--config", str(workspace / "cfg.json"),
                  "--out", str(workspace / f"enh_{name}")])
+
+
+def _files_under(root):
+    return sorted(p for p in root.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("session", ["../x", "..", ".", "a\\b", "a\x00b"])
+def test_enhance_rejects_a_session_name_that_leaves_the_output(
+    workspace, tmp_path, capsys, session
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "manifest.json").write_text(json.dumps({
+        "session": session,
+        "wavs": [str(workspace / "sim" / "mixture.wav")],
+        "rttm": str(workspace / "sim" / "reference.rttm"),
+    }))
+    before = _files_under(tmp_path)
+    rc = main(["enhance", str(work / "manifest.json"),
+               "--config", str(workspace / "cfg.json"), "--out", str(work / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "manifest.json[0]: session must be a non-empty string" in err
+    assert _files_under(tmp_path) == before
+
+
+@pytest.mark.parametrize("speaker", ["../../escaped", "..", "a\\b"])
+def test_enhance_rejects_a_speaker_name_that_leaves_the_output(
+    workspace, tmp_path, capsys, speaker
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    (work / "ref.rttm").write_text(
+        f"SPEAKER mtg 1 0.100 1.000 <NA> <NA> {speaker} <NA> <NA>\n"
+        "SPEAKER mtg 1 0.600 1.000 <NA> <NA> bob <NA> <NA>\n"
+    )
+    (work / "manifest.json").write_text(json.dumps({
+        "session": "mtg", "wavs": [str(workspace / "sim" / "mixture.wav")], "rttm": "ref.rttm"
+    }))
+    before = _files_under(tmp_path)
+    rc = main(["enhance", str(work / "manifest.json"),
+               "--config", str(workspace / "cfg.json"), "--out", str(work / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "ref.rttm: speaker must be a non-empty string" in err
+    assert _files_under(tmp_path) == before
+    assert not (work / "out" / "mtg" / "index.json").exists()
 
 
 def test_enhance_warns_once_per_sub_frame_segment(workspace, capsys, caplog):
@@ -648,6 +737,23 @@ def test_rover_cli_duplicate_id_is_a_data_error(tmp_path, capsys):
     rc = main(["rover", str(p)])
     assert rc == 2
     assert "duplicate" in capsys.readouterr().err
+
+
+def test_rover_cli_null_token_in_a_file_is_a_data_error(tmp_path, capsys):
+    files = _write_hyps(tmp_path)
+    bad = tmp_path / "hyp_at.txt"
+    bad.write_text("u1-m-0-1000 a @ b\n")
+    rc = main(["rover", *files, str(bad)])
+    assert rc == 2
+    assert f"{bad}: utterance 'u1-m-0-1000' holds the reserved token '@'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_rover_cli_alpha_out_of_range_is_a_usage_error(tmp_path, capsys):
+    rc = main(["rover", *_write_hyps(tmp_path), "--alpha", "2"])
+    assert rc == 1
+    assert "alpha" in capsys.readouterr().err
 
 
 def test_rover_cli_empty_inputs_fail(tmp_path, capsys):

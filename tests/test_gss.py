@@ -484,6 +484,30 @@ def test_gss_enhance_is_deterministic():
         np.testing.assert_array_equal(a[key].samples, b[key].samples)
 
 
+def test_gss_enhance_identical_channels_take_the_loading_retry(monkeypatch):
+    # one wav listed twice: every noise covariance is exactly singular
+    meeting = _toy_meeting(2)
+    twice = WaveformBuffer(np.repeat(meeting.mixture.samples[:1], 2, axis=0), FS)
+    failures = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            failures.append(np.shape(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    cfg = GssConfig(wpe=WpeConfig(taps=2, delay=1, iterations=1), em_iterations=2, seed=0)
+    a = gss_enhance(twice, _toy_segments(), cfg)
+    assert (2, 2) in failures  # a single bin failed alone and was loaded
+    assert all(np.all(np.isfinite(out.samples)) for out in a.values())
+    b = gss_enhance(twice, _toy_segments(), cfg)
+    for key in a:
+        assert a[key].samples.tobytes() == b[key].samples.tobytes()
+
+
 def test_gss_single_speaker_clean_anechoic_passthrough():
     # one speaker, no interference, anechoic room: output ~ input segment
     from farfield import MixturePlan, PlannedSource, RoomSpec, make_meeting

@@ -285,6 +285,20 @@ def test_mixture_plan_validation():
         MixturePlan(sources=(src,), noise=WaveformBuffer(np.ones(100), FS))
 
 
+def test_mixture_plan_rejects_a_speaker_with_two_sources():
+    # images are keyed by speaker: a second source would replace the first
+    ann = PlannedSource("ann", WaveformBuffer(np.ones(10), FS))
+    bob = PlannedSource("bob", WaveformBuffer(np.ones(10), FS))
+    with pytest.raises(ParameterError, match="^speaker 'ann' has more than one source"):
+        MixturePlan(sources=(ann, bob, replace(ann, onset_s=0.5)))
+
+
+@pytest.mark.parametrize("speaker", ["", ".", "..", "../x", "a\\b", "a\x00b"])
+def test_planned_source_speaker_must_name_one_file(speaker):
+    with pytest.raises(ParameterError, match="^speaker must be a non-empty string"):
+        PlannedSource(speaker, WaveformBuffer(np.ones(10), FS))
+
+
 def _two_source_setup(seed=0, snr=None):
     rng = np.random.default_rng(seed)
     room = RoomSpec(

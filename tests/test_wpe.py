@@ -83,18 +83,18 @@ def test_config_rejects_invalid(kwargs):
 
 def test_frame_powers_is_floored_channel_mean():
     spec = _random_spec(0)
-    powers = frame_powers(spec, floor=1e-10)
+    powers = frame_powers(spec)
     oracle = np.maximum(np.mean(np.abs(spec.values) ** 2, axis=2), 1e-10)
     np.testing.assert_allclose(powers, oracle, rtol=1e-12)
     silent = ComplexSpectrogram(
         np.zeros_like(spec.values), spec.params, spec.sample_rate_hz
     )
-    assert np.all(frame_powers(silent, floor=1e-10) == 1e-10)
+    assert np.all(frame_powers(silent) == 1e-10)
 
 
 def test_objective_validates_inputs():
     spec = _random_spec(1)
-    powers = frame_powers(spec, 1e-10)
+    powers = frame_powers(spec)
     other = _random_spec(2, frames=10)
     with pytest.raises(ParameterError):
         wpe_objective(spec, other, powers)
@@ -108,7 +108,7 @@ def test_objective_zero_output_closed_form():
     spec = _random_spec(3, frames=12)
     eps = 1e-10
     zero = ComplexSpectrogram(np.zeros_like(spec.values), spec.params, FS)
-    value = wpe_objective(spec, zero, np.full((12, 5), eps), floor=eps)
+    value = wpe_objective(spec, zero, np.full((12, 5), eps))
     assert value == pytest.approx(12 * 5 * np.log(eps))
 
 
