@@ -54,6 +54,14 @@ def check_finite(name: str, value) -> None:
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
 
 
+def check_field(name: str, value) -> None:
+    """Raise :class:`ParameterError` unless ``value`` is one field of a
+    whitespace-separated file (RTTM, utterance lists): a non-empty
+    string without whitespace, so that ``value.split() == [value]``."""
+    if not isinstance(value, str) or value.split() != [value]:
+        raise ParameterError(f"{name} must be a non-empty string without whitespace, got {value!r}")
+
+
 def check_file_name(name: str, value) -> None:
     """Raise :class:`ParameterError` unless ``value`` names one path
     component: a string other than ``""``, ``.`` and ``..``, without

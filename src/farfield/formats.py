@@ -16,7 +16,7 @@ import os
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import DataError, FarfieldError, ParameterError, check_file_name
+from .errors import DataError, FarfieldError, ParameterError, check_field, check_file_name
 from .gss import GssConfig
 from .metrics import DiarizationSet, TranscriptSet
 from .signal import WaveformBuffer
@@ -132,6 +132,18 @@ def read_utterances(path) -> dict:
 
 
 def format_utterances(utts: dict) -> str:
+    """``<utt_id> <tokens...>`` lines sorted by id, which
+    :func:`read_utterances` reads back unchanged.
+
+    Raises
+    ------
+    ParameterError
+        An id or token is empty or holds whitespace.
+    """
+    for utt_id, tokens in utts.items():
+        check_field("utterance id", utt_id)
+        for tok in tokens:
+            check_field(f"token of {utt_id}", tok)
     return "".join(
         (utt_id + (" " + " ".join(tokens) if tokens else "") + "\n")
         for utt_id, tokens in sorted(utts.items())

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import ParameterError, UndefinedMetricError, check_finite
+from .errors import ParameterError, UndefinedMetricError, check_field, check_finite
 
 log = logging.getLogger(__name__)
 
@@ -34,6 +34,7 @@ _FIELD_CAP = 1 << _SHIFT_SUB
 _DEL1 = 1 << _SHIFT_COST
 _SUB1 = _DEL1 | (1 << _SHIFT_SUB)
 _INS1 = _DEL1 | 1
+_STEP_BLOCK_BYTES = 1 << 18  # edit distance: step rows formed at once
 
 
 def normalize_text(text: str) -> tuple:
@@ -111,6 +112,8 @@ class DiarSegment:
     end_s: float
 
     def __post_init__(self):
+        check_field("session", self.session)
+        check_field("speaker", self.speaker)
         if not 0 <= self.start_s < self.end_s < np.inf:
             raise ParameterError(
                 f"segment [{self.start_s}, {self.end_s}] must have 0 <= start < end < inf"
@@ -155,16 +158,31 @@ def edit_distance(ref, hyp) -> tuple:
     tokens absent from it get -1. The dynamic program then runs one
     reference token at a time over an int64 row of length
     ``len(hyp) + 1`` holding (cost, substitutions, insertions) packed so
-    that lexicographic minimization is a single integer min. A row
-    stores its value minus ``j`` insertions at column ``j``, so a
-    running minimum (``np.minimum.accumulate``) closes the chains of
-    insertions. Memory is O(len(hyp)): the row and three buffers of
-    the same length, updated in place.
+    that lexicographic minimization is a single integer min. Row ``i``
+    stores its value at column ``j`` minus ``i`` deletions and ``j``
+    insertions, so column 0 is always 0, a deletion keeps the stored
+    value, and an insertion is a running minimum along the row. A row
+    is then three array calls: add the step row to the row shifted one
+    column, take the minimum with the row, and ``np.minimum.accumulate``.
+
+    The step row is ``mismatch * _SUB1 - _DEL1 - _INS1``. It is formed
+    for a block of reference tokens at once, from one comparison of
+    their codes with the hypothesis codes; the block holds at most
+    ``_STEP_BLOCK_BYTES`` of steps and mismatch flags, whatever the size
+    of the alphabet. Memory is O(len(hyp)): the row, one buffer of the
+    same length and the block.
+
+    The stored values lie between ``-2 min(i, j) * 2^42 - j`` and
+    ``2^43``, because the cost at (i, j) is at least ``|i - j|`` and at
+    most ``max(i, j)``. They stay inside int64 when the shorter
+    sequence has fewer than 2^20 tokens and the longer one fewer than
+    2^21, the width of the packed counts.
 
     Raises
     ------
     ParameterError
-        A token is unhashable, or a sequence has 2^21 tokens or more.
+        A token is unhashable, a sequence has 2^21 tokens or more, or
+        both have 2^20 tokens or more.
 
     Examples
     --------
@@ -175,12 +193,16 @@ def edit_distance(ref, hyp) -> tuple:
     """
     r = list(ref)
     h = list(hyp)
-    if len(r) >= _FIELD_CAP or len(h) >= _FIELD_CAP:
-        raise ParameterError("sequences longer than 2^21 tokens are not supported")
+    n, m = len(r), len(h)
+    if max(n, m) >= _FIELD_CAP or min(n, m) >= _FIELD_CAP // 2:
+        raise ParameterError(
+            "sequences of 2^21 tokens or more, or two of 2^20 tokens or more, "
+            "are not supported"
+        )
     codes: dict = {}
     try:
         h_codes = np.array([codes.setdefault(t, len(codes)) for t in h], dtype=np.int64)
-        r_codes = [codes.get(t, -1) for t in r]
+        r_codes = np.array([codes.get(t, -1) for t in r], dtype=np.int64)
     except TypeError:
         for t in (*h, *r):
             try:
@@ -188,22 +210,19 @@ def edit_distance(ref, hyp) -> tuple:
             except TypeError:
                 raise ParameterError(f"tokens must be hashable, got {t!r}") from None
         raise
-    m = len(h)
-    row = np.zeros(m + 1, dtype=np.int64)  # packed cost at j, minus j * _INS1
-    base = np.empty(m + 1, dtype=np.int64)
-    mismatch = np.empty(m, dtype=bool)
+    block = max(1, _STEP_BLOCK_BYTES // (9 * max(m, 1)))  # int64 step + bool flag
+    row = np.zeros(m + 1, dtype=np.int64)
     diag = np.empty(m, dtype=np.int64)
-    row_head, row_tail, base_tail = row[:-1], row[1:], base[1:]
-    for code in r_codes:
-        np.not_equal(h_codes, code, out=mismatch)
-        np.multiply(mismatch, _SUB1, out=diag)
-        diag += row_head
-        diag -= _INS1  # one column further right
-        np.add(row_tail, _DEL1, out=base_tail)
-        np.minimum(base_tail, diag, out=base_tail)
-        base[0] = row[0] + _DEL1
-        np.minimum.accumulate(base, out=row)
-    enc = int(row[-1]) + m * _INS1
+    head, tail = row[:-1], row[1:]
+    for lo in range(0, n, block):
+        mismatch = np.not_equal(r_codes[lo : lo + block, None], h_codes)
+        steps = np.multiply(mismatch, _SUB1)
+        steps -= _DEL1 + _INS1
+        for step in steps:
+            np.add(head, step, out=diag)
+            np.minimum(tail, diag, out=tail)
+            np.minimum.accumulate(row, out=row)
+    enc = int(row[-1]) + n * _DEL1 + m * _INS1
     cost = enc >> _SHIFT_COST
     subs = (enc >> _SHIFT_SUB) & (_FIELD_CAP - 1)
     ins = enc & (_FIELD_CAP - 1)
@@ -281,6 +300,25 @@ def _segment_frames(segments, n_frames: int) -> tuple:
     return speakers, act
 
 
+def _outside_collars(segments, collar_s: float, n_frames: int) -> np.ndarray:
+    """Frames farther than ``collar_s`` from every segment boundary.
+
+    Each boundary excises frames ``[round((edge - collar_s) / FRAME_S),
+    round((edge + collar_s) / FRAME_S))``, rounded half to even and
+    clipped to ``[0, n_frames]``. All boundaries are marked at once in
+    an int32 difference array whose running sum counts the collars
+    covering each frame.
+    """
+    edges = np.array([(s.start_s, s.end_s) for s in segments], dtype=np.float64).reshape(-1)
+    lo = np.clip(np.round((edges - collar_s) / FRAME_S), 0, n_frames).astype(np.int64)
+    hi = np.clip(np.round((edges + collar_s) / FRAME_S), 0, n_frames).astype(np.int64)
+    keep = lo < hi
+    opens = np.zeros(n_frames + 1, dtype=np.int32)
+    np.add.at(opens, lo[keep], 1)
+    np.add.at(opens, hi[keep], -1)
+    return np.cumsum(opens[:-1], dtype=np.int32) == 0
+
+
 def der(
     ref: DiarizationSet,
     hyp: DiarizationSet,
@@ -288,6 +326,18 @@ def der(
     score_overlap: bool = True,
 ) -> tuple:
     """Diarization error rate with optimal speaker mapping.
+
+    Each session is scored on the 10 ms grid. Frames within ``collar_s``
+    of a reference boundary are excised: every boundary's collar is
+    rounded half to even, clipped at 0 and at the horizon, and all of
+    them are marked in one difference array (see ``_outside_collars``).
+    Speakers are mapped by the Hungarian algorithm on the scored frames
+    each (reference, hypothesis) pair shares, counted pair by pair with
+    ``np.count_nonzero``. With ``nr`` and ``nh`` the reference and
+    hypothesis speakers active in a frame, a scored frame charges
+    ``nr - min(nr, nh)`` miss, ``nh - min(nr, nh)`` false alarm, and
+    ``min(nr, nh)`` confusion less the mapped pairs active in it. All
+    counts are integers, pooled over sessions before dividing.
 
     Returns
     -------
@@ -301,6 +351,17 @@ def der(
         ``collar_s`` is negative or not finite.
     UndefinedMetricError
         No scored reference speech at all.
+
+    Examples
+    --------
+    The hypothesis splits one 8 s reference turn between two speakers;
+    the 2 s mapped to the wrong one are confusion.
+
+    >>> ref = DiarizationSet.from_rows([("m", "A", 0.0, 8.0)])
+    >>> hyp = DiarizationSet.from_rows([("m", "X", 0.0, 6.0), ("m", "Y", 6.0, 8.0)])
+    >>> rate, miss, false_alarm, confusion = der(ref, hyp, collar_s=0.0)
+    >>> f"{rate:.2%} = {miss:.2%} + {false_alarm:.2%} + {confusion:.2%}"
+    '25.00% = 0.00% + 0.00% + 25.00%'
     """
     check_finite("collar_s", collar_s)
     if collar_s < 0:
@@ -317,32 +378,24 @@ def der(
         _, ract = _segment_frames(rsegs, n)
         _, hact = _segment_frames(hsegs, n)
 
-        scored = np.ones(n, dtype=bool)
-        for s in rsegs:
-            for edge in (s.start_s, s.end_s):
-                a = max(0, int(round((edge - collar_s) / FRAME_S)))
-                b = int(round((edge + collar_s) / FRAME_S))
-                scored[a:b] = False
+        scored = _outside_collars(rsegs, collar_s, n)
         nr = ract.sum(axis=0)
         if not score_overlap:
             scored &= nr <= 1
         nh = hact.sum(axis=0)
 
-        overlap = np.einsum(
-            "rn,hn->rh", (ract & scored).astype(np.int64), hact.astype(np.int64)
-        )
-        matched = np.zeros(n, dtype=np.int64)
-        if overlap.size:
-            rows, cols = linear_sum_assignment(-overlap)
-            for i, j in zip(rows, cols):
-                matched += ract[i] & hact[j]
+        overlap = np.array(
+            [[np.count_nonzero(r & h) for h in hact] for r in ract & scored], dtype=np.int64
+        ).reshape(len(ract), len(hact))
+        rows, cols = linear_sum_assignment(-overlap)
 
-        nr_s = nr[scored]
-        nh_s = nh[scored]
-        miss += int(np.maximum(nr_s - nh_s, 0).sum())
-        fa += int(np.maximum(nh_s - nr_s, 0).sum())
-        conf += int((np.minimum(nr_s, nh_s) - matched[scored]).sum())
-        denom += int(nr_s.sum())
+        nr_s = int(nr[scored].sum())
+        nh_s = int(nh[scored].sum())
+        both_s = int(np.minimum(nr, nh)[scored].sum())
+        miss += nr_s - both_s
+        fa += nh_s - both_s
+        conf += both_s - int(overlap[rows, cols].sum())
+        denom += nr_s
     if denom == 0:
         raise UndefinedMetricError("no scored reference speech")
     return (miss + fa + conf) / denom, miss / denom, fa / denom, conf / denom

@@ -97,10 +97,14 @@ def align_into_wtn(wtn: WordTransitionNetwork, hyp) -> WordTransitionNetwork:
     deletion, then insertion, making the result deterministic.
 
     The cost table is one integer array of (slots + 1) x (tokens + 1),
-    so memory is O(slots x tokens). A boolean match table (is token j
-    in slot i?) comes from a token -> positions dict in O(total slot
-    size) Python work; each slot's row is then filled with array
-    operations, a running minimum closing the chains of insertions.
+    so memory is O(slots x tokens). It stores cost - i - j at slot row
+    i and token column j, so its first row and column are 0, skipping
+    a slot keeps the stored value and opening a slot is a running
+    minimum along the row. The diagonal step is -2 for a token present
+    in the slot and -1 otherwise; the step table comes from a token ->
+    positions dict in O(total slot size) Python work, and each slot
+    row is then three array calls: add, minimum and
+    ``np.minimum.accumulate``.
     """
     tokens, confs = _coerce_hypothesis(hyp)
     slots = wtn.slots
@@ -110,32 +114,26 @@ def align_into_wtn(wtn: WordTransitionNetwork, hyp) -> WordTransitionNetwork:
     positions: dict = {}
     for j, tok in enumerate(tokens):
         positions.setdefault(tok, []).append(j)
-    match = np.zeros((ns, nh), dtype=bool)
+    step = np.full((ns, nh), -1, dtype=np.int8)  # -2 where token j is in slot i
     for i, slot in enumerate(slots):
         for tok in slot:
-            match[i, positions.get(tok, [])] = True
+            step[i, positions.get(tok, [])] = -2
 
-    steps = np.arange(nh + 1)
-    cost = np.empty((ns + 1, nh + 1), dtype=steps.dtype)
-    cost[0] = steps
+    cost = np.zeros((ns + 1, nh + 1), dtype=np.int64)  # cost - i - j
     for i in range(1, ns + 1):
         prev, row = cost[i - 1], cost[i]
-        row[0] = i
-        np.minimum(prev[:-1] + ~match[i - 1], prev[1:] + 1, out=row[1:])
-        row -= steps
+        np.add(prev[:-1], step[i - 1], out=row[1:])
+        np.minimum(row[1:], prev[1:], out=row[1:])
         np.minimum.accumulate(row, out=row)
-        row += steps
 
     ops = []  # ("use", slot_index, token_index) / ("skip", i) / ("new", j)
     i, j = ns, nh
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and match[i - 1, j - 1] and cost[i, j] == cost[i - 1, j - 1]:
+        # a match (step -2) or a substitution (step -1) along the diagonal
+        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + step[i - 1, j - 1]:
             ops.append(("use", i - 1, j - 1))
             i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + 1:
-            ops.append(("use", i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and cost[i, j] == cost[i - 1, j] + 1:
+        elif i > 0 and cost[i, j] == cost[i - 1, j]:
             ops.append(("skip", i - 1))
             i -= 1
         else:

@@ -1,6 +1,6 @@
 """Reference implementations of the iSTFT overlap-add, of the WPE, CACGMM
-and MVDR kernels, of the GSS recipe, of ROVER alignment and of the
-image-source expansion.
+and MVDR kernels, of the GSS recipe, of ROVER alignment, of the
+image-source expansion and room impulse response, and of DER.
 
 The kernels are the straightforward per-bin and per-class loop-and-einsum
 formulations the batched kernels in ``farfield.wpe`` and ``farfield.gss``
@@ -14,10 +14,13 @@ context window.
 
 :func:`istft` overlap-adds one frame at a time, :func:`align_into_wtn`
 fills the ROVER alignment table as a list of lists, one cell at a time,
-and :func:`image_sources` visits every mirror combination in a Python
-loop with one ``np.linalg.norm`` each: the per-element formulations the
-array code in ``farfield.signal``, ``farfield.rover`` and
-``farfield.simulate`` replaces. Their outputs must be equal, not close.
+:func:`image_sources` visits every mirror combination in a Python loop
+with one ``np.linalg.norm`` each, :func:`image_source_rir` adds one
+image's windowed sinc at a time, and :func:`der` excises one collar at a
+time and counts overlaps with an int64 ``einsum``: the per-element
+formulations the array code in ``farfield.signal``, ``farfield.rover``,
+``farfield.simulate`` and ``farfield.metrics`` replaces. Their outputs
+must be equal, not close.
 """
 
 import math
@@ -25,6 +28,7 @@ from itertools import product
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.optimize import linear_sum_assignment
 from scipy.special import gammaln, logsumexp
 
 from farfield import (
@@ -391,3 +395,76 @@ def image_sources(room, src, mic):
         np.asarray(amps)[idx],
         np.asarray(orders, dtype=np.int64)[idx],
     )
+
+
+def image_source_rir(room, src, mic):
+    """RIR built one image at a time: each adds its 81-tap windowed sinc."""
+    half = 40
+    delays, amps, _ = image_sources(room, src, mic)
+    length = int(math.ceil(delays.max())) + half + 2
+    h = np.zeros(length)
+    for t, a in zip(delays, amps):
+        lo = max(0, int(math.ceil(t)) - half)
+        hi = min(length, int(math.floor(t)) + half + 1)
+        n = np.arange(lo, hi)
+        x = n - t
+        window = 0.5 + 0.5 * np.cos(np.pi * x / (half + 1))
+        h[lo:hi] += a * np.sinc(x) * window
+    return h
+
+
+# ------------------------------------------------------------------ DER
+
+DER_FRAME_S = 0.01
+
+
+def _segment_frames(segments, n_frames):
+    speakers = sorted({s.speaker for s in segments})
+    act = np.zeros((len(speakers), n_frames), dtype=bool)
+    for s in segments:
+        a = int(round(s.start_s / DER_FRAME_S))
+        b = int(round(s.end_s / DER_FRAME_S))
+        act[speakers.index(s.speaker), a:b] = True
+    return act
+
+
+def der(ref, hyp, collar_s=0.25, score_overlap=True):
+    """(rate, miss, false_alarm, confusion): one collar slice per boundary,
+    overlaps from an int64 ``einsum``, a per-frame matched count."""
+    sessions = sorted(set(ref.sessions()) | set(hyp.sessions()))
+    miss = fa = conf = denom = 0
+    for sess in sessions:
+        rsegs = ref.for_session(sess).segments
+        hsegs = hyp.for_session(sess).segments
+        horizon = max([s.end_s for s in rsegs] + [s.end_s for s in hsegs] + [0.0])
+        n = int(round(horizon / DER_FRAME_S)) + 1
+        ract = _segment_frames(rsegs, n)
+        hact = _segment_frames(hsegs, n)
+
+        scored = np.ones(n, dtype=bool)
+        for s in rsegs:
+            for edge in (s.start_s, s.end_s):
+                a = max(0, int(round((edge - collar_s) / DER_FRAME_S)))
+                b = int(round((edge + collar_s) / DER_FRAME_S))
+                scored[a:b] = False
+        nr = ract.sum(axis=0)
+        if not score_overlap:
+            scored &= nr <= 1
+        nh = hact.sum(axis=0)
+
+        overlap = np.einsum(
+            "rn,hn->rh", (ract & scored).astype(np.int64), hact.astype(np.int64)
+        )
+        matched = np.zeros(n, dtype=np.int64)
+        if overlap.size:
+            rows, cols = linear_sum_assignment(-overlap)
+            for i, j in zip(rows, cols):
+                matched += ract[i] & hact[j]
+
+        nr_s = nr[scored]
+        nh_s = nh[scored]
+        miss += int(np.maximum(nr_s - nh_s, 0).sum())
+        fa += int(np.maximum(nh_s - nr_s, 0).sum())
+        conf += int((np.minimum(nr_s, nh_s) - matched[scored]).sum())
+        denom += int(nr_s.sum())
+    return (miss + fa + conf) / denom, miss / denom, fa / denom, conf / denom

@@ -158,6 +158,24 @@ def test_simulate_rejects_wrongly_typed_plan_and_room_values(
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize(
+    "session, speaker",
+    [("my mtg", "ann smith"), ("mtg", "ann\tx"), ("", "ann")],
+    ids=["spaces", "tab", "empty-session"],
+)
+def test_simulate_rejects_names_an_rttm_cannot_hold(
+    workspace, tmp_path, capsys, session, speaker
+):
+    def edit(plan, room, _):
+        plan["session"] = session
+        plan["sources"][0]["speaker"] = speaker
+
+    assert _simulate_edited(workspace, tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "plan.json") in err and "without whitespace" in err
+    assert not (tmp_path / "sim").exists()
+
+
 def _one_source(plan, room, _):
     del plan["sources"][1]
 

@@ -1,4 +1,4 @@
-"""The ``>>>`` examples in the scoring, fusion and signal docstrings run and pass."""
+"""The ``>>>`` examples in the scoring, fusion, signal and simulation docstrings run and pass."""
 
 import doctest
 import importlib
@@ -6,7 +6,7 @@ import importlib
 import pytest
 
 
-@pytest.mark.parametrize("name", ["farfield.metrics", "farfield.rover", "farfield.signal"])
+@pytest.mark.parametrize("name", ["farfield.metrics", "farfield.rover", "farfield.signal", "farfield.simulate"])
 def test_docstring_examples_pass(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.attempted > 0

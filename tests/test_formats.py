@@ -154,6 +154,20 @@ def test_read_utterances_and_format_roundtrip(tmp_path):
     assert read_utterances(path) == utts
 
 
+@pytest.mark.parametrize(
+    "utts, what",
+    [
+        ({"u": ("x y",)}, "token of u"),
+        ({"u": ("x", "")}, "token of u"),
+        ({"a b": ("x",)}, "utterance id"),
+        ({"": ()}, "utterance id"),
+    ],
+)
+def test_format_utterances_rejects_what_would_not_read_back(utts, what):
+    with pytest.raises(ParameterError, match=what):
+        format_utterances(utts)
+
+
 def test_read_utterances_rejects_duplicates(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("a-m-0-100 x\na-m-0-100 y\n")

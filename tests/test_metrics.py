@@ -4,7 +4,11 @@ import itertools
 
 import numpy as np
 import pytest
+import reference_kernels as ref_kernels
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import farfield.metrics
 from farfield import (
     DiarizationSet,
     DiarSegment,
@@ -112,6 +116,37 @@ def test_edit_distance_rejects_unhashable_tokens(ref, hyp):
         edit_distance(ref, hyp)
     bad = [t for t in (*ref, *hyp) if t != "a"][0]
     assert repr(bad) in str(err.value)
+
+
+@pytest.mark.parametrize("sigma", [2, 5])
+@pytest.mark.parametrize("m", [1, 7])
+def test_edit_distance_matches_oracle_across_step_blocks(monkeypatch, sigma, m):
+    # four reference tokens per block of step rows
+    monkeypatch.setattr(farfield.metrics, "_STEP_BLOCK_BYTES", 9 * m * 4)
+    block = 4
+    rng = np.random.default_rng(10 * sigma + m)
+    for n in (0, 1, block - 1, block, block + 1, 2 * block + 1):
+        for _ in range(20):
+            ref = rng.integers(0, sigma, size=n).tolist()
+            hyp = rng.integers(0, sigma, size=m).tolist()
+            assert edit_distance(ref, hyp) == _edit_oracle(ref, hyp)
+            assert edit_distance(hyp, ref) == _edit_oracle(hyp, ref)
+
+
+def test_edit_distance_at_the_length_cap_with_one_short_side():
+    long = ["a"] * (2**21 - 1)
+    assert edit_distance(["a", "b", "a"], long) == (1, 2**21 - 4, 0)
+    with pytest.raises(ParameterError, match="2\\^21"):
+        edit_distance(["a"], long + ["a"])
+
+
+def test_edit_distance_rejects_two_sequences_of_half_the_cap(monkeypatch):
+    # the offset rows reach -2 min(i, j) * 2^42, so both sides may not have
+    # half the cap of tokens or more; a small cap keeps a missing check fast
+    monkeypatch.setattr(farfield.metrics, "_FIELD_CAP", 16)
+    with pytest.raises(ParameterError, match="2\\^20"):
+        edit_distance("a" * 8, "a" * 8)
+    assert edit_distance("a" * 7, "a" * 15) == (0, 8, 0)
 
 
 # --------------------------------------------------------------- cpCER
@@ -330,6 +365,57 @@ def test_diar_segment_rejects_bad_interval():
     for start, end in [(0.0, np.inf), (np.nan, 1.0), (-np.inf, 1.0), (-1.0, -0.5), (-0.5, 1.0)]:
         with pytest.raises(ParameterError, match="start < end"):
             DiarSegment("m", "A", start, end)
+
+
+@pytest.mark.parametrize("field", ["session", "speaker"])
+@pytest.mark.parametrize("name", ["", "ann smith", "ann\tx", "x\n", 5])
+def test_diar_segment_rejects_names_that_are_not_one_field(field, name):
+    names = {"session": "m", "speaker": "A", field: name}
+    with pytest.raises(ParameterError, match=field):
+        DiarSegment(names["session"], names["speaker"], 0.0, 1.0)
+
+
+DER_PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=250)
+
+
+@st.composite
+def diar_rows(draw, session_names=("m", "n"), speaker_names=("A", "B", "C")):
+    # boundaries on a 5 ms grid, so collars at half frames round half to even
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(st.integers(0, 600))
+        length = draw(st.integers(1, 300))
+        rows.append(
+            (
+                draw(st.sampled_from(session_names)),
+                draw(st.sampled_from(speaker_names)),
+                start * 0.005,
+                (start + length) * 0.005,
+            )
+        )
+    return rows
+
+
+@settings(DER_PROPERTY)
+@given(
+    ref_rows=diar_rows(),
+    hyp_rows=st.just([]) | diar_rows(speaker_names=("x", "y")),
+    collar_s=st.sampled_from([0.0, 0.005, 0.01, 0.025, 0.25, 1.0, 5.0]),
+    score_overlap=st.booleans(),
+)
+def test_der_equals_the_reference_implementation(ref_rows, hyp_rows, collar_s, score_overlap):
+    # a 5 s collar covers every frame from 0 to the horizon of these sessions
+    ref = DiarizationSet.from_rows(ref_rows)
+    hyp = DiarizationSet.from_rows(hyp_rows)
+    try:
+        want = ref_kernels.der(ref, hyp, collar_s, score_overlap)
+    except ZeroDivisionError:
+        with pytest.raises(UndefinedMetricError):
+            der(ref, hyp, collar_s, score_overlap)
+        return
+    assert der(ref, hyp, collar_s, score_overlap) == want
+    if not hyp_rows:
+        assert want[0] == want[1] == 1.0  # all miss
 
 
 # -------------------------------------------------------------- SI-SDR

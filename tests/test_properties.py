@@ -5,11 +5,13 @@ number is bounded, so every run checks the same cases in a few seconds.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from farfield import (
     DiarizationSet,
+    ParameterError,
     StftParams,
     WaveformBuffer,
     edit_distance,
@@ -89,23 +91,35 @@ def test_edit_distance_matches_dp_oracle(ref, hyp):
 
 # ------------------------------------------------------- file round trips
 
-names = st.text(alphabet="ab-_1é", min_size=1, max_size=6)
+# half the examples draw names that are one field of a whitespace-separated
+# line; the other half draw names that may be empty or hold whitespace,
+# which only the writer's check can tell apart
+field_names = st.text(alphabet="ab-_1é", min_size=1, max_size=6)
+any_names = st.text(alphabet="ab-_1é \t\n", max_size=6)
+name_kinds = st.sampled_from([field_names, any_names])
+
+
+def one_field(name):
+    return name.split() == [name]
 
 
 @st.composite
-def rttm_rows(draw):
+def rttm_rows(draw, names):
     # times on the millisecond grid, the resolution RTTM files carry
     start_ms = draw(st.integers(0, 10**7))
     dur_ms = draw(st.integers(1, 10**5))
     return draw(names), draw(names), start_ms, start_ms + dur_ms
 
 
-@settings(PROPERTY, max_examples=100)
-@given(rows=st.lists(rttm_rows(), max_size=8))
+@settings(PROPERTY, max_examples=200)
+@given(rows=name_kinds.flatmap(lambda names: st.lists(rttm_rows(names), max_size=8)))
 def test_rttm_round_trip(rows, tmp_path_factory):
-    segs = DiarizationSet.from_rows(
-        [(sess, spk, a / 1000, b / 1000) for sess, spk, a, b in rows]
-    )
+    seconds = [(sess, spk, a / 1000, b / 1000) for sess, spk, a, b in rows]
+    if not all(one_field(sess) and one_field(spk) for sess, spk, _, _ in rows):
+        with pytest.raises(ParameterError, match="without whitespace"):
+            DiarizationSet.from_rows(seconds)
+        return
+    segs = DiarizationSet.from_rows(seconds)
     path = tmp_path_factory.mktemp("rttm") / "x.rttm"
     text = format_rttm(segs)
     path.write_text(text, encoding="utf-8")
@@ -117,9 +131,17 @@ def test_rttm_round_trip(rows, tmp_path_factory):
     assert got == sorted((sess, spk, a / 1000, b) for sess, spk, a, b in rows)
 
 
-@settings(PROPERTY, max_examples=100)
-@given(utts=st.dictionaries(names, st.lists(names, max_size=5).map(tuple), max_size=6))
+@settings(PROPERTY, max_examples=200)
+@given(
+    utts=name_kinds.flatmap(
+        lambda names: st.dictionaries(names, st.lists(names, max_size=5).map(tuple), max_size=6)
+    )
+)
 def test_utterances_round_trip(utts, tmp_path_factory):
+    if not all(one_field(u) and all(map(one_field, toks)) for u, toks in utts.items()):
+        with pytest.raises(ParameterError, match="without whitespace"):
+            format_utterances(utts)
+        return
     path = tmp_path_factory.mktemp("utt") / "x.txt"
     path.write_text(format_utterances(utts), encoding="utf-8")
     assert read_utterances(path) == utts

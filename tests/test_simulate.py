@@ -242,6 +242,52 @@ def test_rir_length_covers_latest_image_plus_interpolator():
     assert h.size == int(math.ceil(delays.max())) + 42
 
 
+@pytest.mark.parametrize("max_order", range(7))
+def test_rir_equals_the_per_image_loop(max_order):
+    rng = np.random.default_rng(max_order)
+    for _ in range(3):
+        dims = rng.uniform(2.5, 7.0, 3)
+        src, mic = (tuple(rng.uniform(0.1, 0.9, 3) * dims) for _ in range(2))
+        room = _room(
+            max_order=max_order,
+            absorption=float(rng.uniform(0.1, 0.9)),
+            dimensions=tuple(dims),
+            source_positions=(src,),
+            mic_positions=(mic,),
+        )
+        assert np.array_equal(image_source_rir(room, 0, 0), ref.image_source_rir(room, 0, 0))
+
+
+def test_rir_with_an_integer_delay_image_equals_the_per_image_loop():
+    # 1 m at 128 m/s is 125 samples at 16 kHz, exactly in binary floating point
+    room = _room(
+        max_order=2,
+        source_positions=((1.0, 2.0, 3.0),),
+        mic_positions=((2.0, 2.0, 3.0),),
+        dimensions=(6.0, 5.0, 6.0),
+        speed_of_sound=128.0,
+    )
+    assert image_sources(room, 0, 0)[0][0] == 125.0
+    assert np.array_equal(image_source_rir(room, 0, 0), ref.image_source_rir(room, 0, 0))
+
+
+def test_rir_with_clipped_taps_equals_the_per_image_loop():
+    # the direct path arrives after 10.3 samples, so 29 of its taps fall
+    # before sample 0 and are dropped; the RIR ends 41 samples after the
+    # latest image, so no tap falls past its end
+    d = 10.3 * 343.0 / FS
+    room = _room(
+        max_order=3,
+        source_positions=((1.0, 2.0, 3.0),),
+        mic_positions=((1.0 + d, 2.0, 3.0),),
+    )
+    delays = image_sources(room, 0, 0)[0]
+    assert math.ceil(delays[0]) - 40 < 0
+    h = image_source_rir(room, 0, 0)
+    assert math.floor(delays[-1]) + 40 < h.size - 1
+    assert np.array_equal(h, ref.image_source_rir(room, 0, 0))
+
+
 # ------------------------------------------------------------ convolve
 
 
