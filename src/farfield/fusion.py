@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DataError, InfeasibleLabelError, ParameterError
 
@@ -477,6 +476,8 @@ def ctc_loss(log_probs: np.ndarray, labels) -> float:
     if lp.ndim != 2 or lp.shape[1] < 2:
         raise ParameterError(f"log_probs must be (T, V >= 2), got {lp.shape}")
     t_len, vocab = lp.shape
+    from scipy.special import logsumexp  # scipy stays off the enhance import path
+
     row_sums = logsumexp(lp, axis=1)
     if np.max(np.abs(row_sums)) > 1e-6:
         raise ParameterError("log_probs rows must be normalized log-softmax")

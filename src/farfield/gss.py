@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError, check_finite, check_int
-from .linalg import solve_hermitian
+from .linalg import map_blocks, one_blas_thread, solve_hermitian, worker_count
 from .metrics import DiarizationSet
 from .signal import (
     ComplexSpectrogram,
@@ -42,6 +42,10 @@ _TRACE_FLOOR = 1e-10
 _INIT_JITTER = 1e-3
 _WEIGHT_CAP = 1e4
 _STFT = StftParams()  # the framing of every gss_enhance analysis
+# bins x frames of one EM block: short windows are bound by per-call
+# overhead and want wide blocks, long ones by memory traffic and want narrow
+# ones (129 bins on a 111-frame window, 14 on a 35 s one)
+_EM_BLOCK_BIN_FRAMES = 65536
 
 
 @dataclass(frozen=True)
@@ -305,6 +309,36 @@ def _check_alignment(spec, activity):
         )
 
 
+def _em_block(packed, nonzero, b, act, iterations):
+    """All EM iterations on one block of bins: the final covariances and,
+    per iteration, the block's sum of log-likelihood terms."""
+    n_ch = b.shape[-1]
+    eps_b = 1e-10 * n_ch
+    eye = np.eye(n_ch)
+    ever_active = act.any(axis=1)
+    # uniform prior over the active classes; zero-norm bins have no
+    # direction and no likelihood term
+    log_prior = -np.log(act.sum(axis=0).astype(np.float64))
+    sums = []
+    for _ in range(iterations):
+        gamma, log_norm, quad = _e_step(packed, b, act, nonzero)
+        sums.append(np.sum((log_norm + log_prior)[nonzero]))
+        gamma *= nonzero[:, None, :]  # zero-norm bins carry no statistics
+        denom = gamma.sum(axis=2)  # (F, K)
+        gamma /= quad
+        numer = _unpack(gamma @ packed, n_ch)
+        del gamma, log_norm, quad  # free them before the next E-step allocates its own
+        ok = (denom > 0.0) & ever_active
+        new = b.copy()
+        new[ok] = n_ch * numer[ok] / denom[ok][:, None, None]
+        tr = np.trace(new, axis1=2, axis2=3).real
+        tr = np.where(tr > 0.0, tr, 1.0)
+        new = new * (n_ch / tr)[:, :, None, None] + eps_b * eye
+        # never-active classes keep their initial covariance; masks stay zero
+        b = np.where(ever_active[None, :, None, None], new, b)
+    return b, sums
+
+
 def fit_cacgmm(
     spec: ComplexSpectrogram,
     activity: ActivityPattern,
@@ -332,8 +366,21 @@ def fit_cacgmm(
     log-normalizer, from which the log-likelihood entry is taken. The
     M-step numerators of every class are one real product of the
     weights with the packed statistics, unpacked into Hermitian
-    matrices. The masks of the final E-step are rearranged to (classes,
-    frames, bins) once.
+    matrices.
+
+    Bins are independent, so the seeded start is drawn for all bins at
+    once and the EM then runs on blocks of bins, each a task of
+    :func:`~farfield.linalg.map_blocks` on a pool of one worker thread
+    per usable core, with BLAS at one thread. A block builds its own
+    direction statistics, runs every iteration and the final E-step,
+    and writes its bins of the (classes, frames, bins) masks. A block
+    holds about 65536 bins x frames, and at most its share of the bins
+    when they are spread over the workers: short windows are bound by
+    per-call overhead, long ones by memory. B and the masks are the
+    same bits for any block size and worker count. Each trace entry is
+    the blocks' sums of log-likelihood terms, added in bin order, over
+    the count of nonzero-norm bins; its last bits may depend on the
+    blocks, and a sum of non-decreasing traces is non-decreasing.
 
     Returns
     -------
@@ -346,12 +393,14 @@ def fit_cacgmm(
     ParameterError
         ``iterations`` is not an integer >= 1, or ``seed`` is not an
         integer >= 0.
+    NumericalError
+        A covariance is not positive definite; the message names its
+        class, from the lowest block of bins where one fails.
     """
     check_int("iterations", iterations, 1)
     check_int("seed", seed, 0)
     _check_alignment(spec, activity)
     _, n_bins, n_ch = spec.values.shape
-    eps_b = 1e-10 * n_ch
 
     rng = np.random.default_rng(seed)
     shape = (n_bins, activity.n_classes, n_ch, n_ch)
@@ -363,35 +412,25 @@ def fit_cacgmm(
     eye = np.eye(n_ch)
     b = (1.0 - _INIT_JITTER) * eye[None, None] + _INIT_JITTER * jitter
 
-    packed, nonzero = _directions(spec.values)
     act = activity.active
-    ever_active = act.any(axis=1)
-    # uniform prior over the active classes, plus the density's constant;
-    # zero-norm bins have no direction and no likelihood term
-    log_prior = -np.log(act.sum(axis=0).astype(np.float64))
+    n_frames = activity.n_frames
+    size = max(1, min(-(-n_bins // worker_count()), _EM_BLOCK_BIN_FRAMES // n_frames))
+    masks = np.empty((activity.n_classes, n_frames, n_bins))
+
+    def block(lo):
+        packed, nonzero = _directions(spec.values[:, lo : lo + size])
+        b_block, sums = _em_block(packed, nonzero, b[lo : lo + size], act, iterations)
+        gamma = _e_step(packed, b_block, act, nonzero)[0]
+        masks[:, :, lo : lo + size] = gamma.transpose(1, 2, 0)
+        return b_block, sums, int(nonzero.sum())
+
+    results = map_blocks(block, range(0, n_bins, size))
+    b = np.concatenate([r[0] for r in results])
+    # the density's constant, outside the per-block sums
     const = math.lgamma(n_ch) - n_ch * np.log(np.pi) - np.log(2.0)
-    n_dirs = max(int(nonzero.sum()), 1)
-    trace = []
-
-    for _ in range(iterations):
-        gamma, log_norm, quad = _e_step(packed, b, act, nonzero)
-        trace.append(float(np.sum((log_norm + log_prior)[nonzero]) / n_dirs + const))
-        gamma *= nonzero[:, None, :]  # zero-norm bins carry no statistics
-        denom = gamma.sum(axis=2)  # (F, K)
-        gamma /= quad
-        numer = _unpack(gamma @ packed, n_ch)
-        del gamma, log_norm, quad  # free them before the next E-step allocates its own
-        ok = (denom > 0.0) & ever_active
-        new = b.copy()
-        new[ok] = n_ch * numer[ok] / denom[ok][:, None, None]
-        tr = np.trace(new, axis1=2, axis2=3).real
-        tr = np.where(tr > 0.0, tr, 1.0)
-        new = new * (n_ch / tr)[:, :, None, None] + eps_b * eye
-        # never-active classes keep their initial covariance; masks stay zero
-        b = np.where(ever_active[None, :, None, None], new, b)
-
-    gamma = np.ascontiguousarray(_e_step(packed, b, act, nonzero)[0].transpose(1, 2, 0))
-    return CacgmmState(B=b, log_likelihood_trace=tuple(trace)), MaskSet(gamma=gamma)
+    n_dirs = max(sum(r[2] for r in results), 1)
+    trace = [float(sum(r[1][i] for r in results) / n_dirs + const) for i in range(iterations)]
+    return CacgmmState(B=b, log_likelihood_trace=tuple(trace)), MaskSet(gamma=masks)
 
 
 def spatial_covariance(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndarray:
@@ -565,6 +604,7 @@ def _window_activity(
     return ActivityPattern(speakers=tuple(speakers), active=active)
 
 
+@one_blas_thread
 def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -> dict:
     """Enhance every diarized segment of a session recording.
 

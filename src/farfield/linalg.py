@@ -1,6 +1,25 @@
-"""Batched Hermitian solve shared by the WPE and MVDR filter estimates."""
+"""Batched Hermitian solve shared by the WPE and MVDR filter estimates,
+and the worker pool that runs their frequency blocks.
+
+Every stage after the STFT is independent per frequency bin, so WPE and
+the mixture-model EM run on blocks of bins in :func:`map_blocks`. Their
+output bits are the same for any block size and worker count, and with
+BLAS held at one thread they do not depend on the BLAS thread count
+either: a multithreaded OpenBLAS ``zgemm`` splits its sums differently
+at different thread counts. Only the OpenBLAS bundled with the numpy
+wheel can be held at one thread from here; with any other BLAS the
+blocks run on one worker.
+"""
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -52,3 +71,78 @@ def _loaded_solve(a: np.ndarray, b: np.ndarray, bin_: int, what: str) -> np.ndar
             return np.linalg.solve(a + load * np.eye(m), b)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"{what} singular in frequency bin {bin_}") from exc
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count functions of the OpenBLAS bundled with the
+    numpy wheel, or None for any other BLAS build."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Holds BLAS at one thread while any thread is inside the context
+    (or a function it decorates).
+
+    The count is process-wide and ``enhance --jobs`` runs sessions in
+    threads, so entries nest under a lock: the first saves the count and
+    sets 1, the last restores it. Without the thread-count functions it
+    does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self):
+        blas = _openblas_threads()
+        with self._lock:
+            if self._depth == 0 and blas is not None:
+                self._saved = blas[0]()
+                blas[1](1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        blas = _openblas_threads()
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and blas is not None:
+                blas[1](self._saved)
+        return False
+
+
+one_blas_thread = _OneBlasThread()
+
+
+def worker_count() -> int:
+    """Workers of :func:`map_blocks`: the usable cores, or 1 where BLAS
+    cannot be held at one thread and its own threads would compete."""
+    return len(os.sched_getaffinity(0)) if _openblas_threads() is not None else 1
+
+
+def map_blocks(fn, starts) -> list:
+    """``[fn(s) for s in starts]`` on :func:`worker_count` threads, with
+    BLAS at one thread.
+
+    ``fn`` runs on the worker threads, so it calls only the private
+    block functions of the kernels and :func:`solve_hermitian`; the
+    public stage functions (``wpe``, ``fit_cacgmm``, ...) stay on the
+    calling thread, where a wrapper that times them by call nesting sees
+    one call stack. Of the failing items, the exception of the first in
+    ``starts`` order is raised, with its class and message.
+    """
+    with one_blas_thread, ThreadPoolExecutor(worker_count()) as pool:
+        return list(pool.map(fn, starts))

@@ -18,7 +18,6 @@ import unicodedata
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ParameterError, UndefinedMetricError, check_field, check_finite
 
@@ -251,6 +250,8 @@ def cpcer(refs: TranscriptSet, hyps: TranscriptSet) -> tuple:
         assignment : dict session -> tuple of (ref stream, hyp stream)
         pairs; a side padded with empty streams appears as None.
     """
+    from scipy.optimize import linear_sum_assignment  # scipy stays off the enhance import path
+
     sessions = sorted(set(refs.sessions()) | set(hyps.sessions()))
     total_err = 0
     total_ref = 0
@@ -363,6 +364,8 @@ def der(
     >>> f"{rate:.2%} = {miss:.2%} + {false_alarm:.2%} + {confusion:.2%}"
     '25.00% = 0.00% + 0.00% + 25.00%'
     """
+    from scipy.optimize import linear_sum_assignment
+
     check_finite("collar_s", collar_s)
     if collar_s < 0:
         raise ParameterError(f"collar must be >= 0, got {collar_s}")

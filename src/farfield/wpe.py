@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_int
-from .linalg import solve_hermitian
+from .linalg import map_blocks, solve_hermitian
 from .signal import ComplexSpectrogram
 
 DEFAULT_PSD_FLOOR = 1e-10  # lower bound epsilon on the per-bin power estimate
 _DIAGONAL_LOADING = 1e-6  # relative Tikhonov term, scaled by trace(R) / (C*K)
-_BLOCK_BINS = 8  # frequency bins per WPE block; bounds the working set
+_BLOCK_BINS = 16  # frequency bins per WPE block, the unit of work of the pool
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,13 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
     the same shape as the input.
 
     Bins are independent, so the computation runs on blocks of
-    ``_BLOCK_BINS`` bins at a time, which bounds the working set by the
-    block instead of by bins x channels x taps x frames. Within a block
+    ``_BLOCK_BINS`` bins, each a task of :func:`~farfield.linalg.map_blocks`
+    on a pool of one worker thread per usable core, with BLAS at one
+    thread. Each block writes its own bins of the output. The working set
+    is bounded by the blocks in flight instead of by bins x channels x
+    taps x frames, and the output bits depend neither on the block size
+    nor on the worker count, nor, where the BLAS is the OpenBLAS of the
+    numpy wheel, on the BLAS thread count. Within a block
     the correlations are batched matrix products and the filters come
     from one batched Hermitian solve (:func:`~farfield.linalg.solve_hermitian`),
     an LU solve that also handles indefinite matrices and gives each bin
@@ -163,7 +168,7 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
         channels * taps and frames > delay + taps).
     NumericalError
         A correlation matrix stayed singular after the retry; the message
-        names the frequency bin.
+        names the frequency bin, the lowest if several bins fail.
     """
     n_frames, n_bins, n_ch = spec.values.shape
     ck = n_ch * cfg.taps
@@ -175,8 +180,12 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
 
     x = np.ascontiguousarray(np.transpose(spec.values, (1, 2, 0)))  # (F, C, T)
     y = np.empty_like(x)
-    for lo in range(0, n_bins, _BLOCK_BINS):
-        y[lo : lo + _BLOCK_BINS] = _wpe_block(x[lo : lo + _BLOCK_BINS], cfg, lo)
+    size = _BLOCK_BINS
+
+    def block(lo):
+        y[lo : lo + size] = _wpe_block(x[lo : lo + size], cfg, lo)
+
+    map_blocks(block, range(0, n_bins, size))
 
     return ComplexSpectrogram(
         values=np.transpose(y, (2, 0, 1)),

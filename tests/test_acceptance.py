@@ -9,7 +9,11 @@ gain on simulated meetings, and bit-exact seeded determinism.
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -54,6 +58,7 @@ from farfield import (
     wpe,
     wpe_objective,
 )
+import farfield
 from farfield.cli import main
 
 FS = 16000
@@ -672,3 +677,44 @@ def test_c12_cli_reruns_produce_identical_output_hashes(tmp_path):
     hashes = tree_hashes(tmp_path / "enh_a")
     assert hashes == tree_hashes(tmp_path / "enh_b")
     assert any(name.endswith(".wav") for name in hashes)
+
+
+def test_c12_enhance_hashes_do_not_depend_on_blas_threads(tmp_path):
+    # a 2 s, 4-mic, 3-speaker session whose output moved with the BLAS
+    # thread count while WPE ran with multithreaded zgemm
+    rng = np.random.default_rng(12)
+    from farfield import write_wav
+
+    sources = []
+    for i, name in enumerate(("ann", "bob", "cat")):
+        write_wav(tmp_path / f"{name}.wav", _speechy(rng, FS, 2.3 + i))
+        sources.append({"speaker": name, "wav": f"{name}.wav", "onset_s": 0.5 * i})
+    (tmp_path / "plan.json").write_text(json.dumps({
+        "session": "mtg", "seed": 3, "snr_db": 20.0, "sources": sources,
+    }))
+    (tmp_path / "room.json").write_text(json.dumps({
+        "dimensions": [6.0, 5.0, 3.0], "absorption": 0.5, "max_order": 2,
+        "sample_rate_hz": FS,
+        "source_positions": [[1.8, 3.6, 1.6], [4.3, 1.4, 1.5], [1.5, 1.2, 1.5]],
+        "mic_positions": [[2.9, 2.4, 1.4], [3.0, 2.4, 1.4], [2.9, 2.5, 1.4], [3.0, 2.5, 1.4]],
+    }))
+    assert main(["simulate", str(tmp_path / "plan.json"), str(tmp_path / "room.json"),
+                 "--out", str(tmp_path / "sim")]) == 0
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "session": "mtg", "wavs": ["sim/mixture.wav"], "rttm": "sim/reference.rttm",
+    }))
+    package_root = str(Path(farfield.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    index = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-m", "farfield.cli", "enhance", "manifest.json",
+             "--out", f"enh{threads}"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        index[threads] = json.loads((tmp_path / f"enh{threads}/mtg/index.json").read_text())
+    assert index["1"] == index["2"]
+    assert len(index["1"]["outputs"]) == 3

@@ -13,10 +13,15 @@ WPE tests check that the global frequency bins reach that solve. The
 CACGMM's packed real direction statistics must equal the complex outer
 products within 1e-14, and its Gauss-Jordan inverses and
 log-determinants numpy's within 4 * C * cond * eps, including
-covariances held up only by the fit's 1e-10 * C floor.
+covariances held up only by the fit's 1e-10 * C floor. WPE and the EM
+run in frequency blocks on worker threads: their outputs must be the
+same bits at any worker count and block size, and the scope that holds
+BLAS at one thread must nest across threads.
 """
 
 import importlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -74,6 +79,12 @@ def _gram(a):
 def _hermitian_with_eigenvalues(rng, eigenvalues):
     q, _ = np.linalg.qr(_complex(rng, (len(eigenvalues), len(eigenvalues))))
     return _hermitian((q * np.asarray(eigenvalues)) @ q.conj().T)
+
+
+def _workers(monkeypatch, n):
+    """Run the frequency blocks on ``n`` worker threads."""
+    monkeypatch.setattr(linalg_module, "worker_count", lambda: n)
+    monkeypatch.setattr(gss_module, "worker_count", lambda: n)
 
 
 # ------------------------------------------------------------------ WPE
@@ -214,6 +225,30 @@ def test_wpe_error_in_a_later_block_names_the_global_bin(monkeypatch):
         wpe(_spec(values), WpeConfig(taps=3, delay=2, iterations=1))
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("block", [4, 16])
+def test_wpe_output_bits_do_not_depend_on_workers_or_block_size(monkeypatch, workers, block):
+    values = _complex(np.random.default_rng(9), (70, 33, 3))
+    values[:, 5, :] = 0.0  # a silent bin
+    cfg = WpeConfig(taps=3, delay=2, iterations=2)
+    _workers(monkeypatch, 1)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BINS", 33)
+    alone = wpe(_spec(values), cfg).values
+    _workers(monkeypatch, workers)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BINS", block)
+    np.testing.assert_array_equal(wpe(_spec(values), cfg).values, alone)
+
+
+def test_wpe_error_in_several_blocks_names_the_lowest_bin(monkeypatch):
+    monkeypatch.setattr(wpe_module, "_BLOCK_BINS", 2)
+    _workers(monkeypatch, 3)
+    _without_loading(monkeypatch, retry=False)
+    values = _complex(np.random.default_rng(7), (60, 9, 2))
+    values[:, [3, 6, 8], 1] = 0.0  # bins of the second, fourth and fifth blocks
+    with pytest.raises(NumericalError, match="^correlation matrix singular in frequency bin 3$"):
+        wpe(_spec(values), WpeConfig(taps=3, delay=2, iterations=1))
+
+
 # --------------------------------------------------------------- CACGMM
 
 
@@ -236,6 +271,29 @@ def test_fit_cacgmm_matches_reference_em(seed):
     assert_rel_close(state.B, b)
     assert_rel_close(masks.gamma, gamma)
     np.testing.assert_allclose(state.log_likelihood_trace, trace, rtol=0, atol=LL_ATOL)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("block_bins", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fit_cacgmm_bits_do_not_depend_on_workers_or_block_size(
+    monkeypatch, seed, block_bins, workers
+):
+    # zero-norm bins, one silent bin and a never-active class
+    values, activity = _cacgmm_instance(seed)
+    values[:, 4, :] = 0.0
+    _workers(monkeypatch, 1)
+    state, masks = fit_cacgmm(_spec(values), activity, iterations=6, seed=seed)
+    _workers(monkeypatch, workers)
+    monkeypatch.setattr(gss_module, "_EM_BLOCK_BIN_FRAMES", block_bins * values.shape[0])
+    blocked, blocked_masks = fit_cacgmm(_spec(values), activity, iterations=6, seed=seed)
+    np.testing.assert_array_equal(blocked.B, state.B)
+    np.testing.assert_array_equal(blocked_masks.gamma, masks.gamma)
+    assert blocked_masks.gamma.flags.c_contiguous
+    np.testing.assert_allclose(
+        blocked.log_likelihood_trace, state.log_likelihood_trace, rtol=1e-12, atol=0
+    )
+    assert np.all(np.diff(blocked.log_likelihood_trace) >= -1e-6)
 
 
 def test_fit_cacgmm_all_zero_input_matches_reference():
@@ -426,6 +484,38 @@ def test_solve_hermitian_zero_item_gets_zero_from_the_floor_loading():
     a[3] = b[3] = 0.0
     x = linalg_module.solve_hermitian(a, b, range(5), "test matrix")
     assert np.all(x[3] == 0.0)
+
+
+@pytest.mark.skipif(
+    linalg_module._openblas_threads() is None, reason="BLAS thread count not settable"
+)
+def test_one_blas_thread_nests_across_threads_and_restores_the_count():
+    get, set_ = linalg_module._openblas_threads()
+    before = get()
+    set_(2)
+    seen = []
+
+    def enter():
+        for _ in range(200):
+            with linalg_module.one_blas_thread:
+                seen.append(get())
+                with linalg_module.one_blas_thread:
+                    seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=enter) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == [1] * 1600
+        assert get() == 2
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
 
 
 def test_solve_hermitian_unrecoverable_item_names_its_bin():

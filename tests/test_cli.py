@@ -850,13 +850,28 @@ def test_help_exits_zero(capsys):
     assert main(["score", "--help"]) == 0
 
 
-def test_module_entry_point():
+def _child(*args):
     # the child imports the package under test, installed or not
     package_root = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "farfield.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = _child("-m", "farfield.cli", "--help")
     assert proc.returncode == 0
     assert "farfield" in proc.stdout
+
+
+def test_importing_the_package_and_cli_loads_no_scipy_optimize_or_special():
+    # enhance never calls them; scoring and the CTC loss import them on use
+    proc = _child(
+        "-c",
+        "import sys, farfield, farfield.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -205,20 +205,22 @@ def test_image_sources_tied_delays_keep_enumeration_order(max_order):
 
 
 def test_rir_integer_delay_is_exact_spike():
-    # distance of exactly 100 samples: 100 * 343 / 16000 m
-    d = 100 * 343.0 / FS
+    # 2 m at 320 m/s and 16 kHz: a delay of exactly 100 samples
+    d = 2.0
     room = _room(
         max_order=0,
         source_positions=((1.0, 2.0, 3.0),),
         mic_positions=((1.0 + d, 2.0, 3.0),),
         dimensions=(6.0, 5.0, 6.0),
+        speed_of_sound=320.0,
     )
+    assert image_sources(room, 0, 0)[0][0] == 100.0
     h = image_source_rir(room, 0, 0)
     assert np.argmax(np.abs(h)) == 100
-    assert h[100] == pytest.approx(1 / (4 * math.pi * d), rel=1e-9)
-    # sinc zeros off the spike, up to rounding of the irrational distance
+    assert h[100] == 1 / (4 * math.pi * d)
+    # sinc zeros off the spike, as np.sinc rounds them
     others = np.delete(h, 100)
-    assert np.max(np.abs(others)) < 1e-12 * abs(h[100])
+    assert np.max(np.abs(others)) < 1e-15 * abs(h[100])
 
 
 def test_rir_fractional_delay_peak_within_one_sample():
