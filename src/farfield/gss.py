@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError, check_finite, check_int
-from .linalg import map_blocks, one_blas_thread, solve_hermitian, worker_count
+from .linalg import map_blocks, one_blas_thread, solve_hermitian
 from .metrics import DiarizationSet
 from .signal import (
     ComplexSpectrogram,
@@ -42,9 +42,8 @@ _TRACE_FLOOR = 1e-10
 _INIT_JITTER = 1e-3
 _WEIGHT_CAP = 1e4
 _STFT = StftParams()  # the framing of every gss_enhance analysis
-# bins x frames of one EM block: short windows are bound by per-call
-# overhead and want wide blocks, long ones by memory traffic and want narrow
-# ones (129 bins on a 111-frame window, 14 on a 35 s one)
+# bins x frames of one EM block (see linalg.map_blocks): 129 bins on a
+# 111-frame window, 14 on a 35 s one
 _EM_BLOCK_BIN_FRAMES = 65536
 
 
@@ -369,18 +368,15 @@ def fit_cacgmm(
     matrices.
 
     Bins are independent, so the seeded start is drawn for all bins at
-    once and the EM then runs on blocks of bins, each a task of
-    :func:`~farfield.linalg.map_blocks` on a pool of one worker thread
-    per usable core, with BLAS at one thread. A block builds its own
+    once and the EM then runs on the blocks of bins that
+    :func:`~farfield.linalg.map_blocks` plans. A block builds its own
     direction statistics, runs every iteration and the final E-step,
-    and writes its bins of the (classes, frames, bins) masks. A block
-    holds about 65536 bins x frames, and at most its share of the bins
-    when they are spread over the workers: short windows are bound by
-    per-call overhead, long ones by memory. B and the masks are the
-    same bits for any block size and worker count. Each trace entry is
-    the blocks' sums of log-likelihood terms, added in bin order, over
-    the count of nonzero-norm bins; its last bits may depend on the
-    blocks, and a sum of non-decreasing traces is non-decreasing.
+    and writes its bins of the (classes, frames, bins) masks. B and the
+    masks are the same bits for any block size and worker count. Each
+    trace entry is the blocks' sums of log-likelihood terms, added in
+    bin order, over the count of nonzero-norm bins; its last bits may
+    depend on the blocks, and a sum of non-decreasing traces is
+    non-decreasing.
 
     Returns
     -------
@@ -414,17 +410,16 @@ def fit_cacgmm(
 
     act = activity.active
     n_frames = activity.n_frames
-    size = max(1, min(-(-n_bins // worker_count()), _EM_BLOCK_BIN_FRAMES // n_frames))
     masks = np.empty((activity.n_classes, n_frames, n_bins))
 
-    def block(lo):
-        packed, nonzero = _directions(spec.values[:, lo : lo + size])
-        b_block, sums = _em_block(packed, nonzero, b[lo : lo + size], act, iterations)
+    def block(lo, hi):
+        packed, nonzero = _directions(spec.values[:, lo:hi])
+        b_block, sums = _em_block(packed, nonzero, b[lo:hi], act, iterations)
         gamma = _e_step(packed, b_block, act, nonzero)[0]
-        masks[:, :, lo : lo + size] = gamma.transpose(1, 2, 0)
+        masks[:, :, lo:hi] = gamma.transpose(1, 2, 0)
         return b_block, sums, int(nonzero.sum())
 
-    results = map_blocks(block, range(0, n_bins, size))
+    results = map_blocks(block, n_bins, n_frames, _EM_BLOCK_BIN_FRAMES)
     b = np.concatenate([r[0] for r in results])
     # the density's constant, outside the per-block sums
     const = math.lgamma(n_ch) - n_ch * np.log(np.pi) - np.log(2.0)

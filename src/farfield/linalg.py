@@ -2,13 +2,9 @@
 and the worker pool that runs their frequency blocks.
 
 Every stage after the STFT is independent per frequency bin, so WPE and
-the mixture-model EM run on blocks of bins in :func:`map_blocks`. Their
-output bits are the same for any block size and worker count, and with
-BLAS held at one thread they do not depend on the BLAS thread count
-either: a multithreaded OpenBLAS ``zgemm`` splits its sums differently
-at different thread counts. Only the OpenBLAS bundled with the numpy
-wheel can be held at one thread from here; with any other BLAS the
-blocks run on one worker.
+the mixture-model EM run on blocks of bins planned by :func:`map_blocks`.
+Only the OpenBLAS bundled with the numpy wheel can be held at one
+thread from here; with any other BLAS the blocks run on one worker.
 """
 
 from __future__ import annotations
@@ -133,16 +129,30 @@ def worker_count() -> int:
     return len(os.sched_getaffinity(0)) if _openblas_threads() is not None else 1
 
 
-def map_blocks(fn, starts) -> list:
-    """``[fn(s) for s in starts]`` on :func:`worker_count` threads, with
-    BLAS at one thread.
+def map_blocks(fn, n_bins: int, n_frames: int, budget: int) -> list:
+    """``fn(lo, hi)`` for each block ``lo:hi`` of ``n_bins`` frequency
+    bins, on :func:`worker_count` threads with BLAS at one thread; the
+    results in bin order.
+
+    The one block rule of the package: a block holds
+    ``max(1, min(ceil(n_bins / workers), budget // n_frames))`` bins, so
+    about ``budget`` bins x frames, and no more than its share of the
+    bins when they are spread over the workers. The caller's budget
+    trades per-call overhead (short windows want wide blocks) against
+    the working set in flight (long ones want narrow blocks). Output bits
+    depend neither on the block size nor on the worker count, and with
+    BLAS at one thread not on the BLAS thread count either: a
+    multithreaded OpenBLAS ``zgemm`` splits its sums differently at
+    different thread counts.
 
     ``fn`` runs on the worker threads, so it calls only the private
     block functions of the kernels and :func:`solve_hermitian`; the
     public stage functions (``wpe``, ``fit_cacgmm``, ...) stay on the
     calling thread, where a wrapper that times them by call nesting sees
-    one call stack. Of the failing items, the exception of the first in
-    ``starts`` order is raised, with its class and message.
+    one call stack. Of the failing blocks, the exception of the first in
+    bin order is raised, with its class and message.
     """
-    with one_blas_thread, ThreadPoolExecutor(worker_count()) as pool:
-        return list(pool.map(fn, starts))
+    workers = worker_count()
+    size = max(1, min(-(-n_bins // workers), budget // n_frames))
+    with one_blas_thread, ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda lo: fn(lo, min(lo + size, n_bins)), range(0, n_bins, size)))

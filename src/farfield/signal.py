@@ -157,6 +157,8 @@ class ComplexSpectrogram:
         arr = np.asarray(self.values, dtype=np.complex128)
         if arr.ndim != 3:
             raise ParameterError(f"values must be (frames, bins, channels), got {arr.shape}")
+        if arr.shape[0] < 1 or arr.shape[2] < 1:
+            raise ParameterError(f"empty spectrogram of shape {arr.shape}")
         if arr.shape[1] != self.params.n_bins:
             raise ParameterError(
                 f"bin count {arr.shape[1]} inconsistent with fft_size={self.params.fft_size}"

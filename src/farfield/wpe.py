@@ -21,7 +21,9 @@ from .signal import ComplexSpectrogram
 
 DEFAULT_PSD_FLOOR = 1e-10  # lower bound epsilon on the per-bin power estimate
 _DIAGONAL_LOADING = 1e-6  # relative Tikhonov term, scaled by trace(R) / (C*K)
-_BLOCK_BINS = 16  # frequency bins per WPE block, the unit of work of the pool
+# bins x frames of one block (see linalg.map_blocks): WPE holds about 3 * C * K
+# complex values per bin-frame, some 15 times the EM's, so its budget is smaller
+_BLOCK_BIN_FRAMES = 1024
 
 
 @dataclass(frozen=True)
@@ -147,19 +149,15 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
     the prediction filters, and subtract the prediction. The output has
     the same shape as the input.
 
-    Bins are independent, so the computation runs on blocks of
-    ``_BLOCK_BINS`` bins, each a task of :func:`~farfield.linalg.map_blocks`
-    on a pool of one worker thread per usable core, with BLAS at one
-    thread. Each block writes its own bins of the output. The working set
-    is bounded by the blocks in flight instead of by bins x channels x
-    taps x frames, and the output bits depend neither on the block size
-    nor on the worker count, nor, where the BLAS is the OpenBLAS of the
-    numpy wheel, on the BLAS thread count. Within a block
-    the correlations are batched matrix products and the filters come
-    from one batched Hermitian solve (:func:`~farfield.linalg.solve_hermitian`),
-    an LU solve that also handles indefinite matrices and gives each bin
-    the same filter as solving it alone. A bin whose loaded matrix is
-    still exactly singular is loaded once more and retried there.
+    Bins are independent, so the computation runs on the blocks of bins
+    that :func:`~farfield.linalg.map_blocks` plans, each cut from the
+    input and written to its bins of the output, so no whole-window copy
+    is made. Within a block the correlations are batched matrix products
+    and the filters come from one batched Hermitian solve
+    (:func:`~farfield.linalg.solve_hermitian`), an LU solve that also
+    handles indefinite matrices and gives each bin the same filter as
+    solving it alone. A bin whose loaded matrix is still exactly singular
+    is loaded once more and retried there.
 
     Raises
     ------
@@ -178,17 +176,11 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
             f"channels={n_ch}"
         )
 
-    x = np.ascontiguousarray(np.transpose(spec.values, (1, 2, 0)))  # (F, C, T)
-    y = np.empty_like(x)
-    size = _BLOCK_BINS
+    out = np.empty_like(spec.values)
 
-    def block(lo):
-        y[lo : lo + size] = _wpe_block(x[lo : lo + size], cfg, lo)
+    def block(lo, hi):
+        x = np.ascontiguousarray(spec.values[:, lo:hi].transpose(1, 2, 0))  # (B, C, T)
+        out[:, lo:hi] = _wpe_block(x, cfg, lo).transpose(2, 0, 1)
 
-    map_blocks(block, range(0, n_bins, size))
-
-    return ComplexSpectrogram(
-        values=np.transpose(y, (2, 0, 1)),
-        params=spec.params,
-        sample_rate_hz=spec.sample_rate_hz,
-    )
+    map_blocks(block, n_bins, n_frames, _BLOCK_BIN_FRAMES)
+    return ComplexSpectrogram(values=out, params=spec.params, sample_rate_hz=spec.sample_rate_hz)

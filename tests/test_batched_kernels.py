@@ -15,13 +15,15 @@ products within 1e-14, and its Gauss-Jordan inverses and
 log-determinants numpy's within 4 * C * cond * eps, including
 covariances held up only by the fit's 1e-10 * C floor. WPE and the EM
 run in frequency blocks on worker threads: their outputs must be the
-same bits at any worker count and block size, and the scope that holds
-BLAS at one thread must nest across threads.
+same bits at any worker count and block size, WPE's traced peak must
+stay within a few times its input, and the scope that holds BLAS at
+one thread must nest across threads.
 """
 
 import importlib
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,7 +86,6 @@ def _hermitian_with_eigenvalues(rng, eigenvalues):
 def _workers(monkeypatch, n):
     """Run the frequency blocks on ``n`` worker threads."""
     monkeypatch.setattr(linalg_module, "worker_count", lambda: n)
-    monkeypatch.setattr(gss_module, "worker_count", lambda: n)
 
 
 # ------------------------------------------------------------------ WPE
@@ -92,22 +93,25 @@ def _workers(monkeypatch, n):
 
 @pytest.mark.parametrize("block", [4, 8])
 def test_wpe_matches_reference_with_a_partial_last_block(monkeypatch, block):
-    # 11 bins: neither block size divides it
-    monkeypatch.setattr(wpe_module, "_BLOCK_BINS", block)
+    # 11 bins: neither block size divides it; one worker, so no cap below the budget
+    _workers(monkeypatch, 1)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BIN_FRAMES", block * 80)
     values = _complex(np.random.default_rng(1), (80, 11, 3))
     cfg = WpeConfig(taps=4, delay=2, iterations=3)
     assert_rel_close(wpe(_spec(values), cfg).values, ref.wpe(values, cfg))
 
 
-def test_wpe_default_block_matches_reference_on_a_full_spectrum():
+def test_wpe_default_block_matches_reference_on_a_full_spectrum(monkeypatch):
     values = _complex(np.random.default_rng(2), (60, 257, 2))
-    assert 257 % wpe_module._BLOCK_BINS
+    calls = _spy(monkeypatch, wpe_module, "_wpe_block")
     cfg = WpeConfig(taps=4, delay=3, iterations=2)
     assert_rel_close(wpe(_spec(values), cfg).values, ref.wpe(values, cfg))
+    sizes = [len(x) for x, _, _ in sorted(calls, key=lambda c: c[2])]
+    assert sum(sizes) == 257 and sizes[-1] < sizes[0]  # a partial last block
 
 
 def test_wpe_block_mixing_silent_and_live_bins(monkeypatch):
-    monkeypatch.setattr(wpe_module, "_BLOCK_BINS", 4)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BIN_FRAMES", 4 * 70)
     values = _complex(np.random.default_rng(3), (70, 9, 2))
     silent = [1, 2, 5, 8]
     values[:, silent, :] = 0.0
@@ -118,7 +122,7 @@ def test_wpe_block_mixing_silent_and_live_bins(monkeypatch):
 
 
 def test_wpe_all_silent_input_gets_zero_filters(monkeypatch):
-    monkeypatch.setattr(wpe_module, "_BLOCK_BINS", 4)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BIN_FRAMES", 4 * 40)
     values = np.zeros((40, 7, 2), dtype=complex)
     cfg = WpeConfig(taps=3, delay=1, iterations=2)
     out = wpe(_spec(values), cfg).values
@@ -217,7 +221,8 @@ def test_wpe_singular_matrix_error_names_the_global_bin(monkeypatch):
 
 @pytest.mark.filterwarnings("error")
 def test_wpe_error_in_a_later_block_names_the_global_bin(monkeypatch):
-    monkeypatch.setattr(wpe_module, "_BLOCK_BINS", 4)
+    _workers(monkeypatch, 1)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BIN_FRAMES", 4 * 60)
     _without_loading(monkeypatch, retry=False)
     values = _complex(np.random.default_rng(7), (60, 9, 2))
     values[:, 6, 1] = 0.0  # bin 6 = second bin of the second block
@@ -226,27 +231,44 @@ def test_wpe_error_in_a_later_block_names_the_global_bin(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [2, 3])
-@pytest.mark.parametrize("block", [4, 16])
-def test_wpe_output_bits_do_not_depend_on_workers_or_block_size(monkeypatch, workers, block):
+@pytest.mark.parametrize(
+    "budget",
+    [pytest.param(69, id="1"), pytest.param(4 * 70, id="4"), pytest.param(16 * 70, id="16")],
+)
+def test_wpe_output_bits_do_not_depend_on_workers_or_block_size(monkeypatch, workers, budget):
+    # ids are bins per block at 70 frames: a budget below the frame count gives 1
     values = _complex(np.random.default_rng(9), (70, 33, 3))
     values[:, 5, :] = 0.0  # a silent bin
     cfg = WpeConfig(taps=3, delay=2, iterations=2)
     _workers(monkeypatch, 1)
-    monkeypatch.setattr(wpe_module, "_BLOCK_BINS", 33)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BIN_FRAMES", 33 * 70)
     alone = wpe(_spec(values), cfg).values
     _workers(monkeypatch, workers)
-    monkeypatch.setattr(wpe_module, "_BLOCK_BINS", block)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BIN_FRAMES", budget)
     np.testing.assert_array_equal(wpe(_spec(values), cfg).values, alone)
 
 
 def test_wpe_error_in_several_blocks_names_the_lowest_bin(monkeypatch):
-    monkeypatch.setattr(wpe_module, "_BLOCK_BINS", 2)
+    monkeypatch.setattr(wpe_module, "_BLOCK_BIN_FRAMES", 2 * 60)
     _workers(monkeypatch, 3)
     _without_loading(monkeypatch, retry=False)
     values = _complex(np.random.default_rng(7), (60, 9, 2))
     values[:, [3, 6, 8], 1] = 0.0  # bins of the second, fourth and fifth blocks
     with pytest.raises(NumericalError, match="^correlation matrix singular in frequency bin 3$"):
         wpe(_spec(values), WpeConfig(taps=3, delay=2, iterations=1))
+
+
+def test_wpe_memory_is_bounded_by_the_blocks_in_flight(monkeypatch):
+    # a whole-window working set of bins x C*K x frames would be 40 times the input
+    _workers(monkeypatch, 2)
+    spec = _spec(_complex(np.random.default_rng(10), (2000, 33, 4)))
+    tracemalloc.start()
+    try:
+        wpe(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * spec.values.nbytes, f"peak {peak / spec.values.nbytes:.1f}x the input"
 
 
 # --------------------------------------------------------------- CACGMM

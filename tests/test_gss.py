@@ -1,5 +1,6 @@
 import importlib
 import logging
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from farfield import (
 )
 
 gss_module = importlib.import_module("farfield.gss")
+linalg_module = importlib.import_module("farfield.linalg")
 
 FS = 16000
 SMALL = StftParams(frame_length=8, frame_shift=2, fft_size=8)
@@ -482,6 +484,25 @@ def test_gss_enhance_is_deterministic():
     b = gss_enhance(meeting.mixture, _toy_segments(), cfg)
     for key in a:
         np.testing.assert_array_equal(a[key].samples, b[key].samples)
+
+
+def test_gss_enhance_leaves_no_threads_and_restores_the_blas_thread_count(monkeypatch):
+    # two workers even on one core, so both the WPE and the EM blocks use the pool
+    monkeypatch.setattr(linalg_module, "worker_count", lambda: 2)
+    blas = linalg_module._openblas_threads()
+    saved = blas[0]() if blas else None
+    if blas:
+        blas[1](2)
+    try:
+        threads = threading.active_count()
+        cfg = GssConfig(wpe=WpeConfig(taps=2, delay=1, iterations=1), em_iterations=2, seed=0)
+        assert gss_enhance(_toy_meeting(0).mixture, _toy_segments(), cfg)
+        assert threading.active_count() == threads
+        if blas:
+            assert blas[0]() == 2
+    finally:
+        if blas:
+            blas[1](saved)
 
 
 def test_gss_enhance_identical_channels_take_the_loading_retry(monkeypatch):

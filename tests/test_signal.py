@@ -49,6 +49,14 @@ def test_waveform_buffer_rejects_bad_shape():
         WaveformBuffer(np.zeros((2, 3, 4)), FS)
 
 
+@pytest.mark.parametrize("shape", [(0, 257, 4), (50, 257, 0)], ids=["frames", "channels"])
+def test_complex_spectrogram_rejects_an_empty_axis(shape):
+    # downstream, fit_cacgmm would divide by the frame count and
+    # cacgmm_posteriors and mvdr_beamform reduce over empty arrays
+    with pytest.raises(ParameterError, match=r"^empty spectrogram of shape"):
+        ComplexSpectrogram(np.zeros(shape, dtype=complex), StftParams(), FS)
+
+
 # ------------------------------------------------------------- params
 
 
