@@ -49,8 +49,12 @@ def check_int(name: str, value, minimum: int | None = None) -> None:
 
 def check_finite(name: str, value) -> None:
     """Raise :class:`ParameterError` unless ``value`` is a finite real
-    number, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+    number, not a bool, that converts to a float."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
         raise ParameterError(f"{name} must be a finite number, got {value!r}")
 
 

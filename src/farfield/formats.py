@@ -27,6 +27,28 @@ from .wpe import WpeConfig
 RTTM_DECIMALS = 3
 
 
+def _records(path):
+    """(line number, stripped line) for each non-blank line of a UTF-8 text
+    file; bytes that are not UTF-8 are a data error."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if stripped:
+                    yield lineno, stripped
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: {exc}") from exc
+
+
+def _build(context: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, which builds objects from file content; a
+    package error it raises becomes a data error prefixed with ``context``."""
+    try:
+        return make(*args, **kwargs)
+    except FarfieldError as exc:
+        raise DataError(f"{context}: {exc}") from exc
+
+
 # ---------------------------------------------------------------- RTTM
 
 def read_rttm(path) -> DiarizationSet:
@@ -36,28 +58,21 @@ def read_rttm(path) -> DiarizationSet:
     skipped; malformed SPEAKER lines raise a data error naming the line.
     """
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(";;"):
-                continue
-            fields = stripped.split()
-            if fields[0] != "SPEAKER":
-                continue
-            if len(fields) < 8:
-                raise DataError(f"{path}:{lineno}: SPEAKER line has {len(fields)} fields")
-            try:
-                tbeg = float(fields[3])
-                tdur = float(fields[4])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: unparseable times") from exc
-            if tdur <= 0:
-                raise DataError(f"{path}:{lineno}: non-positive duration {tdur}")
-            rows.append((fields[1], fields[7], tbeg, tbeg + tdur))
-    try:
-        return DiarizationSet.from_rows(rows)
-    except ParameterError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    for lineno, line in _records(path):
+        fields = line.split()
+        if fields[0] != "SPEAKER":  # also every ;; comment
+            continue
+        if len(fields) < 8:
+            raise DataError(f"{path}:{lineno}: SPEAKER line has {len(fields)} fields")
+        try:
+            tbeg = float(fields[3])
+            tdur = float(fields[4])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: unparseable times") from exc
+        if tdur <= 0:
+            raise DataError(f"{path}:{lineno}: non-positive duration {tdur}")
+        rows.append((fields[1], fields[7], tbeg, tbeg + tdur))
+    return _build(path, DiarizationSet.from_rows, rows)
 
 
 def format_rttm(segments: DiarizationSet) -> str:
@@ -96,21 +111,11 @@ def parse_utt_id(utt_id: str) -> tuple:
 def read_transcripts(path) -> TranscriptSet:
     """Read ``<utt_id> <text...>`` lines into a scored transcript set."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            utt_id, _, text = stripped.partition(" ")
-            try:
-                speaker, session, start, end = parse_utt_id(utt_id)
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((session, speaker, start, end, text))
-    try:
-        return TranscriptSet.from_rows(rows)
-    except ParameterError as exc:
-        raise DataError(f"{path}: {exc}") from exc
+    for lineno, line in _records(path):
+        utt_id, _, text = line.partition(" ")
+        speaker, session, start, end = _build(f"{path}:{lineno}", parse_utt_id, utt_id)
+        rows.append((session, speaker, start, end, text))
+    return _build(path, TranscriptSet.from_rows, rows)
 
 
 def read_utterances(path) -> dict:
@@ -119,15 +124,11 @@ def read_utterances(path) -> dict:
     Duplicate ids within one file are an error.
     """
     out: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            utt_id, *tokens = stripped.split()
-            if utt_id in out:
-                raise DataError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
-            out[utt_id] = tuple(tokens)
+    for lineno, line in _records(path):
+        utt_id, *tokens = line.split()
+        if utt_id in out:
+            raise DataError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
+        out[utt_id] = tuple(tokens)
     return out
 
 
@@ -193,43 +194,34 @@ def load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from exc
 
 
-def _mapping(obj, context: str) -> dict:
+def _object(obj, context: str, required=(), optional=()) -> dict:
+    """``obj`` if it is a JSON object that has every ``required`` key and
+    no key outside ``required`` and ``optional``; otherwise a data error
+    naming ``context``."""
     if not isinstance(obj, dict):
         raise DataError(f"{context}: expected an object, got {type(obj).__name__}")
+    allowed = sorted((*required, *optional))
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise DataError(f"{context}: unknown keys {unknown}; allowed keys are {allowed}")
+    for key in required:
+        if key not in obj:
+            raise DataError(f"{context}: missing required key {key!r}")
     return obj
 
 
-def _reject_unknown(d: dict, allowed, context: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise DataError(
-            f"{context}: unknown keys {unknown}; allowed keys are {sorted(allowed)}"
-        )
-
-
 def _path(base: Path, value, context: str, key: str) -> Path:
-    """``value`` resolved against ``base``; a value that is not a string is
-    a data error naming ``key``."""
-    if not isinstance(value, str):
-        raise DataError(f"{context}: {key} must be a path string, got {value!r}")
+    """``value`` resolved against ``base``; a value that is not a string, or
+    holds a NUL that no file name can, is a data error naming ``key``."""
+    if not isinstance(value, str) or "\0" in value:
+        raise DataError(f"{context}: {key} must be a path string without NUL, got {value!r}")
     return base / value
-
-
-def _build(cls, kwargs: dict, context: str):
-    try:
-        return cls(**kwargs)
-    except FarfieldError as exc:
-        raise DataError(f"{context}: {exc}") from exc
-
-
-def _field_names(cls) -> tuple:
-    return tuple(f.name for f in fields(cls))
 
 
 def _parse_fields(cls, obj, context: str):
@@ -238,17 +230,16 @@ def _parse_fields(cls, obj, context: str):
     Keys that name no field are rejected, and so is a missing key for a
     field without a default; both errors name ``context``.
     """
-    d = _mapping(obj, context)
-    _reject_unknown(d, _field_names(cls), context)
-    for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING and f.name not in d:
-            raise DataError(f"{context}: missing required key {f.name!r}")
-    return _build(cls, d, context)
+    required = [
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    ]
+    optional = [f.name for f in fields(cls) if f.name not in required]
+    return _build(context, cls, **_object(obj, context, required, optional))
 
 
 # GssConfig fields at the top level of the JSON layout; the rest sit under "gss"
 _GSS_TOP_LEVEL = ("seed", "wpe")
-_GSS_NESTED = tuple(n for n in _field_names(GssConfig) if n not in _GSS_TOP_LEVEL)
+_GSS_NESTED = tuple(f.name for f in fields(GssConfig) if f.name not in _GSS_TOP_LEVEL)
 
 
 def describe_config(cfg: GssConfig) -> dict:
@@ -269,18 +260,12 @@ def parse_pipeline_config(obj, context: str = "config") -> GssConfig:
 
     Every key is optional and defaults to the :class:`GssConfig` field.
     """
-    d = _mapping(obj, context)
-    _reject_unknown(d, _GSS_TOP_LEVEL + ("gss",), context)
+    d = _object(obj, context, optional=(*_GSS_TOP_LEVEL, "gss"))
     wpe_cfg = d.get("wpe", {})
     if wpe_cfg is not None:
         wpe_cfg = _parse_fields(WpeConfig, wpe_cfg, f"{context}.wpe")
-    gss_part = _mapping(d.get("gss", {}), f"{context}.gss")
-    _reject_unknown(gss_part, _GSS_NESTED, f"{context}.gss")
-    return _build(
-        GssConfig,
-        {"wpe": wpe_cfg, "seed": d.get("seed", 0), **gss_part},
-        context,
-    )
+    gss_part = _object(d.get("gss", {}), f"{context}.gss", optional=_GSS_NESTED)
+    return _build(context, GssConfig, wpe=wpe_cfg, seed=d.get("seed", 0), **gss_part)
 
 
 def load_pipeline_config(path) -> GssConfig:
@@ -320,27 +305,19 @@ def parse_manifests(path) -> list:
     out = []
     for i, item in enumerate(data):
         context = f"{path}[{i}]"
-        d = _mapping(item, context)
-        _reject_unknown(d, ("session", "wavs", "rttm", "out_dir"), context)
-        for key in ("session", "wavs", "rttm"):
-            if key not in d:
-                raise DataError(f"{context}: missing required key {key!r}")
+        d = _object(item, context, ("session", "wavs", "rttm"), ("out_dir",))
         wavs = d["wavs"]
         if not isinstance(wavs, list):
             raise DataError(f"{context}: wavs must be a list of paths, got {wavs!r}")
         out_dir = _path(base, d["out_dir"], context, "out_dir") if "out_dir" in d else None
         out.append(
             _build(
-                SessionManifest,
-                {
-                    "session": d["session"],
-                    "wav_paths": tuple(
-                        _path(base, p, context, f"wavs[{j}]") for j, p in enumerate(wavs)
-                    ),
-                    "rttm_path": _path(base, d["rttm"], context, "rttm"),
-                    "out_dir": out_dir,
-                },
                 context,
+                SessionManifest,
+                session=d["session"],
+                wav_paths=tuple(_path(base, p, context, f"wavs[{j}]") for j, p in enumerate(wavs)),
+                rttm_path=_path(base, d["rttm"], context, "rttm"),
+                out_dir=out_dir,
             )
         )
     return out
@@ -359,42 +336,31 @@ def load_plan(path) -> MixturePlan:
     absent together with ``snr_db`` for a noise-free mixture.
     """
     context = str(path)
-    d = _mapping(load_json(path), context)
-    _reject_unknown(d, ("session", "seed", "snr_db", "noise", "sources"), context)
-    if "sources" not in d or not d["sources"]:
+    d = _object(
+        load_json(path), context, optional=("session", "seed", "snr_db", "noise", "sources")
+    )
+    items = d.get("sources", [])
+    if not isinstance(items, list):
+        raise DataError(f"{context}: sources must be a list of sources, got {items!r}")
+    if not items:
         raise DataError(f"{context}: missing or empty 'sources'")
     base = Path(path).resolve().parent
     sources = []
-    for i, item in enumerate(d["sources"]):
+    for i, item in enumerate(items):
         sctx = f"{context}.sources[{i}]"
-        s = _mapping(item, sctx)
-        _reject_unknown(s, ("speaker", "wav", "onset_s"), sctx)
-        for key in ("speaker", "wav"):
-            if key not in s:
-                raise DataError(f"{sctx}: missing required key {key!r}")
-        sources.append(
-            _build(
-                PlannedSource,
-                {
-                    "speaker": s["speaker"],
-                    "audio": read_wav(_path(base, s["wav"], sctx, "wav")),
-                    "onset_s": s.get("onset_s", 0.0),
-                },
-                sctx,
-            )
-        )
+        s = _object(item, sctx, ("speaker", "wav"), ("onset_s",))
+        audio = read_wav(_path(base, s["wav"], sctx, "wav"))
+        sources.append(_build(sctx, PlannedSource, s["speaker"], audio, s.get("onset_s", 0.0)))
     noise_spec = d.get("noise")
     noise: WaveformBuffer | None = None
     if noise_spec not in (None, "gaussian"):
         noise = read_wav(_path(base, noise_spec, context, "noise"))
     return _build(
-        MixturePlan,
-        {
-            "sources": tuple(sources),
-            "snr_db": d.get("snr_db"),
-            "noise": noise,
-            "seed": d.get("seed", 0),
-            "session": d.get("session", "sim0"),
-        },
         context,
+        MixturePlan,
+        sources=tuple(sources),
+        snr_db=d.get("snr_db"),
+        noise=noise,
+        seed=d.get("seed", 0),
+        session=d.get("session", "sim0"),
     )

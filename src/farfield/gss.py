@@ -34,7 +34,7 @@ from .signal import (
     istft,
     stft,
 )
-from .wpe import WpeConfig, wpe
+from .wpe import WpeConfig, min_frames, wpe
 
 log = logging.getLogger(__name__)
 
@@ -626,8 +626,9 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
     DataError
         The recording has fewer than 2 channels (the mixture model
         separates by direction and one channel has none), a NaN or
-        infinite sample, named by channel and sample index, or a segment
-        outside the recording.
+        infinite sample, named by channel and sample index, a segment
+        outside the recording, or a context window with fewer frames than
+        WPE needs, named by its first target.
     """
     if wav.channels < 2:
         raise DataError(
@@ -639,10 +640,19 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
     # (lo, hi) sample bounds -> (window start s, window end s, target indices);
     # the activity pattern depends only on the window, so the bounds are the key
     windows: dict = {}
-    for i, (_, start_s, end_s) in enumerate(todo):
+    # checked while planning, so a window too short for WPE costs no work
+    need = 0 if cfg.wpe is None else min_frames(cfg.wpe, wav.channels)
+    for i, (speaker, start_s, end_s) in enumerate(todo):
         win_start = max(0.0, start_s - cfg.context_s)
         win_end = min(wav.n_samples / rate, end_s + cfg.context_s)
         key = (int(round(win_start * rate)), int(round(win_end * rate)))
+        frames = _STFT.n_frames(key[1] - key[0])
+        if frames < need:  # the window's first target comes first in todo
+            raise DataError(
+                f"segment {speaker} [{start_s}, {end_s}]: its context window has "
+                f"{frames} frames, fewer than the {need} that WPE needs with "
+                f"taps={cfg.wpe.taps}, delay={cfg.wpe.delay}, channels={wav.channels}"
+            )
         windows.setdefault(key, (win_start, win_end, []))[2].append(i)
 
     pieces = [None] * len(todo)

@@ -134,6 +134,11 @@ class StftParams:
     def edge_padding(self) -> int:
         return self.frame_length - self.frame_shift
 
+    def n_frames(self, n_samples: int) -> int:
+        """Frames :func:`stft` cuts from ``n_samples`` samples."""
+        n_padded = n_samples + 2 * self.edge_padding
+        return int(math.ceil((n_padded - self.frame_length) / self.frame_shift)) + 1
+
     def _cola_deviation(self) -> float:
         w = self.analysis_window
         sums = np.array(
@@ -199,7 +204,7 @@ def stft(wav: WaveformBuffer, p: StftParams) -> ComplexSpectrogram:
     pad = p.edge_padding
     x = np.pad(wav.samples, ((0, 0), (pad, pad)), mode="reflect")
     n_padded = x.shape[1]
-    n_frames = int(math.ceil((n_padded - p.frame_length) / p.frame_shift)) + 1
+    n_frames = p.n_frames(wav.n_samples)
     full = (n_frames - 1) * p.frame_shift + p.frame_length
     if full > n_padded:
         x = np.pad(x, ((0, 0), (0, full - n_padded)))

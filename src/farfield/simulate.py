@@ -28,10 +28,20 @@ _SEG_THRESHOLD = 10.0 ** (-40.0 / 20.0)  # -40 dBFS frame RMS
 _SEG_MERGE_GAP_S = 0.3
 
 
+def _vector(name: str, value) -> np.ndarray:
+    """``value`` as a float64 3-vector: it must hold three finite real
+    numbers, so a scalar, a string, a bool or a NaN raises
+    :class:`ParameterError` here and not deep in the simulation."""
+    items = np.asarray(value, dtype=object).reshape(-1)
+    if items.shape != (3,):
+        raise ParameterError(f"{name} must be a 3-vector, got shape {items.shape}")
+    for i, v in enumerate(items):
+        check_finite(f"{name}[{i}]", v)
+    return items.astype(np.float64)
+
+
 def _check_inside(name: str, pos, dims) -> np.ndarray:
-    p = np.asarray(pos, dtype=np.float64).reshape(-1)
-    if p.shape != (3,):
-        raise ParameterError(f"{name} must be a 3-vector, got shape {p.shape}")
+    p = _vector(name, pos)
     if np.any(p <= 0.0) or np.any(p >= dims):
         raise ParameterError(f"{name} = {p.tolist()} is not strictly inside the room")
     return p
@@ -61,11 +71,9 @@ class RoomSpec:
     speed_of_sound: float = 343.0
 
     def __post_init__(self):
-        dims = np.asarray(self.dimensions, dtype=np.float64).reshape(-1)
-        if dims.shape != (3,) or not np.all((dims > 0.0) & np.isfinite(dims)):
-            raise ParameterError(
-                f"dimensions must be 3 finite positive lengths, got {self.dimensions}"
-            )
+        dims = _vector("dimensions", self.dimensions)
+        if not np.all(dims > 0.0):
+            raise ParameterError(f"dimensions must be 3 positive lengths, got {self.dimensions}")
         check_finite("absorption", self.absorption)
         if not 0.0 < self.absorption <= 1.0:
             raise ParameterError(f"absorption must lie in (0, 1], got {self.absorption}")
@@ -74,21 +82,17 @@ class RoomSpec:
         check_finite("speed_of_sound", self.speed_of_sound)
         if not self.speed_of_sound > 0:
             raise ParameterError(f"speed_of_sound must be > 0, got {self.speed_of_sound}")
-        if not self.source_positions:
-            raise ParameterError("source_positions must not be empty")
-        if not self.mic_positions:
-            raise ParameterError("mic_positions must not be empty")
-        srcs = tuple(
-            tuple(_check_inside(f"source_positions[{i}]", p, dims))
-            for i, p in enumerate(self.source_positions)
-        )
-        mics = tuple(
-            tuple(_check_inside(f"mic_positions[{i}]", p, dims))
-            for i, p in enumerate(self.mic_positions)
-        )
         object.__setattr__(self, "dimensions", tuple(dims))
-        object.__setattr__(self, "source_positions", srcs)
-        object.__setattr__(self, "mic_positions", mics)
+        for name in ("source_positions", "mic_positions"):
+            positions = getattr(self, name)
+            if not isinstance(positions, (list, tuple)) or not positions:
+                raise ParameterError(
+                    f"{name} must be a non-empty list of 3-vectors, got {positions!r}"
+                )
+            checked = tuple(
+                tuple(_check_inside(f"{name}[{i}]", p, dims)) for i, p in enumerate(positions)
+            )
+            object.__setattr__(self, name, checked)
         object.__setattr__(self, "sample_rate_hz", int(self.sample_rate_hz))
 
 

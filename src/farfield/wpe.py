@@ -50,6 +50,12 @@ class WpeConfig:
             check_int(name, getattr(self, name), 1)
 
 
+def min_frames(cfg: WpeConfig, channels: int) -> int:
+    """Fewest frames :func:`wpe` estimates filters from: frames - delay >=
+    channels * taps, and frames > delay + taps."""
+    return cfg.delay + max(channels * cfg.taps, cfg.taps + 1)
+
+
 def frame_powers(spec: ComplexSpectrogram) -> np.ndarray:
     """Channel-averaged magnitude-squared per bin, floored at 1e-10.
 
@@ -162,15 +168,13 @@ def wpe(spec: ComplexSpectrogram, cfg: WpeConfig = WpeConfig()) -> ComplexSpectr
     Raises
     ------
     ParameterError
-        Too few frames to estimate filters (needs frames - delay >=
-        channels * taps and frames > delay + taps).
+        Fewer frames than :func:`min_frames`.
     NumericalError
         A correlation matrix stayed singular after the retry; the message
         names the frequency bin, the lowest if several bins fail.
     """
     n_frames, n_bins, n_ch = spec.values.shape
-    ck = n_ch * cfg.taps
-    if n_frames <= cfg.delay + cfg.taps or n_frames - cfg.delay < ck:
+    if n_frames < min_frames(cfg, n_ch):
         raise ParameterError(
             f"{n_frames} frames are too few for taps={cfg.taps}, delay={cfg.delay}, "
             f"channels={n_ch}"

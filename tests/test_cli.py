@@ -209,6 +209,42 @@ def test_simulate_plan_and_room_mismatch_is_a_data_error(
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize(
+    "target, key, value, message",
+    [
+        ("plan", "sources", 5, "sources must be a list of sources, got 5"),
+        ("plan", "sources", True, "sources must be a list of sources, got True"),
+        ("plan", "sources", 1.5, "sources must be a list of sources, got 1.5"),
+        ("source", "wav", "s\x00.wav", "wav must be a path string without NUL"),
+        ("room", "source_positions", 5, "source_positions must be a non-empty list"),
+        ("room", "mic_positions", True, "mic_positions must be a non-empty list"),
+        ("room", "dimensions", "abc", "dimensions must be a 3-vector"),
+        ("room", "source_positions", {"a": 1}, "source_positions must be a non-empty list"),
+        (
+            "room",
+            "mic_positions",
+            [[2.9, float("nan"), 1.4], [3.1, 2.6, 1.4]],
+            "mic_positions[0][1] must be a finite number, got nan",
+        ),
+    ],
+    ids=[
+        "sources-int", "sources-bool", "sources-float", "wav-nul", "sources-positions-int",
+        "mic-positions-bool", "dimensions-string", "source-positions-object", "nan-coordinate",
+    ],
+)
+def test_simulate_malformed_plan_and_room_are_data_errors(
+    workspace, tmp_path, capsys, target, key, value, message
+):
+    def edit(plan, room, _):
+        {"source": plan["sources"][1], "plan": plan, "room": room}[target][key] = value
+
+    assert _simulate_edited(workspace, tmp_path, edit) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / ("room.json" if target == "room" else "plan.json")) in err
+    assert message in err
+    assert not (tmp_path / "sim").exists()
+
+
 # ------------------------------------------------------------- enhance
 
 
@@ -353,6 +389,43 @@ def test_enhance_rejects_wrongly_typed_manifest_values(
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "enh").exists()
+
+
+@pytest.mark.parametrize("key", ["wavs", "rttm", "out_dir"])
+def test_enhance_rejects_a_nul_in_a_manifest_path(workspace, tmp_path, capsys, key):
+    manifest = {
+        "session": "mtg",
+        "wavs": [str(workspace / "sim" / "mixture.wav")],
+        "rttm": str(workspace / "sim" / "reference.rttm"),
+        "out_dir": str(tmp_path / "enh"),
+    }
+    manifest[key] = ["mix\x00.wav"] if key == "wavs" else str(tmp_path / "x\x00")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    rc = main(["enhance", str(tmp_path / "manifest.json"),
+               "--config", str(workspace / "cfg.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "manifest.json[0]: " in err and "must be a path string without NUL" in err
+    assert not (tmp_path / "enh").exists()
+
+
+def test_enhance_context_window_too_short_for_wpe_is_a_data_error(workspace, tmp_path, capsys):
+    # 0.1 s with no context is 16 frames; the default WPE on 2 mics needs 23
+    (tmp_path / "cfg.json").write_text(json.dumps({"gss": {"context_s": 0.0}}))
+    (tmp_path / "ref.rttm").write_text(
+        "SPEAKER mtg 1 0.100 1.000 <NA> <NA> ann <NA> <NA>\n"
+        "SPEAKER mtg 1 1.500 0.100 <NA> <NA> bob <NA> <NA>\n"
+    )
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "session": "mtg", "wavs": [str(workspace / "sim" / "mixture.wav")], "rttm": "ref.rttm"
+    }))
+    rc = main(["enhance", str(tmp_path / "manifest.json"),
+               "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "session mtg: segment bob [1.5, 1.6]: " in err
+    assert "16 frames, fewer than the 23 that WPE needs" in err
+    assert not (tmp_path / "out" / "mtg" / "index.json").exists()
 
 
 def test_enhance_rejects_a_removed_config_key(workspace, tmp_path, capsys):

@@ -486,3 +486,83 @@ def test_load_plan_rejections(tmp_path):
     path.write_text('{"sources": [{"speaker": "a", "wav": "a.wav", "gain": 1}]}')
     with pytest.raises(DataError, match="unknown keys"):
         load_plan(path)
+
+
+@pytest.mark.parametrize(
+    "plan, message",
+    [
+        ({"sources": 5}, "sources must be a list of sources, got 5"),
+        ({"sources": True}, "sources must be a list of sources, got True"),
+        ({"sources": 1.5}, "sources must be a list of sources, got 1.5"),
+        ({"sources": None}, "sources must be a list of sources, got None"),
+        ({"sources": "a.wav"}, "sources must be a list of sources, got 'a.wav'"),
+        ({}, "missing or empty 'sources'"),
+    ],
+    ids=["int", "bool", "float", "null", "string", "missing"],
+)
+def test_load_plan_sources_must_be_a_non_empty_list(tmp_path, plan, message):
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    with pytest.raises(DataError) as info:
+        load_plan(path)
+    assert str(info.value) == f"{path}: {message}"
+
+
+def test_readers_reject_a_nul_in_a_path_naming_the_key(tmp_path):
+    write_wav(tmp_path / "a.wav", WaveformBuffer(np.full(800, 0.1), FS))
+    plan = {"snr_db": 10.0, "sources": [{"speaker": "a", "wav": "a.wav"}]}
+    manifest = {"session": "m", "wavs": ["x.wav"], "rttm": "x.rttm", "out_dir": "out"}
+    cases = [
+        (load_plan, {**plan, "sources": [{"speaker": "a", "wav": "s\x00.wav"}]}, "wav"),
+        (load_plan, {**plan, "noise": "n\x00.wav"}, "noise"),
+        (parse_manifests, {**manifest, "wavs": ["x.wav", "s\x00.wav"]}, r"wavs\[1\]"),
+        (parse_manifests, {**manifest, "rttm": "\x00"}, "rttm"),
+        (parse_manifests, {**manifest, "out_dir": "o\x00"}, "out_dir"),
+    ]
+    path = tmp_path / "doc.json"
+    for read, doc, key in cases:
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=rf"doc\.json.*: {key} must be a path string without"):
+            read(path)
+
+
+_ROOM = {
+    "dimensions": [6.0, 5.0, 3.0], "absorption": 0.5, "max_order": 1,
+    "sample_rate_hz": 16000, "source_positions": [[1.8, 3.6, 1.6]],
+    "mic_positions": [[2.95, 2.45, 1.4], [3.05, 2.55, 1.4]],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("source_positions", 5, "source_positions must be a non-empty list of 3-vectors"),
+        ("mic_positions", True, "mic_positions must be a non-empty list of 3-vectors"),
+        ("dimensions", "abc", "dimensions must be a 3-vector"),
+        ("source_positions", {"a": 1}, "source_positions must be a non-empty list"),
+        ("source_positions", [[1.8, float("nan"), 1.6]], r"source_positions\[0\]\[1\]"),
+        ("mic_positions", [[2.95, 2.45, 1.4], [3.05, "2.55", 1.4]], r"mic_positions\[1\]\[1\]"),
+        ("dimensions", [6.0, 10**400, 3.0], r"dimensions\[1\] must be a finite number"),
+        ("absorption", -(10**400), "absorption must be a finite number"),
+    ],
+    ids=[
+        "sources-int", "mics-bool", "dims-string", "sources-object", "nan-coordinate",
+        "string-coordinate", "huge-dimension", "huge-absorption",
+    ],
+)
+def test_load_room_rejects_malformed_geometry(tmp_path, key, value, message):
+    path = tmp_path / "room.json"
+    path.write_text(json.dumps({**_ROOM, key: value}))
+    with pytest.raises(DataError, match=rf"room\.json: {message}"):
+        load_room(path)
+
+
+@pytest.mark.parametrize(
+    "read, suffix", [(read_rttm, "rttm"), (read_transcripts, "trn"), (read_utterances, "txt"),
+                     (load_json, "json")],
+)
+def test_readers_reject_text_that_is_not_utf8(tmp_path, read, suffix):
+    path = tmp_path / f"bin.{suffix}"
+    path.write_bytes(b"SPEAKER \xff\xfe\n")
+    with pytest.raises(DataError, match=rf"bin\.{suffix}: .*utf-8"):
+        read(path)

@@ -477,6 +477,23 @@ def test_gss_enhance_rejects_non_finite_input(value):
         gss_enhance(WaveformBuffer(samples, FS), _toy_segments(), cfg)
 
 
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ([("s", "a", 0.1, 0.3), ("s", "b", 0.5, 0.9)], r"segment a \[0\.1, 0\.3\]"),
+        ([("s", "a", 0.1, 0.5), ("s", "b", 0.7, 0.9)], r"segment b \[0\.7, 0\.9\]"),
+    ],
+    ids=["first-window", "later-window"],
+)
+def test_gss_enhance_rejects_a_context_window_too_short_for_wpe(monkeypatch, rows, named):
+    # 0.2 s is 28 frames; WPE with taps 10, delay 3 on 4 mics needs 43
+    wav = WaveformBuffer(np.random.default_rng(0).normal(size=(4, FS)), FS)
+    calls = _count_calls(monkeypatch, "stft")
+    with pytest.raises(DataError, match=named + ": .* 28 frames, fewer than the 43 "):
+        gss_enhance(wav, DiarizationSet.from_rows(rows), GssConfig(context_s=0.0))
+    assert calls == []  # rejected before any window is analysed
+
+
 def test_gss_enhance_is_deterministic():
     meeting = _toy_meeting(1)
     cfg = GssConfig(wpe=None, em_iterations=8, seed=42)

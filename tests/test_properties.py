@@ -4,12 +4,16 @@ Examples are drawn from a fixed seed (``derandomize=True``) and their
 number is bounded, so every run checks the same cases in a few seconds.
 """
 
+import copy
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farfield import (
+    DataError,
     DiarizationSet,
     ParameterError,
     StftParams,
@@ -18,10 +22,15 @@ from farfield import (
     format_rttm,
     format_utterances,
     istft,
+    load_pipeline_config,
+    load_plan,
+    load_room,
+    parse_manifests,
     read_rttm,
     read_utterances,
     rover,
     stft,
+    write_wav,
 )
 
 FS = 16000
@@ -163,3 +172,111 @@ def test_utterances_round_trip(utts, tmp_path_factory):
 def test_rover_unanimous_copies_fuse_to_the_hypothesis(hyp, copies, alpha):
     tokens = tuple(item if isinstance(item, str) else item[0] for item in hyp)
     assert rover([hyp] * copies, alpha=alpha) == tokens
+
+
+# ----------------------------------------------------- input documents
+
+# one valid document per JSON reader; the plan's wav files are written by
+# the reader_dir fixture
+READERS = {
+    "config": (
+        load_pipeline_config,
+        {"seed": 3, "wpe": {"taps": 4, "delay": 2, "iterations": 1},
+         "gss": {"em_iterations": 5, "context_s": 1.0}},
+    ),
+    "manifest": (
+        parse_manifests,
+        {"session": "m", "wavs": ["a.wav", "n.wav"], "rttm": "m.rttm", "out_dir": "out"},
+    ),
+    "plan": (
+        load_plan,
+        {"session": "mtg", "seed": 1, "snr_db": 20.0, "noise": "n.wav",
+         "sources": [{"speaker": "a", "wav": "a.wav", "onset_s": 0.25}]},
+    ),
+    "room": (
+        load_room,
+        {"dimensions": [6.0, 5.0, 3.0], "absorption": 0.5, "max_order": 1,
+         "sample_rate_hz": FS, "source_positions": [[1.8, 3.6, 1.6]],
+         "mic_positions": [[2.95, 2.45, 1.4], [3.05, 2.55, 1.4]], "speed_of_sound": 343.0},
+    ),
+}
+
+
+def _key_paths(node, prefix=()):
+    """Key and index paths to every value inside a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+TARGETS = [(name, path) for name, (_, doc) in READERS.items() for path in _key_paths(doc)]
+_DROP = object()
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**63, -(2**64), 10**400])
+    | st.floats()
+    | st.text(alphabet="a.w/ \t\n\x00", max_size=6),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def reader_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("readers")
+    write_wav(root / "a.wav", WaveformBuffer(np.full(800, 0.1), FS))
+    write_wav(root / "n.wav", WaveformBuffer(np.full(4000, 0.1), FS))
+    return root
+
+
+def _read_edited(root, name, path, value):
+    """Read the valid ``name`` document with the value at ``path`` replaced
+    by ``value``, or deleted for ``_DROP``: the reader either returns or
+    raises a data error or OSError, and no other exception."""
+    read, doc = READERS[name]
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    file = root / f"{name}.json"
+    file.write_text(json.dumps(doc))
+    try:
+        read(file)
+    except (DataError, OSError):
+        pass
+
+
+# the shapes of input that once escaped the readers as TypeError or ValueError
+@example(target=("plan", ("sources",)), value=5)
+@example(target=("plan", ("sources", 0, "wav")), value="s\x00.wav")
+@example(target=("room", ("source_positions",)), value=5)
+@example(target=("room", ("mic_positions",)), value=True)
+@example(target=("room", ("dimensions",)), value="abc")
+@example(target=("room", ("source_positions",)), value={"a": 1})
+@example(target=("room", ("source_positions", 0, 1)), value=float("nan"))
+@example(target=("room", ("absorption",)), value=10**400)
+@settings(PROPERTY, max_examples=500)
+@given(target=st.sampled_from(TARGETS), value=json_values)
+def test_readers_raise_only_data_errors_on_any_replaced_value(reader_dir, target, value):
+    _read_edited(reader_dir, *target, value)
+
+
+@pytest.mark.parametrize("target", TARGETS, ids=lambda t: "-".join(map(str, (t[0], *t[1]))))
+def test_readers_raise_only_data_errors_on_a_dropped_key(reader_dir, target):
+    _read_edited(reader_dir, *target, _DROP)

@@ -63,11 +63,44 @@ def test_room_spec_validation():
         ("sample_rate_hz", 16000.7),
         ("speed_of_sound", math.inf),
         ("dimensions", (4.0, math.nan, 6.0)),
+        ("dimensions", (4.0, 10**400, 6.0)),
+        ("source_positions", ((1.0, math.nan, 3.0),)),
+        ("mic_positions", ((2.5, 2.2, -math.inf),)),
     ],
 )
 def test_room_spec_rejects_truncated_or_non_finite_values(field, value):
     with pytest.raises(ParameterError, match=field):
         _room(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("source_positions", 5),
+        ("mic_positions", True),
+        ("source_positions", {"a": 1}),
+        ("mic_positions", "abc"),
+        ("dimensions", "abc"),
+        ("dimensions", 5.0),
+        ("dimensions", (4.0, "5", 6.0)),
+        ("dimensions", (4.0, None, 6.0)),
+        ("source_positions", ((1.0, True, 3.0),)),
+        ("mic_positions", ((2.5, [2.2], 1.4, 1.0),)),
+    ],
+)
+def test_room_spec_rejects_non_numeric_or_scalar_geometry(field, value):
+    with pytest.raises(ParameterError, match=field):
+        _room(**{field: value})
+
+
+def test_room_spec_stores_geometry_as_its_float64_values():
+    room = _room(
+        dimensions=[4, np.float32(5.1), 6.0],
+        source_positions=[np.array([1.0, 2.0, 3.0]), (0.1 + 0.2, 1, np.float32(2.7))],
+    )
+    assert room.dimensions == tuple(np.asarray([4, np.float32(5.1), 6.0], dtype=np.float64))
+    assert room.source_positions == ((1.0, 2.0, 3.0), (0.1 + 0.2, 1.0, float(np.float32(2.7))))
+    assert all(type(v) is np.float64 for p in room.source_positions for v in p)
 
 
 def test_room_spec_positions_must_be_strictly_inside():

@@ -18,6 +18,7 @@ from farfield import (
     wpe,
     wpe_objective,
 )
+from farfield.wpe import min_frames
 
 FS = 16000
 
@@ -274,6 +275,18 @@ def test_rejects_too_short_input():
     spec = _random_spec(4, frames=12, channels=3)
     with pytest.raises(ParameterError):
         wpe(spec, WpeConfig(taps=10, delay=3))
+
+
+@pytest.mark.parametrize(
+    "taps, delay, channels, expected",
+    [(10, 3, 3, 33), (3, 2, 1, 6), (1, 1, 1, 3), (2, 4, 4, 12)],
+)
+def test_min_frames_is_the_shortest_input_wpe_takes(taps, delay, channels, expected):
+    cfg = WpeConfig(taps=taps, delay=delay, iterations=1)
+    assert min_frames(cfg, channels) == expected
+    wpe(_random_spec(4, frames=expected, channels=channels), cfg)
+    with pytest.raises(ParameterError, match=f"{expected - 1} frames are too few"):
+        wpe(_random_spec(4, frames=expected - 1, channels=channels), cfg)
 
 
 def test_preserves_shape_and_metadata():
