@@ -2,7 +2,7 @@
 
 Verbs::
 
-    farfield enhance <manifest.json> [--config cfg.json] [--seed N] [--jobs N] [--out DIR]
+    farfield enhance <manifest.json> [--config cfg.json] [--seed N] [--out DIR]
     farfield simulate <plan.json> <room.json> --out DIR [--seed N]
     farfield score --mode {cpcer,der} <ref> <hyp> [--collar S] [--no-score-overlap]
     farfield rover <hyp.txt>... [--alpha A] [--out FILE]
@@ -19,7 +19,6 @@ import argparse
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -100,10 +99,8 @@ def _enhance_session(manifest, cfg, out_root: Path) -> dict:
     wav = _read_session_audio(manifest)
     segments = formats.read_rttm(manifest.rttm_path).for_session(manifest.session)
     for speaker in sorted({s.speaker for s in segments.segments}):
-        try:
-            check_file_name("speaker", speaker)  # names an output directory
-        except ParameterError as exc:
-            raise DataError(f"{manifest.rttm_path}: {exc}") from exc
+        # names an output directory
+        formats._build(manifest.rttm_path, check_file_name, "speaker", speaker)
     session_dir = out_root / manifest.session
     outputs = []
     if not segments.segments:
@@ -140,13 +137,11 @@ def _enhance_session(manifest, cfg, out_root: Path) -> dict:
 
 
 def cmd_enhance(args) -> int:
-    if args.jobs < 1:
-        raise ParameterError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = formats.load_pipeline_config(args.config) if args.config else GssConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     manifests = formats.parse_manifests(args.manifest)
-    jobs = []
+    planned = []
     session_dirs = set()
     for m in manifests:
         out_root = Path(args.out) if args.out else m.out_dir
@@ -159,29 +154,17 @@ def cmd_enhance(args) -> int:
         if session_dir in session_dirs:
             raise DataError(f"session {m.session}: listed twice for the output {session_dir}")
         session_dirs.add(session_dir)
-        jobs.append((m, out_root))
+        planned.append((m, out_root))
     failures = []
-
-    def run(job):
-        m, out_root = job
+    for m, out_root in planned:
         try:
             index = _enhance_session(m, cfg, out_root)
-            return (m.session, len(index["outputs"]), None)
-        except Exception as exc:  # collected per session, reported below
-            return (m.session, 0, exc)
-
-    if args.jobs > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    for session, count, exc in results:
-        if exc is None:
-            print(f"session={session} files={count}")
+        except Exception as exc:  # reported now, mapped or re-raised once every session ran
+            failures.append(exc)
+            print(f"error: session {m.session}: {exc}", file=sys.stderr)
         else:
-            failures.append((session, exc))
-            print(f"error: session {session}: {exc}", file=sys.stderr)
-    return max((_exit_code(exc) for _, exc in failures), default=0)
+            print(f"session={m.session} files={len(index['outputs'])}")
+    return max((_exit_code(exc) for exc in failures), default=0)
 
 
 # ------------------------------------------------------------ simulate
@@ -191,10 +174,8 @@ def cmd_simulate(args) -> int:
     room = formats.load_room(args.room)
     if args.seed is not None:
         plan = replace(plan, seed=args.seed)
-    try:
-        result = make_meeting(plan, room)
-    except ParameterError as exc:  # the plan and room disagree
-        raise DataError(f"{args.plan}, {args.room}: {exc}") from exc
+    # the plan and room may disagree
+    result = formats._build(f"{args.plan}, {args.room}", make_meeting, plan, room)
     out = Path(args.out)
     _write_wav_atomic(out / "mixture.wav", result.mixture)
     for speaker in sorted(result.images):
@@ -352,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest", help="session manifest JSON (object or list)")
     p.add_argument("--config", help="pipeline config JSON")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sessions")
     p.add_argument("--out", help="output root (overrides manifest out_dir)")
     p.set_defaults(func=cmd_enhance)
 

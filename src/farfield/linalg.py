@@ -91,10 +91,10 @@ class _OneBlasThread(contextlib.ContextDecorator):
     """Holds BLAS at one thread while any thread is inside the context
     (or a function it decorates).
 
-    The count is process-wide and ``enhance --jobs`` runs sessions in
-    threads, so entries nest under a lock: the first saves the count and
-    sets 1, the last restores it. Without the thread-count functions it
-    does nothing.
+    The count is process-wide and a library caller may run
+    ``gss_enhance`` from several threads, so entries nest under a lock:
+    the first saves the count and sets 1, the last restores it. Without
+    the thread-count functions it does nothing.
     """
 
     def __init__(self):

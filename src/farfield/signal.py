@@ -223,7 +223,8 @@ def stft(wav: WaveformBuffer, p: StftParams) -> ComplexSpectrogram:
 def istft(spec: ComplexSpectrogram, target_length: int) -> WaveformBuffer:
     """Overlap-add synthesis with ``spec.params``, inverse of :func:`stft`.
 
-    DC and Nyquist bins are forced real before Hermitian reconstruction.
+    The imaginary parts of the DC bin and, for an even ``fft_size``, the
+    Nyquist bin do not reach the output: Hermitian reconstruction drops them.
     Synthesis is rectangular: the frames are overlap-added as they are,
     the sum is divided by the overlap sum of the Hann analysis window and
     the analysis edge padding is cut off, then the output is truncated or
@@ -236,13 +237,7 @@ def istft(spec: ComplexSpectrogram, target_length: int) -> WaveformBuffer:
     """
     check_int("target_length", target_length, 1)
     p = spec.params
-
-    vals = np.array(spec.values, dtype=np.complex128)
-    vals[:, 0, :] = vals[:, 0, :].real
-    if p.fft_size % 2 == 0:
-        vals[:, -1, :] = vals[:, -1, :].real
-
-    frames_td = np.fft.irfft(vals, n=p.fft_size, axis=1)[:, : p.frame_length, :]
+    frames_td = np.fft.irfft(spec.values, n=p.fft_size, axis=1)[:, : p.frame_length, :]
     n_frames, _, n_ch = frames_td.shape
     hop = p.frame_shift
     k = -(-p.frame_length // hop)

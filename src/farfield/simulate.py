@@ -26,6 +26,10 @@ _SEG_WIN_S = 0.025
 _SEG_HOP_S = 0.010
 _SEG_THRESHOLD = 10.0 ** (-40.0 / 20.0)  # -40 dBFS frame RMS
 _SEG_MERGE_GAP_S = 0.3
+# image_sources enumerates 8 (2 max_order + 2)^3 images at once: one RIR of a
+# 6 x 5 x 3 m room at 16 kHz peaks at 81 MiB of numpy arrays (tracemalloc) at
+# order 20 and at 262 MiB at order 30
+_MAX_ORDER = 30
 
 
 def _vector(name: str, value) -> np.ndarray:
@@ -56,7 +60,7 @@ class RoomSpec:
     dimensions : (Lx, Ly, Lz) meters, all positive.
     absorption : wall energy absorption in (0, 1]; the per-bounce
         amplitude factor is (1 - absorption).
-    max_order : highest total reflection count simulated.
+    max_order : highest total reflection count simulated, at most 30.
     sample_rate_hz : output RIR sampling rate.
     source_positions, mic_positions : 3-vectors strictly inside the room.
     speed_of_sound : meters per second.
@@ -78,6 +82,8 @@ class RoomSpec:
         if not 0.0 < self.absorption <= 1.0:
             raise ParameterError(f"absorption must lie in (0, 1], got {self.absorption}")
         check_int("max_order", self.max_order, 0)
+        if self.max_order > _MAX_ORDER:
+            raise ParameterError(f"max_order must be <= {_MAX_ORDER}, got {self.max_order}")
         check_int("sample_rate_hz", self.sample_rate_hz, 1)
         check_finite("speed_of_sound", self.speed_of_sound)
         if not self.speed_of_sound > 0:

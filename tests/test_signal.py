@@ -261,6 +261,22 @@ def test_istft_rejects_bad_target_length(target_length):
         istft(spec, target_length)
 
 
+@pytest.mark.parametrize("fft_size", [16, 17])
+def test_istft_ignores_the_imaginary_parts_of_dc_and_nyquist(fft_size):
+    p = StftParams(16, 4, fft_size)
+    rng = np.random.default_rng(21)
+    shape = (30, p.n_bins, 3)
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    forced = values.copy()
+    forced[:, 0, :] = forced[:, 0, :].real
+    if fft_size % 2 == 0:  # an odd FFT size has no Nyquist bin
+        forced[:, -1, :] = forced[:, -1, :].real
+    assert np.all(values[:, 0, :].imag != 0) and np.all(values[:, -1, :].imag != 0)
+    got = istft(ComplexSpectrogram(values, p, FS), 100).samples
+    want = istft(ComplexSpectrogram(forced, p, FS), 100).samples
+    assert got.tobytes() == want.tobytes()
+
+
 # shifts that divide the frame length, and odd lengths at shift 2, whose
 # last overlap-add block is padded
 _OLA_FRAMINGS = [

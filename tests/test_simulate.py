@@ -57,6 +57,13 @@ def test_room_spec_validation():
         _room(mic_positions=())
 
 
+def test_room_spec_caps_the_image_source_order():
+    assert _room(max_order=30).max_order == 30
+    for order in (31, 10**6):
+        with pytest.raises(ParameterError, match=f"max_order must be <= 30, got {order}"):
+            _room(max_order=order)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
