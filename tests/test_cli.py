@@ -619,6 +619,18 @@ def test_enhance_has_no_jobs_option(workspace, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_enhance_jobs_below_one_is_a_usage_error(workspace, capsys, jobs):
+    out = workspace / f"enh_jobs{jobs}"
+    rc = main(["enhance", str(workspace / "only_mtg.json"),
+               "--config", str(workspace / "cfg.json"), "--out", str(out),
+               f"--jobs={jobs}"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and f"unrecognized arguments: --jobs={jobs}" in err
+    assert not out.exists()
+
+
 def _enhance_failing_sessions(tmp_path, monkeypatch, errors):
     """Run enhance over one session per error; session i raises errors[i]."""
     by_session = {f"s{i}": exc for i, exc in enumerate(errors)}
