@@ -41,6 +41,9 @@ log = logging.getLogger(__name__)
 _TRACE_FLOOR = 1e-10
 _INIT_JITTER = 1e-3
 _WEIGHT_CAP = 1e4
+# a bin's EM stops once its log-likelihood gain is at most this share of
+# its previous value (see _em_block)
+_EM_TOLERANCE = 1e-2
 _STFT = StftParams()  # the framing of every gss_enhance analysis
 # bins x frames of one EM block (see linalg.map_blocks): 129 bins on a
 # 111-frame window, 14 on a 35 s one
@@ -91,8 +94,9 @@ class CacgmmState:
     ``B`` has shape (bins, classes, channels, channels) with finite
     entries, every matrix trace-normalized to the channel count.
     ``log_likelihood_trace`` holds the average log-likelihood recorded at
-    the start of each EM iteration; it is non-decreasing up to the
-    covariance floor.
+    the start of each EM iteration, one entry per iteration up to the
+    cap; a bin whose EM stopped early contributes its last value to the
+    later entries. It is non-decreasing up to the covariance floor.
     """
 
     B: np.ndarray
@@ -308,9 +312,23 @@ def _check_alignment(spec, activity):
         )
 
 
-def _em_block(packed, nonzero, b, act, iterations):
-    """All EM iterations on one block of bins: the final covariances and,
-    per iteration, the block's sum of log-likelihood terms."""
+def _em_block(packed, nonzero, b, act, iterations, masks):
+    """The EM on one block of bins, each bin stopped on its own.
+
+    After every E-step a bin's log-likelihood is the sum, over its
+    nonzero-norm frames, of the log-normalizer plus the log-prior: its
+    log-likelihood ratio against the isotropic model B = I. A bin stops
+    once its latest gain is at most ``_EM_TOLERANCE`` times the absolute
+    previous value, after at least one M-step, or at the E-step after
+    ``iterations`` M-steps. A stopped bin keeps its covariances and the
+    masks of that E-step, written into its columns of ``masks``
+    (classes, frames, bins). The live bins are compacted only when some
+    bin stops.
+
+    Returns the final covariances and the (iterations, bins)
+    log-likelihoods of the first ``iterations`` E-steps, where a bin
+    that stopped carries its last value.
+    """
     n_ch = b.shape[-1]
     eps_b = 1e-10 * n_ch
     eye = np.eye(n_ch)
@@ -318,10 +336,27 @@ def _em_block(packed, nonzero, b, act, iterations):
     # uniform prior over the active classes; zero-norm bins have no
     # direction and no likelihood term
     log_prior = -np.log(act.sum(axis=0).astype(np.float64))
-    sums = []
-    for _ in range(iterations):
+    final_b = np.empty_like(b)
+    lls = np.empty((iterations, b.shape[0]))
+    stats = np.swapaxes(packed, 1, 2)  # the contiguous (F, C * C, T) buffer
+    live = np.arange(b.shape[0])
+    for it in range(iterations + 1):
         gamma, log_norm, quad = _e_step(packed, b, act, nonzero)
-        sums.append(np.sum((log_norm + log_prior)[nonzero]))
+        ll = np.sum(np.where(nonzero, log_norm + log_prior, 0.0), axis=1)
+        lls[it:, live] = ll
+        stop = np.full(live.size, it == iterations)
+        if it:
+            stop |= ll - prev <= _EM_TOLERANCE * np.abs(prev)
+        if np.any(stop):
+            masks[:, :, live[stop]] = gamma[stop].transpose(1, 2, 0)
+            final_b[live[stop]] = b[stop]
+            keep = ~stop
+            if not np.any(keep):
+                break
+            live, b, ll, gamma, quad = live[keep], b[keep], ll[keep], gamma[keep], quad[keep]
+            stats, nonzero = stats[keep], nonzero[keep]
+            packed = np.swapaxes(stats, 1, 2)
+        prev = ll
         gamma *= nonzero[:, None, :]  # zero-norm bins carry no statistics
         denom = gamma.sum(axis=2)  # (F, K)
         gamma /= quad
@@ -335,7 +370,7 @@ def _em_block(packed, nonzero, b, act, iterations):
         new = new * (n_ch / tr)[:, :, None, None] + eps_b * eye
         # never-active classes keep their initial covariance; masks stay zero
         b = np.where(ever_active[None, :, None, None], new, b)
-    return b, sums
+    return final_b, lls
 
 
 def fit_cacgmm(
@@ -354,6 +389,17 @@ def fit_cacgmm(
     statistics, trace-normalizes to the channel count, and adds
     1e-10 * C to the diagonal.
 
+    ``iterations`` is a cap. Each bin stops on its own, once the gain of
+    its log-likelihood over the previous E-step is at most 1e-2 of the
+    previous value's magnitude, after at least one M-step. A bin's
+    log-likelihood is the sum, over its nonzero-norm frames, of the
+    log-normalizer and the log-prior: its log-likelihood ratio against
+    the isotropic model B = I, near 0 while the classes are not yet
+    separated. A stopped bin keeps its covariances and the masks of the
+    E-step that stopped it; a bin that never stops runs ``iterations``
+    M-steps and a final E-step (Dempster, Laird and Rubin, 1977, for the
+    convergence of EM).
+
     The EM runs in real arithmetic, with every per-class array in one
     (bins, classes, frames) layout. The direction statistics z z^H are
     packed once as C * C real numbers per bin: |z_c|^2, then the real
@@ -370,19 +416,19 @@ def fit_cacgmm(
     Bins are independent, so the seeded start is drawn for all bins at
     once and the EM then runs on the blocks of bins that
     :func:`~farfield.linalg.map_blocks` plans. A block builds its own
-    direction statistics, runs every iteration and the final E-step,
-    and writes its bins of the (classes, frames, bins) masks. B and the
-    masks are the same bits for any block size and worker count. Each
-    trace entry is the blocks' sums of log-likelihood terms, added in
-    bin order, over the count of nonzero-norm bins; its last bits may
-    depend on the blocks, and a sum of non-decreasing traces is
-    non-decreasing.
+    direction statistics, runs until its last bin stops, and writes its
+    bins of the (classes, frames, bins) masks. The stop is decided per
+    bin, so B, the masks and the trace are the same bits for any block
+    size and worker count. Each trace entry is the bins'
+    log-likelihoods, summed in bin order, over the count of nonzero-norm
+    bins; a sum of non-decreasing sequences is non-decreasing.
 
     Returns
     -------
     (CacgmmState, MaskSet)
         Final parameters with one average log-likelihood entry per
-        iteration, and the masks of a final E-step under them.
+        iteration up to the cap, and the masks of the E-step at which
+        each bin stopped.
 
     Raises
     ------
@@ -414,17 +460,16 @@ def fit_cacgmm(
 
     def block(lo, hi):
         packed, nonzero = _directions(spec.values[:, lo:hi])
-        b_block, sums = _em_block(packed, nonzero, b[lo:hi], act, iterations)
-        gamma = _e_step(packed, b_block, act, nonzero)[0]
-        masks[:, :, lo:hi] = gamma.transpose(1, 2, 0)
-        return b_block, sums, int(nonzero.sum())
+        b_block, lls = _em_block(packed, nonzero, b[lo:hi], act, iterations, masks[:, :, lo:hi])
+        return b_block, lls, int(nonzero.sum())
 
     results = map_blocks(block, n_bins, n_frames, _EM_BLOCK_BIN_FRAMES)
     b = np.concatenate([r[0] for r in results])
-    # the density's constant, outside the per-block sums
+    lls = np.concatenate([r[1] for r in results], axis=1)
+    # the density's constant, outside the per-bin sums
     const = math.lgamma(n_ch) - n_ch * np.log(np.pi) - np.log(2.0)
     n_dirs = max(sum(r[2] for r in results), 1)
-    trace = [float(sum(r[1][i] for r in results) / n_dirs + const) for i in range(iterations)]
+    trace = lls.sum(axis=1) / n_dirs + const
     return CacgmmState(B=b, log_likelihood_trace=tuple(trace)), MaskSet(gamma=masks)
 
 
@@ -523,7 +568,12 @@ def mvdr_beamform(
 
 @dataclass(frozen=True)
 class GssConfig:
-    """Settings for the end-to-end enhancement recipe of :func:`gss_enhance`."""
+    """Settings for the end-to-end enhancement recipe of :func:`gss_enhance`.
+
+    ``em_iterations`` caps the EM iterations of each frequency bin of a
+    mixture fit; a bin stops earlier once its log-likelihood has
+    converged (see :func:`fit_cacgmm`).
+    """
 
     wpe: WpeConfig | None = WpeConfig()
     em_iterations: int = 20

@@ -291,14 +291,29 @@ def cpcer(refs: TranscriptSet, hyps: TranscriptSet) -> tuple:
 
 
 def _segment_frames(segments, n_frames: int) -> tuple:
-    """Per-speaker boolean activity on the 10 ms grid."""
+    """Per-speaker boolean activity on the 10 ms grid.
+
+    Each segment covers frames ``[round(start_s / FRAME_S),
+    round(end_s / FRAME_S))``, rounded half to even; ``n_frames`` must
+    cover every end. The speakers' rows are laid end to end, each
+    ``n_frames + 1`` long, as one difference array kept sparse: +1 at
+    every start, -1 at every end, and the running sum over these
+    boundaries in position order, repeated out to the frames between
+    them, counts the segments covering each frame.
+    """
     speakers = sorted({s.speaker for s in segments})
-    act = np.zeros((len(speakers), n_frames), dtype=bool)
-    for s in segments:
-        a = int(round(s.start_s / FRAME_S))
-        b = int(round(s.end_s / FRAME_S))
-        act[speakers.index(s.speaker), a:b] = True
-    return speakers, act
+    row = {speaker: k for k, speaker in enumerate(speakers)}
+    width = n_frames + 1
+    offsets = np.array([row[s.speaker] * width for s in segments], dtype=np.intp)
+    bounds = np.array([(s.start_s, s.end_s) for s in segments], dtype=np.float64)
+    lo, hi = np.round(bounds.reshape(-1, 2) / FRAME_S).astype(np.intp).T
+    pos = np.concatenate((offsets + lo, offsets + hi))
+    step = np.repeat(np.array([1, -1], dtype=np.int32), len(segments))
+    order = np.argsort(pos)
+    covered = np.cumsum(step[order], dtype=np.int32) > 0
+    runs = np.diff(pos[order], prepend=0, append=len(speakers) * width)
+    act = np.repeat(np.concatenate(([False], covered)), runs)
+    return speakers, act.reshape(len(speakers), width)[:, :-1]
 
 
 def _outside_collars(segments, collar_s: float, n_frames: int) -> np.ndarray:
@@ -382,10 +397,10 @@ def der(
         _, hact = _segment_frames(hsegs, n)
 
         scored = _outside_collars(rsegs, collar_s, n)
-        nr = ract.sum(axis=0)
+        nr = ract.sum(axis=0, dtype=np.int32)
         if not score_overlap:
             scored &= nr <= 1
-        nh = hact.sum(axis=0)
+        nh = hact.sum(axis=0, dtype=np.int32)
 
         overlap = np.array(
             [[np.count_nonzero(r & h) for h in hact] for r in ract & scored], dtype=np.int64

@@ -30,6 +30,11 @@ _SEG_MERGE_GAP_S = 0.3
 # 6 x 5 x 3 m room at 16 kHz peaks at 81 MiB of numpy arrays (tracemalloc) at
 # order 20 and at 262 MiB at order 30
 _MAX_ORDER = 30
+# image_source_rir returns ceil(largest delay) + _SINC_HALF + 2 samples, and
+# an image of order at most n lies less than (n + 1) room diagonals from the
+# mic, so RoomSpec bounds the rate to keep that many samples within this cap
+# (8 MiB of float64; a 6 x 5 x 3 m room at order 30 allows up to 1386647 Hz)
+_MAX_RIR_SAMPLES = 2**20
 
 
 def _vector(name: str, value) -> np.ndarray:
@@ -61,7 +66,10 @@ class RoomSpec:
     absorption : wall energy absorption in (0, 1]; the per-bounce
         amplitude factor is (1 - absorption).
     max_order : highest total reflection count simulated, at most 30.
-    sample_rate_hz : output RIR sampling rate.
+    sample_rate_hz : output RIR sampling rate. At most the rate at which
+        ``(max_order + 1)`` room diagonals, at ``speed_of_sound``, span
+        2^20 samples less the interpolator's 42, which bounds the RIR
+        length at 2^20 samples.
     source_positions, mic_positions : 3-vectors strictly inside the room.
     speed_of_sound : meters per second.
     """
@@ -88,6 +96,14 @@ class RoomSpec:
         check_finite("speed_of_sound", self.speed_of_sound)
         if not self.speed_of_sound > 0:
             raise ParameterError(f"speed_of_sound must be > 0, got {self.speed_of_sound}")
+        reach_s = (self.max_order + 1) * float(np.linalg.norm(dims)) / self.speed_of_sound
+        if self.sample_rate_hz * reach_s > _MAX_RIR_SAMPLES - _SINC_HALF - 2:
+            limit = math.floor((_MAX_RIR_SAMPLES - _SINC_HALF - 2) / reach_s)
+            raise ParameterError(
+                f"sample_rate_hz must be <= {limit} in this room at max_order "
+                f"{self.max_order}, so that an impulse response stays within "
+                f"{_MAX_RIR_SAMPLES} samples, got {self.sample_rate_hz}"
+            )
         object.__setattr__(self, "dimensions", tuple(dims))
         for name in ("source_positions", "mic_positions"):
             positions = getattr(self, name)

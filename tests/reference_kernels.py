@@ -49,6 +49,7 @@ from farfield import wpe as package_wpe
 
 WPE_PSD_FLOOR = 1e-10  # the floor on the WPE power estimate
 WPE_LOADING = 1e-6  # the relative diagonal loading of the WPE solve
+EM_TOLERANCE = 1e-2  # the relative log-likelihood gain at which a bin's EM stops
 
 
 # ---------------------------------------------------------------- iSTFT
@@ -172,17 +173,16 @@ def posteriors(log_dens, activity, nonzero):
     return np.where(nonzero[None], gamma, uniform)
 
 
-def average_log_likelihood(log_dens, activity, nonzero, n_ch):
-    """Separate logsumexp pass over the prior-weighted class densities."""
+def bin_log_likelihoods(log_dens, activity, nonzero):
+    """Separate logsumexp pass over the prior-weighted class densities,
+    summed per bin over its nonzero-norm frames: (bins,) log-likelihood
+    ratios against the isotropic model."""
     n_active = activity.sum(axis=0).astype(np.float64)
     logits = np.where(
         activity[:, :, None], log_dens - np.log(n_active)[None, :, None], -np.inf
     )
     ll = logsumexp(logits, axis=0)
-    const = gammaln(n_ch) - n_ch * np.log(np.pi) - np.log(2.0)
-    if not np.any(nonzero):
-        return float(const)
-    return float(np.mean(ll[nonzero]) + const)
+    return np.where(nonzero, ll, 0.0).sum(axis=0)
 
 
 def m_step(b, z, gamma, quad, nonzero, ever_active):
@@ -219,18 +219,41 @@ def initial_covariances(n_bins, n_classes, n_ch, seed):
 
 
 def fit_cacgmm(values, active, b0, iterations):
-    """EM from the initial covariances b0: (B, log-likelihood trace, masks)."""
+    """EM from the initial covariances b0, one bin at a time, each bin
+    stopped on its own: (B, log-likelihood trace, masks, M-steps per bin).
+
+    A bin stops at the first E-step after at least one M-step whose
+    log-likelihood gain is at most EM_TOLERANCE times the absolute
+    previous value, or after ``iterations`` M-steps; it keeps that
+    E-step's masks. Trace entry i averages, over the nonzero-norm bins,
+    the bins' log-likelihoods at E-step i, a stopped bin's last one
+    after it stopped."""
+    n_frames, n_bins, n_ch = values.shape
     z, nonzero = unit_directions(values)
     ever_active = active.any(axis=1)
-    b = b0
-    trace = []
-    for _ in range(iterations):
-        log_dens, quad = log_densities(z, b)
-        trace.append(average_log_likelihood(log_dens, active, nonzero, z.shape[2]))
-        gamma = posteriors(log_dens, active, nonzero)
-        b = m_step(b, z, gamma, quad, nonzero, ever_active)
-    gamma = posteriors(log_densities(z, b)[0], active, nonzero)
-    return b, trace, gamma
+    b = np.empty_like(b0)
+    gamma = np.empty((active.shape[0], n_frames, n_bins))
+    lls = np.empty((iterations, n_bins))
+    steps = []
+    for f in range(n_bins):
+        zf, nzf, bf = z[:, f : f + 1], nonzero[:, f : f + 1], b0[f : f + 1]
+        history = []
+        while True:
+            log_dens, quad = log_densities(zf, bf)
+            history.append(bin_log_likelihoods(log_dens, active, nzf)[0])
+            gf = posteriors(log_dens, active, nzf)
+            if len(history) > iterations:
+                break
+            if len(history) > 1 and history[-1] - history[-2] <= EM_TOLERANCE * abs(history[-2]):
+                break
+            bf = m_step(bf, zf, gf, quad, nzf, ever_active)
+        b[f], gamma[:, :, f] = bf[0], gf[:, :, 0]
+        steps.append(len(history) - 1)
+        history += [history[-1]] * iterations
+        lls[:, f] = history[:iterations]
+    const = gammaln(n_ch) - n_ch * np.log(np.pi) - np.log(2.0)
+    trace = lls.sum(axis=1) / max(int(nonzero.sum()), 1) + const
+    return b, list(trace), gamma, steps
 
 
 # ----------------------------------------------------------------- MVDR

@@ -4,7 +4,9 @@ The references in ``reference_kernels`` solve one frequency bin (or one
 mixture class) at a time with einsum and per-bin factorizations. The
 batched kernels must agree with them to float rounding: 1e-10 relative
 for filters, dereverberated output, masks, covariances and beamformer
-weights, and 1e-12 absolute for the EM log-likelihood trace. The
+weights, and 1e-12 absolute for the EM log-likelihood trace (1e-10
+relative on an instance whose directional bins stop at different
+iterations, where log densities lie far from 0). The
 shared-solve tests call ``linalg.solve_hermitian`` directly: every item
 gets the bits of its solve alone, whether the batch succeeds or one
 singular item sends it down the per-item path; a singular item is
@@ -284,26 +286,90 @@ def _cacgmm_instance(seed, frames=50, bins=7, channels=3):
     return values, ActivityPattern(("a", "b", "c"), active)
 
 
+def _silent_bin_instance(seed):
+    # zero-norm bins, one silent bin and a never-active class
+    values, activity = _cacgmm_instance(seed)
+    values[:, 4, :] = 0.0
+    return values, activity
+
+
+EM_CAP = 8
+
+
+def _stopping_instance(seed, frames=120, bins=6, channels=3):
+    """Two directional speakers with overlapping activity over a noise
+    floor that rises with frequency, and a last bin of white noise.
+
+    The directional bins converge and stop at different iterations:
+    after 4 to 9 M-steps on seeds 0-19, and before ``EM_CAP`` on the
+    seeds the tests use. The white-noise bin's log-likelihood ratio to
+    the isotropic model stays near 0 and keeps gaining more than the
+    tolerance: it ran at least 11 M-steps on those seeds, so it runs to
+    ``EM_CAP``.
+    """
+    rng = np.random.default_rng(seed)
+    active = np.ones((3, frames), dtype=bool)
+    active[0, 70:] = False
+    active[1, :50] = False
+    steering = _complex(rng, (2, bins, channels))
+    sources = _complex(rng, (2, frames)) * active[:2]
+    values = np.einsum("kt,kfc->tfc", sources, steering)
+    values += np.geomspace(0.03, 3.0, bins)[None, :, None] * _complex(rng, values.shape)
+    values[:, -1] = _complex(rng, (frames, channels))
+    return values, ActivityPattern(("a", "b"), active)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fit_cacgmm_matches_reference_em(seed):
     values, activity = _cacgmm_instance(seed)
     state, masks = fit_cacgmm(_spec(values), activity, iterations=6, seed=seed)
     b0 = ref.initial_covariances(values.shape[1], 4, values.shape[2], seed)
-    b, trace, gamma = ref.fit_cacgmm(values, activity.active, b0, 6)
+    b, trace, gamma, _ = ref.fit_cacgmm(values, activity.active, b0, 6)
     assert_rel_close(state.B, b)
     assert_rel_close(masks.gamma, gamma)
     np.testing.assert_allclose(state.log_likelihood_trace, trace, rtol=0, atol=LL_ATOL)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_cacgmm_stops_each_bin_where_the_reference_does(seed):
+    values, activity = _stopping_instance(seed)
+    state, masks = fit_cacgmm(_spec(values), activity, iterations=EM_CAP, seed=seed)
+    b0 = ref.initial_covariances(values.shape[1], 3, values.shape[2], seed)
+    b, trace, gamma, steps = ref.fit_cacgmm(values, activity.active, b0, EM_CAP)
+    assert len(set(steps[:-1])) >= 2 and max(steps[:-1]) < EM_CAP
+    assert steps[-1] == EM_CAP  # the white-noise bin
+    assert_rel_close(state.B, b)
+    assert_rel_close(masks.gamma, gamma)
+    # directional bins: log densities far from 0, so a relative tolerance
+    assert_rel_close(state.log_likelihood_trace, trace)
+    assert len(state.log_likelihood_trace) == EM_CAP
+    assert np.all(np.diff(state.log_likelihood_trace) >= -1e-6)
+
+
+def test_fit_cacgmm_stopped_bins_ignore_the_cap_and_white_noise_runs_to_it():
+    values, activity = _stopping_instance(0)
+    state, masks = fit_cacgmm(_spec(values), activity, iterations=EM_CAP, seed=0)
+    longer, longer_masks = fit_cacgmm(_spec(values), activity, iterations=EM_CAP + 1, seed=0)
+    np.testing.assert_array_equal(longer.B[:-1], state.B[:-1])
+    np.testing.assert_array_equal(longer_masks.gamma[:, :, :-1], masks.gamma[:, :, :-1])
+    assert not np.array_equal(longer.B[-1], state.B[-1])
+    # stopped bins carry their last value, so the longer trace only appends
+    np.testing.assert_allclose(
+        longer.log_likelihood_trace[:EM_CAP], state.log_likelihood_trace, rtol=1e-12, atol=0
+    )
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 @pytest.mark.parametrize("block_bins", [1, 3])
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "seed, instance",
+    [(0, _silent_bin_instance), (1, _silent_bin_instance), (0, _stopping_instance)],
+    ids=["0", "1", "stops"],
+)
 def test_fit_cacgmm_bits_do_not_depend_on_workers_or_block_size(
-    monkeypatch, seed, block_bins, workers
+    monkeypatch, seed, instance, block_bins, workers
 ):
-    # zero-norm bins, one silent bin and a never-active class
-    values, activity = _cacgmm_instance(seed)
-    values[:, 4, :] = 0.0
+    values, activity = instance(seed)
     _workers(monkeypatch, 1)
     state, masks = fit_cacgmm(_spec(values), activity, iterations=6, seed=seed)
     _workers(monkeypatch, workers)
@@ -323,7 +389,7 @@ def test_fit_cacgmm_all_zero_input_matches_reference():
     activity = ActivityPattern(("a",), np.ones((2, 20), dtype=bool))
     state, masks = fit_cacgmm(_spec(values), activity, iterations=3, seed=0)
     b0 = ref.initial_covariances(5, 2, 2, 0)
-    b, trace, gamma = ref.fit_cacgmm(values, activity.active, b0, 3)
+    b, trace, gamma, _ = ref.fit_cacgmm(values, activity.active, b0, 3)
     assert_rel_close(state.B, b)
     np.testing.assert_array_equal(masks.gamma, gamma)
     np.testing.assert_allclose(state.log_likelihood_trace, trace, rtol=0, atol=LL_ATOL)

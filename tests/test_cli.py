@@ -147,6 +147,7 @@ def _simulate_edited(workspace, tmp_path, edit):
         ("plan", "noise", 5),
         ("room", "max_order", 31),
         ("room", "max_order", 10**6),
+        ("room", "sample_rate_hz", 10**9),
     ],
 )
 def test_simulate_rejects_wrongly_typed_plan_and_room_values(

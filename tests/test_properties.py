@@ -6,6 +6,7 @@ number is bounded, so every run checks the same cases in a few seconds.
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,23 +16,31 @@ from hypothesis import strategies as st
 from farfield import (
     DataError,
     DiarizationSet,
+    GssConfig,
+    MixturePlan,
     ParameterError,
+    PlannedSource,
+    RoomSpec,
     StftParams,
     WaveformBuffer,
     edit_distance,
     format_rttm,
     format_utterances,
+    gss_enhance,
     istft,
     load_pipeline_config,
     load_plan,
     load_room,
+    make_meeting,
     parse_manifests,
     read_rttm,
     read_utterances,
     rover,
     stft,
+    wpe,
     write_wav,
 )
+from farfield.wpe import DEFAULT_PSD_FLOOR as WPE_PSD_FLOOR
 
 FS = 16000
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
@@ -280,3 +289,82 @@ def test_readers_raise_only_data_errors_on_any_replaced_value(reader_dir, target
 @pytest.mark.parametrize("target", TARGETS, ids=lambda t: "-".join(map(str, (t[0], *t[1]))))
 def test_readers_raise_only_data_errors_on_a_dropped_key(reader_dir, target):
     _read_edited(reader_dir, *target, _DROP)
+
+
+# ------------------------------------------------------------ enhancement
+
+# three speakers on three mics, one speaking twice: the 4-row RTTM of the
+# row-order property
+MEETING_ROWS = [("m", "p", 0.0, 0.9), ("m", "q", 0.5, 1.4), ("m", "r", 1.0, 2.0),
+                ("m", "p", 1.5, 2.2)]
+
+
+@pytest.fixture(scope="module")
+def meeting():
+    """A 2.2 s simulated meeting of the rows, peaking near -11 dBFS, and
+    its enhanced segments with WPE on and off.
+
+    Scaling by a power of two is exact in every operation of the recipe
+    until an absolute floor binds. At this level WPE's power estimates
+    stay above its 1e-10 floor, which the fixture checks; the other
+    floors act far lower.
+    """
+    rng = np.random.default_rng(5)
+    n = int(2.2 * FS)
+    tracks = {spk: np.zeros(n) for spk in sorted({row[1] for row in MEETING_ROWS})}
+    for _, speaker, a, b in MEETING_ROWS:
+        lo, hi = int(a * FS), int(b * FS)
+        env = 0.55 + 0.45 * np.sin(2 * np.pi * rng.uniform(2.0, 4.0) * np.arange(hi - lo) / FS)
+        tracks[speaker][lo:hi] = env * rng.normal(size=hi - lo)
+    room = RoomSpec(
+        dimensions=(6.0, 5.0, 3.0),
+        absorption=0.5,
+        max_order=1,
+        sample_rate_hz=FS,
+        source_positions=((1.8, 3.6, 1.6), (4.3, 1.4, 1.5), (4.1, 3.9, 1.7)),
+        mic_positions=((2.95, 2.45, 1.4), (3.05, 2.55, 1.4), (2.95, 2.55, 1.4)),
+    )
+    plan = MixturePlan(
+        sources=tuple(PlannedSource(s, WaveformBuffer(x, FS), 0.0) for s, x in tracks.items()),
+        snr_db=20.0,
+        seed=5,
+        session="m",
+    )
+    mixture = make_meeting(plan, room).mixture
+    configs = {"wpe": GssConfig(), "no-wpe": GssConfig(wpe=None)}
+    # WPE estimates its powers from the input, then from each iteration's output
+    spec = stft(mixture, StftParams())
+    wpe_cfg = configs["wpe"].wpe
+    for i in range(wpe_cfg.iterations):
+        y = wpe(spec, replace(wpe_cfg, iterations=i)).values if i else spec.values
+        assert np.mean(np.abs(y) ** 2, axis=2).min() > 10 * WPE_PSD_FLOOR
+    segments = DiarizationSet.from_rows(MEETING_ROWS)
+    enhanced = {name: gss_enhance(mixture, segments, cfg) for name, cfg in configs.items()}
+    return mixture, segments, configs, enhanced
+
+
+@example(k=20, wpe="wpe")
+@settings(PROPERTY, max_examples=6)
+@given(k=st.integers(0, 24), wpe=st.sampled_from(["wpe", "no-wpe"]))
+def test_enhance_commutes_with_scaling_by_a_power_of_two(meeting, k, wpe):
+    mixture, segments, configs, enhanced = meeting
+    louder = WaveformBuffer(mixture.samples * 2.0**k, FS)
+    out = gss_enhance(louder, segments, configs[wpe])
+    assert list(out) == list(enhanced[wpe])
+    for key, expected in enhanced[wpe].items():
+        np.testing.assert_array_equal(out[key].samples, expected.samples * 2.0**k)
+
+
+@settings(PROPERTY, max_examples=6)
+@given(order=st.permutations(range(len(MEETING_ROWS))))
+def test_enhance_output_bytes_do_not_depend_on_the_rttm_row_order(
+    meeting, order, tmp_path_factory
+):
+    mixture, _, configs, enhanced = meeting
+    lines = format_rttm(DiarizationSet.from_rows(MEETING_ROWS)).splitlines(keepends=True)
+    path = tmp_path_factory.mktemp("order") / "m.rttm"
+    path.write_text("".join(lines[i] for i in order), encoding="utf-8")
+    out = gss_enhance(mixture, read_rttm(path), configs["wpe"])
+    assert list(out) == list(enhanced["wpe"])
+    for key, expected in enhanced["wpe"].items():
+        assert out[key].samples.tobytes() == expected.samples.tobytes()

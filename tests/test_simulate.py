@@ -64,6 +64,22 @@ def test_room_spec_caps_the_image_source_order():
             _room(max_order=order)
 
 
+def test_room_spec_bounds_the_sample_rate_by_the_rir_length():
+    # at order 0 every image lies within one 13 m diagonal of the mic, 1/32 s
+    # at 416 m/s, so 32 * (2**20 - 42) Hz keeps the RIR within 2**20 samples
+    def room(rate):
+        return _room(dimensions=(3.0, 4.0, 12.0), max_order=0, sample_rate_hz=rate,
+                     speed_of_sound=416.0, source_positions=((1.0, 1.0, 1.0),),
+                     mic_positions=((2.0, 2.0, 2.0),))
+
+    bound = 32 * (2**20 - 42)
+    assert len(image_source_rir(room(bound), 0, 0)) <= 2**20
+    with pytest.raises(ParameterError, match=f"sample_rate_hz must be <= {bound}"):
+        room(bound + 1)
+    with pytest.raises(ParameterError, match="sample_rate_hz must be <= "):
+        _room(sample_rate_hz=10**9)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
