@@ -312,8 +312,12 @@ def _check_alignment(spec, activity):
         )
 
 
-def _em_block(packed, nonzero, b, act, iterations, masks):
+def _em_block(values, b, act, iterations, masks):
     """The EM on one block of bins, each bin stopped on its own.
+
+    The block builds its own direction statistics from its (frames,
+    bins, channels) slice ``values`` and holds the only reference to
+    them, so compacting them to the live bins frees the full-size array.
 
     After every E-step a bin's log-likelihood is the sum, over its
     nonzero-norm frames, of the log-normalizer plus the log-prior: its
@@ -325,10 +329,13 @@ def _em_block(packed, nonzero, b, act, iterations, masks):
     (classes, frames, bins). The live bins are compacted only when some
     bin stops.
 
-    Returns the final covariances and the (iterations, bins)
+    Returns the final covariances, the (iterations, bins)
     log-likelihoods of the first ``iterations`` E-steps, where a bin
-    that stopped carries its last value.
+    that stopped carries its last value, and the count of nonzero-norm
+    time-frequency bins.
     """
+    packed, nonzero = _directions(values)
+    n_dirs = int(nonzero.sum())
     n_ch = b.shape[-1]
     eps_b = 1e-10 * n_ch
     eye = np.eye(n_ch)
@@ -353,8 +360,12 @@ def _em_block(packed, nonzero, b, act, iterations, masks):
             keep = ~stop
             if not np.any(keep):
                 break
-            live, b, ll, gamma, quad = live[keep], b[keep], ll[keep], gamma[keep], quad[keep]
-            stats, nonzero = stats[keep], nonzero[keep]
+            # one array at a time, so each full-size one is freed before
+            # the next copy is made
+            live, b, ll, nonzero = live[keep], b[keep], ll[keep], nonzero[keep]
+            gamma = gamma[keep]
+            quad = quad[keep]
+            stats = stats[keep]
             packed = np.swapaxes(stats, 1, 2)
         prev = ll
         gamma *= nonzero[:, None, :]  # zero-norm bins carry no statistics
@@ -370,7 +381,7 @@ def _em_block(packed, nonzero, b, act, iterations, masks):
         new = new * (n_ch / tr)[:, :, None, None] + eps_b * eye
         # never-active classes keep their initial covariance; masks stay zero
         b = np.where(ever_active[None, :, None, None], new, b)
-    return final_b, lls
+    return final_b, lls, n_dirs
 
 
 def fit_cacgmm(
@@ -459,9 +470,7 @@ def fit_cacgmm(
     masks = np.empty((activity.n_classes, n_frames, n_bins))
 
     def block(lo, hi):
-        packed, nonzero = _directions(spec.values[:, lo:hi])
-        b_block, lls = _em_block(packed, nonzero, b[lo:hi], act, iterations, masks[:, :, lo:hi])
-        return b_block, lls, int(nonzero.sum())
+        return _em_block(spec.values[:, lo:hi], b[lo:hi], act, iterations, masks[:, :, lo:hi])
 
     results = map_blocks(block, n_bins, n_frames, _EM_BLOCK_BIN_FRAMES)
     b = np.concatenate([r[0] for r in results])

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError, check_field, check_file_name, check_finite, check_int
 from .metrics import DiarizationSet, DiarSegment
-from .signal import WaveformBuffer
+from .signal import WaveformBuffer, check_finite_samples
 
 _SINC_HALF = 40  # 81-tap fractional-delay interpolator
 _SEG_WIN_S = 0.025
@@ -35,6 +35,11 @@ _MAX_ORDER = 30
 # mic, so RoomSpec bounds the rate to keep that many samples within this cap
 # (8 MiB of float64; a 6 x 5 x 3 m room at order 30 allows up to 1386647 Hz)
 _MAX_RIR_SAMPLES = 2**20
+# _convolve sums directly when the signal or the longest kernel has at most
+# this many samples. Four kernels on 64000 samples took 7.3 ms direct and
+# 11.1 ms by FFT at 256 taps, 15.1 and 11.9 ms at 384; on 16000 samples FFT
+# already won at 256 taps, 1.4 against 2.2 ms (2-core x86-64 host)
+_DIRECT_MAX = 256
 
 
 def _vector(name: str, value) -> np.ndarray:
@@ -217,13 +222,72 @@ def image_source_rir(room: RoomSpec, src: int, mic: int) -> np.ndarray:
     return h
 
 
+def _fft_size(n: int) -> int:
+    """The smallest 5-smooth integer (2^a 3^b 5^c) >= ``n`` >= 1."""
+    # every 3^b 5^c below the best so far, times the least power of two
+    # that lifts it to n or more
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _convolve(x: np.ndarray, kernels) -> np.ndarray:
+    """Full linear convolutions of one signal (n,) with M kernels.
+
+    Returns an (M, n + L - 1) array, L the longest kernel's length; the
+    row of a shorter kernel is zero after its own n + len - 1 samples.
+    When n or L is at most ``_DIRECT_MAX`` each row is ``np.convolve``
+    itself; otherwise one ``rfft`` of ``x`` is shared by the ``rfft`` of
+    every kernel, zero-padded to the smallest 5-smooth length >= n + L - 1,
+    and one batched ``irfft`` gives all rows, equal to the direct sums
+    to rounding.
+    """
+    n, taps = x.size, max(k.size for k in kernels)
+    if min(n, taps) <= _DIRECT_MAX:
+        out = np.zeros((len(kernels), n + taps - 1))
+        for row, k in zip(out, kernels):
+            row[: n + k.size - 1] = np.convolve(x, k)
+        return out
+    size = _fft_size(n + taps - 1)
+    padded = np.zeros((len(kernels), taps))
+    for row, k in zip(padded, kernels):
+        row[: k.size] = k
+    spectra = np.fft.rfft(padded, size, axis=1)
+    spectra *= np.fft.rfft(x, size)
+    out = np.fft.irfft(spectra, size, axis=1)[:, : n + taps - 1]
+    for row, k in zip(out, kernels):
+        row[n + k.size - 1 :] = 0.0  # rounding residue past a shorter kernel's end
+    return out
+
+
 def convolve(dry: WaveformBuffer, rir: np.ndarray) -> WaveformBuffer:
-    """Full linear convolution of a mono waveform with an impulse response."""
+    """Full linear convolution of a mono waveform with an impulse response.
+
+    When the waveform or the response has at most 256 samples (the
+    measured crossover, ``_DIRECT_MAX``) this is ``np.convolve``, the
+    direct sums, bit for bit. Longer inputs are convolved by FFT, one
+    real transform of each zero-padded to the smallest 5-smooth length
+    >= n + L - 1 (Stockham, 1966), which equals the direct sums to
+    rounding (below 1e-15 of the peak on simulated meetings).
+
+    Raises
+    ------
+    ParameterError
+        ``dry`` is not mono, or ``rir`` is empty or not finite.
+    """
     if dry.channels != 1:
         raise ParameterError(f"expected mono input, got {dry.channels} channels")
     kernel = np.asarray(rir, dtype=np.float64).reshape(-1)
-    out = np.convolve(dry.samples[0], kernel)
-    return WaveformBuffer(samples=out[np.newaxis, :], sample_rate_hz=dry.sample_rate_hz)
+    if kernel.size == 0 or not np.all(np.isfinite(kernel)):
+        raise ParameterError("rir must be a non-empty array of finite numbers")
+    out = _convolve(dry.samples[0], [kernel])
+    return WaveformBuffer(samples=out, sample_rate_hz=dry.sample_rate_hz)
 
 
 def _power(x: np.ndarray) -> float:
@@ -244,6 +308,7 @@ class PlannedSource:
             raise ParameterError(f"onset must be >= 0, got {self.onset_s}")
         if self.audio.channels != 1:
             raise ParameterError("planned sources must be mono")
+        check_finite_samples(self.audio.samples, f"speaker {self.speaker}")
         object.__setattr__(self, "onset_s", float(self.onset_s))
 
 
@@ -253,7 +318,10 @@ class MixturePlan:
     optional noise floor.
 
     ``noise=None`` with an ``snr_db`` uses seeded white Gaussian noise;
-    ``snr_db=None`` disables noise entirely.
+    ``snr_db=None`` disables noise entirely. A NaN or infinite sample in
+    a source or in the noise raises :class:`~farfield.errors.DataError`
+    naming the speaker (or the noise), the channel and the sample index,
+    when the :class:`PlannedSource` or the plan is built.
     """
 
     sources: tuple
@@ -265,8 +333,10 @@ class MixturePlan:
     def __post_init__(self):
         if not self.sources:
             raise ParameterError("plan needs at least one source")
-        if self.noise is not None and self.snr_db is None:
-            raise ParameterError("snr_db is required when a noise source is given")
+        if self.noise is not None:
+            if self.snr_db is None:
+                raise ParameterError("snr_db is required when a noise source is given")
+            check_finite_samples(self.noise.samples, "noise")
         if self.snr_db is not None:
             check_finite("snr_db", self.snr_db)
         check_int("seed", self.seed, 0)
@@ -333,6 +403,13 @@ def make_meeting(plan: MixturePlan, room: RoomSpec) -> MeetingResult:
     placed at its onset; the per-source images are summed and noise is
     added at the requested SNR. Reference segments come from the dry
     sources' frame energy. Deterministic given ``plan.seed``.
+
+    Each source is convolved with all of its microphones' RIRs at once,
+    as :func:`convolve` does with one: directly (``np.convolve``, the
+    same bits) when the source or its longest RIR has at most 256
+    samples, otherwise by FFT, one transform of the source shared by the
+    transforms of its RIRs, which equals the direct sums to rounding
+    (below 1e-15 of each image's peak on the bench's sessions).
     """
     rate = room.sample_rate_hz
     for s in plan.sources:
@@ -365,9 +442,9 @@ def make_meeting(plan: MixturePlan, room: RoomSpec) -> MeetingResult:
     for si, s in enumerate(plan.sources):
         onset = int(round(s.onset_s * rate))
         img = np.zeros((n_mics, length))
-        for mi in range(n_mics):
-            y = convolve(s.audio, rirs[si][mi]).samples[0]
-            img[mi, onset : onset + y.size] = y
+        y = _convolve(s.audio.samples[0], rirs[si])
+        img[:, onset : onset + y.shape[1]] = y
+        del y  # it may view a whole transform buffer: free it before the next source
         images[s.speaker] = WaveformBuffer(img, rate)
         clean += img
         segments.extend(_dry_segments(s, plan.session, rate))

@@ -21,6 +21,10 @@ time and counts overlaps with an int64 ``einsum``: the per-element
 formulations the array code in ``farfield.signal``, ``farfield.rover``,
 ``farfield.simulate`` and ``farfield.metrics`` replaces. Their outputs
 must be equal, not close.
+
+:func:`meeting_images` renders every (source, mic) image by its own
+direct ``np.convolve``, the sums ``farfield.make_meeting`` now takes by
+FFT; those agree to rounding.
 """
 
 import math
@@ -434,6 +438,31 @@ def image_source_rir(room, src, mic):
         window = 0.5 + 0.5 * np.cos(np.pi * x / (half + 1))
         h[lo:hi] += a * np.sinc(x) * window
     return h
+
+
+def meeting_images(plan, room):
+    """speaker -> (mics, samples) reverberant image, one direct
+    ``np.convolve`` per (source, mic) pair of the per-image RIRs, each
+    placed at its source's onset in a mixture-length buffer."""
+    rate = room.sample_rate_hz
+    n_mics = len(room.mic_positions)
+    rirs = [
+        [image_source_rir(room, si, mi) for mi in range(n_mics)]
+        for si in range(len(plan.sources))
+    ]
+    onsets = [int(round(s.onset_s * rate)) for s in plan.sources]
+    length = max(
+        onset + s.audio.n_samples + max(h.size for h in hs) - 1
+        for onset, s, hs in zip(onsets, plan.sources, rirs)
+    )
+    images = {}
+    for onset, s, hs in zip(onsets, plan.sources, rirs):
+        img = np.zeros((n_mics, length))
+        for mi, h in enumerate(hs):
+            y = np.convolve(s.audio.samples[0], h)
+            img[mi, onset : onset + y.size] = y
+        images[s.speaker] = img
+    return images
 
 
 # ------------------------------------------------------------------ DER

@@ -546,6 +546,50 @@ def test_gss_enhance_identical_channels_take_the_loading_retry(monkeypatch):
         assert a[key].samples.tobytes() == b[key].samples.tobytes()
 
 
+def test_gss_enhance_keeps_its_gain_on_a_session_of_overlapping_windows():
+    # 5 turns of 3 speakers, 1.6 s every 1.2 s, on 4 mics; a 1 s context
+    # gives each turn its own 3.6 s window, overlapping its neighbours'.
+    # Mean and worst-segment SI-SDR gains over the best raw channel on
+    # seeds 1-3: 5.047 / 2.989, 4.634 / 2.126 and 4.749 / 1.655 dB
+    from farfield import MixturePlan, PlannedSource, RoomSpec, make_meeting, si_sdr
+
+    rng = np.random.default_rng(1)
+    turns = [("abc"[i % 3], round(0.3 + 1.2 * i, 3), round(1.9 + 1.2 * i, 3)) for i in range(5)]
+    tracks = {s: np.zeros(int(7.0 * FS)) for s in "abc"}
+    for speaker, a, b in turns:
+        lo, hi = int(round(a * FS)), int(round(b * FS))
+        t = np.arange(hi - lo) / FS
+        env = 0.55 + 0.45 * np.sin(2 * np.pi * rng.uniform(2, 4) * t + rng.uniform(0, 2 * np.pi))
+        tracks[speaker][lo:hi] = 0.1 * env * rng.standard_normal(hi - lo)
+    room = RoomSpec(
+        dimensions=(6.0, 5.0, 3.0),
+        absorption=0.5,
+        max_order=3,
+        sample_rate_hz=FS,
+        source_positions=((1.8, 3.6, 1.6), (4.3, 1.4, 1.5), (4.1, 3.9, 1.7)),
+        mic_positions=((2.95, 2.45, 1.4), (3.05, 2.55, 1.4), (2.95, 2.55, 1.4), (3.05, 2.45, 1.4)),
+    )
+    plan = MixturePlan(
+        sources=tuple(PlannedSource(s, WaveformBuffer(tracks[s], FS)) for s in "abc"),
+        snr_db=20.0,
+        seed=1,
+        session="mtg",
+    )
+    sim = make_meeting(plan, room)
+    segments = DiarizationSet.from_rows([("mtg", *turn) for turn in turns])
+    out = gss_enhance(sim.mixture, segments, GssConfig(context_s=1.0))
+    gains = []
+    for speaker, a, b in turns:
+        lo, hi = int(round(a * FS)), int(round(b * FS))
+        image = sim.images[speaker].samples[:, lo:hi]
+        mix = sim.mixture.samples[:, lo:hi]
+        est = out[speaker, a, b].samples[0]
+        raw = max(si_sdr(mix[c], image[c]) for c in range(4))
+        gains.append(max(si_sdr(est, image[c]) for c in range(4)) - raw)
+    assert np.mean(gains) >= 4.0, gains
+    assert min(gains) >= 1.0, gains
+
+
 def test_gss_single_speaker_clean_anechoic_passthrough():
     # one speaker, no interference, anechoic room: output ~ input segment
     from farfield import MixturePlan, PlannedSource, RoomSpec, make_meeting

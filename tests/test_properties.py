@@ -5,6 +5,7 @@ number is bounded, so every run checks the same cases in a few seconds.
 """
 
 import copy
+import importlib
 import json
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from farfield import (
     RoomSpec,
     StftParams,
     WaveformBuffer,
+    convolve,
     edit_distance,
     format_rttm,
     format_utterances,
@@ -44,6 +46,7 @@ from farfield.wpe import DEFAULT_PSD_FLOOR as WPE_PSD_FLOOR
 
 FS = 16000
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
+DIRECT_MAX = importlib.import_module("farfield.simulate")._DIRECT_MAX
 
 
 @st.composite
@@ -69,6 +72,33 @@ def test_stft_istft_round_trip(p, n, channels, seed):
     back = istft(stft(WaveformBuffer(x, FS), p), n).samples
     assert back.shape == x.shape
     assert np.max(np.abs(back - x)) <= 1e-9 * np.max(np.abs(x))
+
+
+@example(n=1, taps=1, seed=0)
+@example(n=1, taps=900, seed=1)
+@example(n=900, taps=1, seed=2)
+@example(n=DIRECT_MAX, taps=900, seed=3)
+@example(n=DIRECT_MAX + 1, taps=DIRECT_MAX + 1, seed=4)
+@example(n=300, taps=900, seed=5)  # a kernel longer than the signal
+@settings(PROPERTY, max_examples=80)
+@given(
+    n=st.integers(1, 900),
+    taps=st.integers(1, 900),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_convolve_matches_direct_convolution(n, taps, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n)
+    h = rng.uniform(-1.0, 1.0, taps)
+    out = convolve(WaveformBuffer(x, FS), h).samples
+    direct = np.convolve(x, h)
+    assert out.shape == (1, n + taps - 1)
+    if min(n, taps) <= DIRECT_MAX:
+        assert np.array_equal(out[0], direct)
+    else:
+        # every output sample is at most sum|x| max|h| in magnitude
+        bound = np.sum(np.abs(x)) * np.max(np.abs(h))
+        assert np.max(np.abs(out[0] - direct)) <= 1e-12 * bound
 
 
 def dp_edit_distance(ref, hyp):

@@ -1,5 +1,6 @@
 """Image-source room simulation and meeting synthesis."""
 
+import importlib
 import math
 from dataclasses import replace
 
@@ -8,6 +9,7 @@ import pytest
 
 import reference_kernels as ref
 from farfield import (
+    DataError,
     MixturePlan,
     ParameterError,
     PlannedSource,
@@ -18,6 +20,8 @@ from farfield import (
     image_sources,
     make_meeting,
 )
+
+simulate_module = importlib.import_module("farfield.simulate")
 
 FS = 16000
 
@@ -363,6 +367,21 @@ def test_convolve_rejects_multichannel_input():
         convolve(WaveformBuffer(np.zeros((2, 8)), FS), np.ones(3))
 
 
+@pytest.mark.parametrize("rir", [[], np.zeros((2, 0)), [1.0, np.nan], [0.5, np.inf], [-np.inf]])
+def test_convolve_rejects_an_empty_or_non_finite_rir(rir):
+    with pytest.raises(ParameterError, match="^rir must be a non-empty array of finite numbers$"):
+        convolve(WaveformBuffer(np.ones(300), FS), rir)
+
+
+def test_fft_size_is_the_smallest_5_smooth_length():
+    smooth = sorted(
+        2**a * 3**b * 5**c for a in range(14) for b in range(9) for c in range(7)
+    )
+    smooth = np.array([m for m in smooth if m <= 8192])
+    for n in range(1, 5001):
+        assert simulate_module._fft_size(n) == smooth[np.searchsorted(smooth, n)], n
+
+
 # -------------------------------------------------------- meeting plan
 
 
@@ -372,6 +391,27 @@ def _burst(rng, total_s, spans, level=0.2):
         lo, hi = int(a * FS), int(b * FS)
         x[lo:hi] = level * rng.normal(size=hi - lo)
     return WaveformBuffer(x, FS)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_planned_source_rejects_non_finite_audio(bad):
+    x = np.zeros(10)
+    x[5] = bad
+    with pytest.raises(
+        DataError, match=rf"^speaker ann: non-finite sample {bad} in channel 0 at sample index 5$"
+    ):
+        PlannedSource("ann", WaveformBuffer(x, FS))
+
+
+def test_mixture_plan_rejects_non_finite_noise():
+    src = PlannedSource("ann", WaveformBuffer(np.ones(10), FS))
+    noise = np.ones((2, 20))
+    noise[1, 3] = np.nan
+    noise[1, 7] = np.inf
+    with pytest.raises(
+        DataError, match=r"^noise: non-finite sample nan in channel 1 at sample index 3$"
+    ):
+        MixturePlan(sources=(src,), snr_db=10.0, noise=WaveformBuffer(noise, FS))
 
 
 def test_planned_source_validation():
@@ -602,3 +642,50 @@ def test_make_meeting_image_shapes():
     n = meeting.mixture.n_samples
     for img in meeting.images.values():
         assert img.samples.shape == (2, n)
+
+
+@pytest.mark.parametrize(
+    "dims, order, onsets, seconds, mics",
+    [
+        ((6.0, 5.0, 3.0), 0, (0.0, 0.3), 0.5, 2),
+        ((4.0, 5.0, 6.0), 1, (0.25, 0.0), 0.8, 3),
+        ((7.0, 5.5, 3.2), 3, (0.0, 0.45), 0.6, 2),
+        ((6.0, 5.0, 3.0), 4, (0.1, 0.1), 0.3, 4),
+    ],
+)
+def test_make_meeting_images_match_direct_convolution(dims, order, onsets, seconds, mics):
+    rng = np.random.default_rng(order)
+    room = RoomSpec(
+        dimensions=dims,
+        absorption=0.4,
+        max_order=order,
+        sample_rate_hz=FS,
+        source_positions=((1.5, 3.5, 1.6), (2.5, 1.2, 1.7)),
+        mic_positions=((2.9, 2.4, 1.4), (3.1, 2.6, 1.4), (2.9, 2.6, 1.5), (3.1, 2.4, 1.3))[:mics],
+    )
+    plan = MixturePlan(
+        sources=tuple(
+            PlannedSource(spk, _burst(rng, seconds, [(0.02, seconds - 0.02)]), onset)
+            for spk, onset in zip(("ann", "bob"), onsets)
+        ),
+        snr_db=20.0,
+        seed=order,
+    )
+    meeting = make_meeting(plan, room)
+    expected = ref.meeting_images(plan, room)
+    for speaker, image in meeting.images.items():
+        assert image.samples.shape == expected[speaker].shape
+        for got, want in zip(image.samples, expected[speaker]):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_make_meeting_images_at_or_below_the_crossover_are_the_direct_sums():
+    # sources of at most 256 samples take np.convolve itself
+    rng = np.random.default_rng(3)
+    room = _room(max_order=2, mic_positions=((2.5, 2.2, 1.4), (2.6, 2.3, 1.4)))
+    for n in (1, 100, 256):
+        plan = MixturePlan(
+            sources=(PlannedSource("ann", WaveformBuffer(rng.normal(size=n), FS), 0.01),)
+        )
+        meeting = make_meeting(plan, room)
+        assert np.array_equal(meeting.images["ann"].samples, ref.meeting_images(plan, room)["ann"])
