@@ -58,7 +58,6 @@ cat > manifest.json <<'JSON'
 JSON
 cat > config.json <<'JSON'
 {
-  "seed": 3,
   "wpe": {"taps": 5, "delay": 2, "iterations": 2},
   "gss": {"em_iterations": 10}
 }

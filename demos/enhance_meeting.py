@@ -51,7 +51,6 @@ def main():
     cfg = ff.GssConfig(
         wpe=ff.WpeConfig(taps=5, delay=2, iterations=2),
         em_iterations=20,
-        seed=0,
     )
     enhanced = ff.gss_enhance(result.mixture, segments, cfg)
 

@@ -2,7 +2,7 @@
 
 Verbs::
 
-    farfield enhance <manifest.json> [--config cfg.json] [--seed N] [--out DIR]
+    farfield enhance <manifest.json> [--config cfg.json] [--out DIR]
     farfield simulate <plan.json> <room.json> --out DIR [--seed N]
     farfield score --mode {cpcer,der} <ref> <hyp> [--collar S] [--no-score-overlap]
     farfield rover <hyp.txt>... [--alpha A] [--out FILE]
@@ -128,7 +128,6 @@ def _enhance_session(manifest, cfg, out_root: Path) -> dict:
     )
     index = {
         "session": manifest.session,
-        "seed": cfg.seed,
         "config_sha256": formats.config_fingerprint(described),
         "outputs": outputs,
     }
@@ -138,8 +137,6 @@ def _enhance_session(manifest, cfg, out_root: Path) -> dict:
 
 def cmd_enhance(args) -> int:
     cfg = formats.load_pipeline_config(args.config) if args.config else GssConfig()
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     manifests = formats.parse_manifests(args.manifest)
     planned = []
     session_dirs = set()
@@ -332,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enhance", help="separate speakers from multichannel meetings")
     p.add_argument("manifest", help="session manifest JSON (object or list)")
     p.add_argument("--config", help="pipeline config JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument("--out", help="output root (overrides manifest out_dir)")
     p.set_defaults(func=cmd_enhance)
 

@@ -238,7 +238,7 @@ def _parse_fields(cls, obj, context: str):
 
 
 # GssConfig fields at the top level of the JSON layout; the rest sit under "gss"
-_GSS_TOP_LEVEL = ("seed", "wpe")
+_GSS_TOP_LEVEL = ("wpe",)
 _GSS_NESTED = tuple(f.name for f in fields(GssConfig) if f.name not in _GSS_TOP_LEVEL)
 
 
@@ -249,7 +249,6 @@ def describe_config(cfg: GssConfig) -> dict:
     :func:`parse_pipeline_config` reads the result back.
     """
     return {
-        "seed": cfg.seed,
         "wpe": None if cfg.wpe is None else asdict(cfg.wpe),
         "gss": {name: getattr(cfg, name) for name in _GSS_NESTED},
     }
@@ -265,7 +264,7 @@ def parse_pipeline_config(obj, context: str = "config") -> GssConfig:
     if wpe_cfg is not None:
         wpe_cfg = _parse_fields(WpeConfig, wpe_cfg, f"{context}.wpe")
     gss_part = _object(d.get("gss", {}), f"{context}.gss", optional=_GSS_NESTED)
-    return _build(context, GssConfig, wpe=wpe_cfg, seed=d.get("seed", 0), **gss_part)
+    return _build(context, GssConfig, wpe=wpe_cfg, **gss_part)
 
 
 def load_pipeline_config(path) -> GssConfig:

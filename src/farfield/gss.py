@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,7 +38,6 @@ from .wpe import WpeConfig, min_frames, wpe
 log = logging.getLogger(__name__)
 
 _TRACE_FLOOR = 1e-10
-_INIT_JITTER = 1e-3
 _WEIGHT_CAP = 1e4
 # a bin's EM stops once its log-likelihood gain is at most this share of
 # its previous value (see _em_block)
@@ -318,16 +316,18 @@ def _em_block(values, b, act, iterations, masks):
     The block builds its own direction statistics from its (frames,
     bins, channels) slice ``values`` and holds the only reference to
     them, so compacting them to the live bins frees the full-size array.
+    ``b`` holds the block's starting covariances.
 
     After every E-step a bin's log-likelihood is the sum, over its
     nonzero-norm frames, of the log-normalizer plus the log-prior: its
     log-likelihood ratio against the isotropic model B = I. A bin stops
     once its latest gain is at most ``_EM_TOLERANCE`` times the absolute
     previous value, after at least one M-step, or at the E-step after
-    ``iterations`` M-steps. A stopped bin keeps its covariances and the
-    masks of that E-step, written into its columns of ``masks``
-    (classes, frames, bins). The live bins are compacted only when some
-    bin stops.
+    ``iterations`` M-steps. From B = I the first log-likelihood is 0 up
+    to rounding, so the first test stops only a bin whose first M-step
+    gained nothing. A stopped bin keeps its covariances and the masks of
+    that E-step, written into its columns of ``masks`` (classes, frames,
+    bins). The live bins are compacted only when some bin stops.
 
     Returns the final covariances, the (iterations, bins)
     log-likelihoods of the first ``iterations`` E-steps, where a bin
@@ -379,7 +379,7 @@ def _em_block(values, b, act, iterations, masks):
         tr = np.trace(new, axis1=2, axis2=3).real
         tr = np.where(tr > 0.0, tr, 1.0)
         new = new * (n_ch / tr)[:, :, None, None] + eps_b * eye
-        # never-active classes keep their initial covariance; masks stay zero
+        # never-active classes keep B = I; their masks stay zero
         b = np.where(ever_active[None, :, None, None], new, b)
     return final_b, lls, n_dirs
 
@@ -388,17 +388,19 @@ def fit_cacgmm(
     spec: ComplexSpectrogram,
     activity: ActivityPattern,
     iterations: int = 20,
-    seed: int = 0,
 ) -> tuple:
     """EM fit of the activity-guided CACGMM.
 
-    Covariances start at the identity plus a small seeded, exactly
-    Hermitian perturbation (scale 1e-3) that breaks the symmetry between
-    classes whose activity rows coincide; with exact identity for every class
-    the EM would start in a stationary point and never separate them.
-    Each M-step re-estimates B from the posterior-weighted direction
-    statistics, trace-normalizes to the channel count, and adds
-    1e-10 * C to the diagonal.
+    Every covariance starts at B = I. All classes then have the same
+    density, so the first E-step returns the activity prior itself,
+    uniform over the classes active at each frame, and the first M-step
+    fits each class from its own activity (the activity-based start of
+    guided source separation). Each M-step re-estimates B from the
+    posterior-weighted direction statistics, trace-normalizes to the
+    channel count, and adds 1e-10 * C to the diagonal. Classes whose
+    activity rows are equal over the whole window get equal masks at
+    every E-step, so they stay equal: the activity cannot tell them
+    apart, and neither can the fit.
 
     ``iterations`` is a cap. Each bin stops on its own, once the gain of
     its log-likelihood over the previous E-step is at most 1e-2 of the
@@ -424,8 +426,7 @@ def fit_cacgmm(
     weights with the packed statistics, unpacked into Hermitian
     matrices.
 
-    Bins are independent, so the seeded start is drawn for all bins at
-    once and the EM then runs on the blocks of bins that
+    Bins are independent, so the EM runs on the blocks of bins that
     :func:`~farfield.linalg.map_blocks` plans. A block builds its own
     direction statistics, runs until its last bin stops, and writes its
     bins of the (classes, frames, bins) masks. The stop is decided per
@@ -444,26 +445,16 @@ def fit_cacgmm(
     Raises
     ------
     ParameterError
-        ``iterations`` is not an integer >= 1, or ``seed`` is not an
-        integer >= 0.
+        ``iterations`` is not an integer >= 1.
     NumericalError
         A covariance is not positive definite; the message names its
         class, from the lowest block of bins where one fails.
     """
     check_int("iterations", iterations, 1)
-    check_int("seed", seed, 0)
     _check_alignment(spec, activity)
     _, n_bins, n_ch = spec.values.shape
-
-    rng = np.random.default_rng(seed)
     shape = (n_bins, activity.n_classes, n_ch, n_ch)
-    jitter = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    jitter = jitter @ np.conj(np.swapaxes(jitter, 2, 3))
-    # the BLAS product is exactly Hermitian only at some channel counts
-    jitter = 0.5 * (jitter + np.conj(np.swapaxes(jitter, 2, 3)))
-    jitter *= n_ch / np.trace(jitter, axis1=2, axis2=3).real[:, :, None, None]
-    eye = np.eye(n_ch)
-    b = (1.0 - _INIT_JITTER) * eye[None, None] + _INIT_JITTER * jitter
+    b = np.broadcast_to(np.eye(n_ch, dtype=np.complex128), shape).copy()
 
     act = activity.active
     n_frames = activity.n_frames
@@ -581,30 +572,19 @@ class GssConfig:
 
     ``em_iterations`` caps the EM iterations of each frequency bin of a
     mixture fit; a bin stops earlier once its log-likelihood has
-    converged (see :func:`fit_cacgmm`).
+    converged (see :func:`fit_cacgmm`). The fit starts from the activity,
+    so nothing in the recipe is random.
     """
 
     wpe: WpeConfig | None = WpeConfig()
     em_iterations: int = 20
     context_s: float = 15.0
-    seed: int = 0
 
     def __post_init__(self):
         check_int("em_iterations", self.em_iterations, 1)
-        check_int("seed", self.seed)
         check_finite("context_s", self.context_s)
         if self.context_s < 0:
             raise ParameterError("context_s must be >= 0")
-
-
-def segment_seed(base_seed: int, speaker: str, start_ms: int, end_ms: int) -> int:
-    """Stable per-segment seed, independent of processing order.
-
-    :func:`gss_enhance` seeds the mixture fit of a context window with the
-    seed of the window's first target segment.
-    """
-    tag = f"{speaker}|{start_ms}|{end_ms}".encode()
-    return (base_seed * 1000003 + zlib.crc32(tag)) % (2**63)
 
 
 def eligible_segments(segments: DiarizationSet, n_samples: int, sample_rate_hz: int) -> list:
@@ -667,11 +647,10 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
     windows have the same sample bounds share one analysis: the window is
     cut, transformed and dereverberated once, the activity pattern is
     built from all segments overlapping it, and one guided mixture model
-    is fit, seeded by :func:`segment_seed` of the window's first target
-    in :func:`eligible_segments` order. Every target of the window is
-    then beamformed from that fit as its own class, synthesized, and
-    trimmed to its segment. A window holding a single target gives the
-    same output as enhancing that segment alone.
+    is fit, started from the activity (see :func:`fit_cacgmm`). Every
+    target of the window is then beamformed from that fit as its own
+    class, synthesized, and trimmed to its segment. A window holding a
+    single target gives the same output as enhancing that segment alone.
 
     Returns
     -------
@@ -727,11 +706,7 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
         ]
         speakers = sorted({s.speaker for s in overlapping})
         activity = _window_activity(overlapping, speakers, win_start, spec.frames, rate)
-        speaker, start_s, end_s = todo[targets[0]]
-        seed = segment_seed(
-            cfg.seed, speaker, int(round(start_s * 1000)), int(round(end_s * 1000))
-        )
-        _, masks = fit_cacgmm(spec, activity, cfg.em_iterations, seed)
+        _, masks = fit_cacgmm(spec, activity, cfg.em_iterations)
         for i in targets:
             speaker, start_s, end_s = todo[i]
             enhanced = mvdr_beamform(spec, masks, speakers.index(speaker))

@@ -470,7 +470,8 @@ def make_meeting(plan: MixturePlan, room: RoomSpec) -> MeetingResult:
         if p_noise == 0.0:
             raise ParameterError("noise crop has zero power")
         scale = math.sqrt(p_clean / (p_noise * 10.0 ** (plan.snr_db / 10.0)))
-        noise_buf = WaveformBuffer(scale * noise, rate)
+        noise = scale * noise  # rebound, so the unscaled draw is freed
+        noise_buf = WaveformBuffer(noise, rate)
         mixture = clean + noise_buf.samples
 
     return MeetingResult(

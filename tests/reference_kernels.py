@@ -45,7 +45,6 @@ from farfield import (
     eligible_segments,
     istft,
     mvdr_beamform,
-    segment_seed,
     stft,
 )
 from farfield import fit_cacgmm as package_fit_cacgmm
@@ -211,15 +210,15 @@ def m_step(b, z, gamma, quad, nonzero, ever_active):
     return b
 
 
-def initial_covariances(n_bins, n_classes, n_ch, seed):
-    """Identity plus the seeded Hermitian jitter (scale 1e-3) EM starts from."""
+def random_hermitian_covariances(n_bins, n_classes, n_ch, seed):
+    """Seeded random Hermitian positive-semidefinite matrices A A^H with
+    trace C, one per (bin, class)."""
     rng = np.random.default_rng(seed)
     shape = (n_bins, n_classes, n_ch, n_ch)
-    jitter = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    jitter = jitter @ np.conj(np.swapaxes(jitter, 2, 3))
-    jitter = (jitter + np.conj(np.swapaxes(jitter, 2, 3))) / 2
-    jitter *= n_ch / np.trace(jitter, axis1=2, axis2=3).real[:, :, None, None]
-    return (1.0 - 1e-3) * np.eye(n_ch)[None, None] + 1e-3 * jitter
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    b = a @ np.conj(np.swapaxes(a, 2, 3))
+    b = (b + np.conj(np.swapaxes(b, 2, 3))) / 2
+    return b * (n_ch / np.trace(b, axis1=2, axis2=3).real[:, :, None, None])
 
 
 def fit_cacgmm(values, active, b0, iterations):
@@ -281,17 +280,12 @@ def mvdr_weights(phi_ss, phi_nn, reference_channel):
 # ----------------------------------------------------------------- GSS
 
 
-def enhance_per_segment(wav, segments, cfg, seed_for=None):
+def enhance_per_segment(wav, segments, cfg):
     """One STFT, WPE and mixture fit per target segment.
 
-    ``seed_for(speaker, start_ms, end_ms)`` gives the fit's seed; the
-    default is the segment's own ``segment_seed``. Returns (speaker,
-    start_s, end_s) -> mono buffer in ``eligible_segments`` order.
+    Returns (speaker, start_s, end_s) -> mono buffer in
+    ``eligible_segments`` order.
     """
-    if seed_for is None:
-        def seed_for(speaker, start_ms, end_ms):
-            return segment_seed(cfg.seed, speaker, start_ms, end_ms)
-
     out = {}
     rate = wav.sample_rate_hz
     p = StftParams()
@@ -318,8 +312,7 @@ def enhance_per_segment(wav, segments, cfg, seed_for=None):
             active[speakers.index(seg.speaker)] |= (ends > a) & (starts < b)
         activity = ActivityPattern(tuple(speakers), active)
 
-        seed = seed_for(speaker, int(round(start_s * 1000)), int(round(end_s * 1000)))
-        _, masks = package_fit_cacgmm(spec, activity, cfg.em_iterations, seed)
+        _, masks = package_fit_cacgmm(spec, activity, cfg.em_iterations)
         enhanced = mvdr_beamform(spec, masks, speakers.index(speaker))
         audio = istft(enhanced, hi - lo)
         a = int(round(start_s * rate)) - lo

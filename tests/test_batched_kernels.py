@@ -296,6 +296,11 @@ def _silent_bin_instance(seed):
 EM_CAP = 8
 
 
+def _identity(n_bins, n_classes, n_ch):
+    """The covariances every EM starts from: B = I for every class."""
+    return np.broadcast_to(np.eye(n_ch, dtype=np.complex128), (n_bins, n_classes, n_ch, n_ch))
+
+
 def _stopping_instance(seed, frames=120, bins=6, channels=3):
     """Two directional speakers with overlapping activity over a noise
     floor that rises with frequency, and a last bin of white noise.
@@ -322,8 +327,8 @@ def _stopping_instance(seed, frames=120, bins=6, channels=3):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fit_cacgmm_matches_reference_em(seed):
     values, activity = _cacgmm_instance(seed)
-    state, masks = fit_cacgmm(_spec(values), activity, iterations=6, seed=seed)
-    b0 = ref.initial_covariances(values.shape[1], 4, values.shape[2], seed)
+    state, masks = fit_cacgmm(_spec(values), activity, iterations=6)
+    b0 = _identity(values.shape[1], 4, values.shape[2])
     b, trace, gamma, _ = ref.fit_cacgmm(values, activity.active, b0, 6)
     assert_rel_close(state.B, b)
     assert_rel_close(masks.gamma, gamma)
@@ -333,8 +338,8 @@ def test_fit_cacgmm_matches_reference_em(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fit_cacgmm_stops_each_bin_where_the_reference_does(seed):
     values, activity = _stopping_instance(seed)
-    state, masks = fit_cacgmm(_spec(values), activity, iterations=EM_CAP, seed=seed)
-    b0 = ref.initial_covariances(values.shape[1], 3, values.shape[2], seed)
+    state, masks = fit_cacgmm(_spec(values), activity, iterations=EM_CAP)
+    b0 = _identity(values.shape[1], 3, values.shape[2])
     b, trace, gamma, steps = ref.fit_cacgmm(values, activity.active, b0, EM_CAP)
     assert len(set(steps[:-1])) >= 2 and max(steps[:-1]) < EM_CAP
     assert steps[-1] == EM_CAP  # the white-noise bin
@@ -348,8 +353,8 @@ def test_fit_cacgmm_stops_each_bin_where_the_reference_does(seed):
 
 def test_fit_cacgmm_stopped_bins_ignore_the_cap_and_white_noise_runs_to_it():
     values, activity = _stopping_instance(0)
-    state, masks = fit_cacgmm(_spec(values), activity, iterations=EM_CAP, seed=0)
-    longer, longer_masks = fit_cacgmm(_spec(values), activity, iterations=EM_CAP + 1, seed=0)
+    state, masks = fit_cacgmm(_spec(values), activity, iterations=EM_CAP)
+    longer, longer_masks = fit_cacgmm(_spec(values), activity, iterations=EM_CAP + 1)
     np.testing.assert_array_equal(longer.B[:-1], state.B[:-1])
     np.testing.assert_array_equal(longer_masks.gamma[:, :, :-1], masks.gamma[:, :, :-1])
     assert not np.array_equal(longer.B[-1], state.B[-1])
@@ -371,10 +376,10 @@ def test_fit_cacgmm_bits_do_not_depend_on_workers_or_block_size(
 ):
     values, activity = instance(seed)
     _workers(monkeypatch, 1)
-    state, masks = fit_cacgmm(_spec(values), activity, iterations=6, seed=seed)
+    state, masks = fit_cacgmm(_spec(values), activity, iterations=6)
     _workers(monkeypatch, workers)
     monkeypatch.setattr(gss_module, "_EM_BLOCK_BIN_FRAMES", block_bins * values.shape[0])
-    blocked, blocked_masks = fit_cacgmm(_spec(values), activity, iterations=6, seed=seed)
+    blocked, blocked_masks = fit_cacgmm(_spec(values), activity, iterations=6)
     np.testing.assert_array_equal(blocked.B, state.B)
     np.testing.assert_array_equal(blocked_masks.gamma, masks.gamma)
     assert blocked_masks.gamma.flags.c_contiguous
@@ -387,8 +392,8 @@ def test_fit_cacgmm_bits_do_not_depend_on_workers_or_block_size(
 def test_fit_cacgmm_all_zero_input_matches_reference():
     values = np.zeros((20, 5, 2), dtype=complex)
     activity = ActivityPattern(("a",), np.ones((2, 20), dtype=bool))
-    state, masks = fit_cacgmm(_spec(values), activity, iterations=3, seed=0)
-    b0 = ref.initial_covariances(5, 2, 2, 0)
+    state, masks = fit_cacgmm(_spec(values), activity, iterations=3)
+    b0 = _identity(5, 2, 2)
     b, trace, gamma, _ = ref.fit_cacgmm(values, activity.active, b0, 3)
     assert_rel_close(state.B, b)
     np.testing.assert_array_equal(masks.gamma, gamma)
@@ -397,8 +402,8 @@ def test_fit_cacgmm_all_zero_input_matches_reference():
 
 def test_posteriors_match_reference_e_step():
     values, activity = _cacgmm_instance(3)
-    b = ref.initial_covariances(values.shape[1], 4, values.shape[2], 9)
-    b = b + 0.5 * np.eye(values.shape[2])  # away from the identity start
+    b = ref.random_hermitian_covariances(values.shape[1], 4, values.shape[2], 9)
+    b = b + 0.5 * np.eye(values.shape[2])  # loaded, so none is near singular
     masks = cacgmm_posteriors(_spec(values), activity, CacgmmState(B=b))
     z, nonzero = ref.unit_directions(values)
     expected = ref.posteriors(ref.log_densities(z, b)[0], activity.active, nonzero)
@@ -409,7 +414,7 @@ def test_posteriors_match_reference_e_step():
 def test_fit_masks_equal_the_posteriors_of_the_fitted_state(seed):
     # one E-step serves both: zero-norm bins and a never-active class included
     values, activity = _cacgmm_instance(seed)
-    state, masks = fit_cacgmm(_spec(values), activity, iterations=4, seed=seed)
+    state, masks = fit_cacgmm(_spec(values), activity, iterations=4)
     again = cacgmm_posteriors(_spec(values), activity, state)
     np.testing.assert_array_equal(masks.gamma, again.gamma)
     assert masks.gamma.flags.c_contiguous

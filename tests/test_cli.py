@@ -68,7 +68,6 @@ def workspace(tmp_path_factory):
     (root / "cfg.json").write_text(
         json.dumps(
             {
-                "seed": 3,
                 "wpe": {"taps": 4, "delay": 2, "iterations": 1},
                 "gss": {"em_iterations": 5},
             }
@@ -288,7 +287,8 @@ def test_enhance_pipeline(workspace, capsys, caplog):
     assert any("nothing to enhance" in r.message for r in caplog.records)
 
     index = json.loads((workspace / "enh" / "mtg" / "index.json").read_text())
-    assert index["session"] == "mtg" and index["seed"] == 3
+    assert set(index) == {"session", "config_sha256", "outputs"}
+    assert index["session"] == "mtg"
     assert {o["speaker"] for o in index["outputs"]} == {"ann", "bob"}
     for entry in index["outputs"]:
         path = workspace / "enh" / "mtg" / entry["path"]
@@ -448,6 +448,7 @@ def test_enhance_rejects_a_removed_config_key(workspace, tmp_path, capsys):
         ({"wpe": {"diagonal_loading": 1e-6}}, "cfg.json.wpe: unknown keys ['diagonal_loading']"),
         ({"stft": {"window": "hann"}}, "cfg.json: unknown keys ['stft']"),
         ({"stft": {"frame_length": 512}}, "cfg.json: unknown keys ['stft']"),
+        ({"seed": 3}, "cfg.json: unknown keys ['seed']"),
     ):
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         rc = main(["enhance", str(tmp_path / "manifest.json"),
@@ -607,6 +608,19 @@ def test_enhance_keeps_the_first_of_segments_with_one_output_name(workspace, cap
     assert [entry["path"] for entry in index["outputs"]] == written
     assert index["outputs"][0]["sha256"] == sha256_file(session_dir / written[0])
     assert read_wav(session_dir / written[0]).n_samples == int(0.6 * FS)
+
+
+def test_enhance_has_no_seed_option(workspace, capsys):
+    # the mixture fit starts from the activity; only simulate and
+    # fuse-demo draw random numbers
+    out = workspace / "enh_seed"
+    rc = main(["enhance", str(workspace / "only_mtg.json"),
+               "--config", str(workspace / "cfg.json"), "--out", str(out),
+               "--seed", "3"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.count("error:") == 1 and "unrecognized arguments: --seed 3" in err
+    assert not out.exists()
 
 
 def test_enhance_has_no_jobs_option(workspace, capsys):

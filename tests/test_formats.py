@@ -235,12 +235,10 @@ def test_parse_pipeline_config_defaults_and_nesting():
     assert cfg == GssConfig()
     cfg = parse_pipeline_config(
         {
-            "seed": 7,
             "wpe": None,
             "gss": {"em_iterations": 5, "context_s": 4.0},
         }
     )
-    assert cfg.seed == 7
     assert cfg.wpe is None
     assert cfg.em_iterations == 5
 
@@ -253,8 +251,9 @@ def test_parse_pipeline_config_rejections():
         parse_pipeline_config({"scoring": {"collar_s": 0.1}})
     with pytest.raises(DataError, match=r"config\.gss.*unknown keys"):
         parse_pipeline_config({"gss": {"iterations": 5}})
-    with pytest.raises(DataError, match="seed must be an integer"):
-        parse_pipeline_config({"seed": "7"})
+    # the mixture fit has no random start, so the config has no seed
+    with pytest.raises(DataError, match=r"config: unknown keys \['seed'\]"):
+        parse_pipeline_config({"seed": 7})
     with pytest.raises(DataError, match=r"config\.wpe"):
         parse_pipeline_config({"wpe": [1, 2]})
 
@@ -273,7 +272,6 @@ def test_parse_pipeline_config_rejections():
         ({"gss": {"context_s": float("nan")}}, "context_s"),
         ({"gss": {"mask_floor": "0.1"}}, "mask_floor"),
         ({"wpe": {"psd_floor": float("inf")}}, "psd_floor"),
-        ({"seed": True}, "seed"),
     ],
 )
 def test_parse_pipeline_config_rejects_wrongly_typed_values(obj, field):
@@ -316,7 +314,6 @@ def test_pipeline_config_describe_roundtrip():
         wpe=WpeConfig(taps=8, delay=2, iterations=2),
         em_iterations=7,
         context_s=5.0,
-        seed=3,
     )
     assert parse_pipeline_config(describe_config(cfg)) == cfg
     # fingerprints only change when the config does
@@ -332,7 +329,6 @@ def test_describe_fingerprints_every_config_field():
         replace(base, context_s=2.5),
         replace(base, wpe=replace(base.wpe, iterations=2)),
         replace(base, wpe=None),
-        replace(base, seed=1),
     ]
     prints = {config_fingerprint(describe_config(c)) for c in [base, *changed]}
     assert len(prints) == len(changed) + 1
@@ -346,11 +342,11 @@ def test_config_fingerprints_pin_the_json_layout():
     # literal hashes: a renamed, moved or re-defaulted field changes them
     default = describe_config(parse_pipeline_config({}))
     assert config_fingerprint(default) == (
-        "b3b1ad946daf62117c14bd51ccce41eb313fa162cb9fd4631d51f5e409e3088c"
+        "b8a92e0300b6bf8e21acd1a68968dc1ed99c474c9a9497bcfef316f44d8f59b2"
     )
     turns = describe_config(parse_pipeline_config({"wpe": None, "gss": {"context_s": 1.0}}))
     assert config_fingerprint(turns) == (
-        "5921a78980db355963bda397b0eb5d10c7d7968c8b71b7646d96eb68854b1561"
+        "dba32a72824c2b533dfe5f05607b15eb3818a093d50117d14d8837d877fed061"
     )
 
 
@@ -360,7 +356,10 @@ def test_load_pipeline_config_names_file_in_errors(tmp_path):
     with pytest.raises(DataError, match=r"cfg\.json\.wpe"):
         load_pipeline_config(path)
     path.write_text('{"seed": 2}')
-    assert load_pipeline_config(path).seed == 2
+    with pytest.raises(DataError, match=r"cfg\.json: unknown keys \['seed'\]"):
+        load_pipeline_config(path)
+    path.write_text('{"gss": {"em_iterations": 2}}')
+    assert load_pipeline_config(path).em_iterations == 2
 
 
 # ----------------------------------------------------------- manifests

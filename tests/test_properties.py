@@ -220,7 +220,7 @@ def test_rover_unanimous_copies_fuse_to_the_hypothesis(hyp, copies, alpha):
 READERS = {
     "config": (
         load_pipeline_config,
-        {"seed": 3, "wpe": {"taps": 4, "delay": 2, "iterations": 1},
+        {"wpe": {"taps": 4, "delay": 2, "iterations": 1},
          "gss": {"em_iterations": 5, "context_s": 1.0}},
     ),
     "manifest": (
