@@ -5,14 +5,22 @@ scale-invariant SDR used to judge separation quality.
 cpCER concatenates each stream's characters in time order per session,
 finds the reference-speaker to hypothesis-stream assignment with the
 minimum total edit distance (exact, via the Hungarian algorithm), and
-pools error counts over sessions. DER discretizes time at 10 ms, excises
-a collar around reference boundaries, maps speakers by maximum overlap,
-and charges miss, false alarm and confusion time against total reference
-speech time.
+pools error counts over sessions. The edit distance of every (reference,
+hypothesis) stream pair of a session comes from one bit-parallel pass
+per reference stream over all hypothesis streams laid end to end in one
+Python int (Myers' bit-vector edit distance, J. ACM 1999, in Hyyrö's
+global-distance form, 2001; see ``_edit_costs``): work proportional to
+reference tokens x total hypothesis bits / word size, and memory of one
+int of sum(len(hyp) + 1) bits per distinct hypothesis token.
+
+DER discretizes time at 10 ms, excises a collar around reference
+boundaries, maps speakers by maximum overlap, and charges miss, false
+alarm and confusion time against total reference speech time.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import unicodedata
 from dataclasses import dataclass
@@ -66,18 +74,21 @@ class TranscriptSet:
 
     def __post_init__(self):
         entries = tuple(self.entries)
-        by_stream: dict = {}
+        groups: dict = {}  # session -> stream -> entries in time order
         for e in entries:
-            by_stream.setdefault((e.session, e.stream), []).append(e)
-        for (session, stream), group in by_stream.items():
-            group.sort(key=lambda e: (e.start_s, e.end_s))
-            for a, b in zip(group, group[1:]):
-                if a.end_s > b.start_s + 1e-9:
-                    raise ParameterError(
-                        f"overlapping entries in ({session}, {stream}) at "
-                        f"[{a.start_s}, {a.end_s}] and [{b.start_s}, {b.end_s}]"
-                    )
+            groups.setdefault(e.session, {}).setdefault(e.stream, []).append(e)
+        for session, streams in groups.items():
+            for stream, group in streams.items():
+                # entries of equal bounds (at most 1e-9 s long) go in text order
+                group.sort(key=lambda e: (e.start_s, e.end_s, "".join(map(str, e.tokens))))
+                for a, b in zip(group, group[1:]):
+                    if a.end_s > b.start_s + 1e-9:
+                        raise ParameterError(
+                            f"overlapping entries in ({session}, {stream}) at "
+                            f"[{a.start_s}, {a.end_s}] and [{b.start_s}, {b.end_s}]"
+                        )
         object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_groups", groups)
 
     @classmethod
     def from_rows(cls, rows) -> "TranscriptSet":
@@ -90,17 +101,15 @@ class TranscriptSet:
         )
 
     def sessions(self) -> list:
-        return sorted({e.session for e in self.entries})
+        return sorted(self._groups)
 
     def streams(self, session: str) -> dict:
         """Stream name -> concatenated tokens, segments in time order."""
-        out: dict = {}
-        chosen = [e for e in self.entries if e.session == session]
-        chosen.sort(key=lambda e: (e.start_s, e.end_s, "".join(e.tokens)))
-        for e in chosen:
-            out.setdefault(e.stream, [])
-            out[e.stream].extend(e.tokens)
-        return {name: tuple(toks) for name, toks in sorted(out.items())}
+        streams = self._groups.get(session, {})
+        return {
+            name: tuple(itertools.chain.from_iterable(e.tokens for e in streams[name]))
+            for name in sorted(streams)
+        }
 
 
 @dataclass(frozen=True)
@@ -238,8 +247,90 @@ class SessionScore:
         return self.errors / self.ref_chars
 
 
+def _edit_costs(refs, hyps) -> np.ndarray:
+    """Unit-cost edit distance of every (reference, hypothesis) pair.
+
+    Returns an int64 array ``(len(refs), len(hyps))`` equal to
+    ``sum(edit_distance(r, h))`` for each pair; tokens match when they
+    would be the same dict key, as in ``edit_distance``.
+
+    This is Myers' bit-vector edit distance (J. ACM 1999) in Hyyrö's
+    global-distance form (2001), run on all hypotheses at once. They lie
+    end to end in one Python int, one bit per token, each followed by a
+    guard bit. ``peq`` maps each hypothesis token to the int with a bit
+    at each of its positions. Each reference stream is one pass over its
+    tokens of 17 big-int operations each, keeping the vertical
+    deltas of the current DP column: ``pv`` where the cost rises by 1
+    from the hypothesis position before, ``mv`` where it falls by 1.
+    ``pv`` and ``mv`` are clear at every guard, so the guard stops the
+    carry of ``(eq & pv) + pv`` at the end of its stream, and ``starts``
+    gives the first position of every stream the +1 horizontal delta of
+    the top row, as ``| 1`` does for one stream. At the end the cost of
+    each pair is ``len(ref)`` plus the net vertical deltas of its
+    hypothesis. Work is proportional to ``len(ref)`` times the total
+    width ``sum(len(h) + 1)`` in 30-bit int digits; memory is one int
+    of that width per distinct hypothesis token. There is no length
+    cap, since no counts are packed.
+
+    Raises
+    ------
+    ParameterError
+        A token is unhashable.
+    """
+    where: dict = {}  # hypothesis token -> its bit positions
+    blocks = []
+    starts = guards = width = 0
+    try:
+        for hyp in hyps:
+            starts |= 1 << width
+            for pos, tok in enumerate(hyp, width):
+                where.setdefault(tok, []).append(pos)
+            blocks.append(((1 << len(hyp)) - 1) << width)
+            width += len(hyp)
+            guards |= 1 << width
+            width += 1
+        row = np.zeros(width, dtype=bool)
+        peq = {}
+        for tok, positions in where.items():
+            row[positions] = True
+            peq[tok] = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+            row[positions] = False
+        ones = (1 << (width + 1)) - 1  # one bit past the shifted top guard
+        body = (ones >> 1) ^ guards
+        costs = np.zeros((len(refs), len(hyps)), dtype=np.int64)
+        for i, ref in enumerate(refs):
+            pv, mv = body, 0
+            for tok in ref:
+                eq = peq.get(tok, 0)
+                xv = eq | mv
+                xh = (((eq & pv) + pv) ^ pv) | eq
+                ph = (mv | (ones ^ (xh | pv))) << 1 | starts
+                mh = (pv & xh) << 1
+                pv = (mh | ((xv | ph) ^ ones)) & body
+                mv = ph & xv
+            costs[i] = [
+                len(ref) + (pv & b).bit_count() - (mv & b).bit_count() for b in blocks
+            ]
+    except TypeError:
+        for tok in itertools.chain(*hyps, *refs):
+            try:
+                hash(tok)
+            except TypeError:
+                raise ParameterError(f"tokens must be hashable, got {tok!r}") from None
+        raise
+    return costs
+
+
 def cpcer(refs: TranscriptSet, hyps: TranscriptSet) -> tuple:
     """Concatenated minimum-permutation character error rate.
+
+    The edit distances of a session's stream pairs, padded with empty
+    streams to a square, come from one ``_edit_costs`` call: one
+    bit-parallel pass per reference stream over all hypothesis streams,
+    with work proportional to reference tokens x total hypothesis bits /
+    word size and memory of one int of sum(len(hyp) + 1) bits per
+    distinct hypothesis token. It packs no counts, so unlike
+    ``edit_distance`` it has no 2^21-token cap.
 
     Returns
     -------
@@ -249,6 +340,13 @@ def cpcer(refs: TranscriptSet, hyps: TranscriptSet) -> tuple:
         breakdown : dict session -> SessionScore.
         assignment : dict session -> tuple of (ref stream, hyp stream)
         pairs; a side padded with empty streams appears as None.
+
+    Raises
+    ------
+    ParameterError
+        A token is unhashable.
+    UndefinedMetricError
+        No session has reference characters.
     """
     from scipy.optimize import linear_sum_assignment  # scipy stays off the enhance import path
 
@@ -267,12 +365,9 @@ def cpcer(refs: TranscriptSet, hyps: TranscriptSet) -> tuple:
         rnames = sorted(ref_streams)
         hnames = sorted(hyp_streams)
         n = max(len(rnames), len(hnames))
-        cost = np.zeros((n, n), dtype=np.int64)
-        for i in range(n):
-            rtok = ref_streams[rnames[i]] if i < len(rnames) else ()
-            for j in range(n):
-                htok = hyp_streams[hnames[j]] if j < len(hnames) else ()
-                cost[i, j] = sum(edit_distance(rtok, htok))
+        rtoks = [ref_streams[name] for name in rnames]
+        htoks = [hyp_streams[name] for name in hnames]
+        cost = _edit_costs(rtoks + [()] * (n - len(rtoks)), htoks + [()] * (n - len(htoks)))
         rows, cols = linear_sum_assignment(cost)
         err = int(cost[rows, cols].sum())
         assignment[sess] = tuple(

@@ -13,6 +13,7 @@ from farfield import (
     DiarizationSet,
     DiarSegment,
     ParameterError,
+    TranscriptEntry,
     TranscriptSet,
     UndefinedMetricError,
     cpcer,
@@ -252,6 +253,55 @@ def test_cpcer_all_empty_references_rejected():
     hyps = _refs([("s", "1", 0.0, 1.0, "abc")])
     with pytest.raises(UndefinedMetricError):
         cpcer(refs, hyps)
+
+
+@pytest.mark.parametrize("side", ["ref", "hyp"])
+def test_cpcer_names_an_unhashable_token(side):
+    plain = TranscriptSet([TranscriptEntry("s", "A", 0.0, 1.0, ("a", "b"))])
+    bad = TranscriptSet([TranscriptEntry("s", "B", 0.0, 1.0, ("a", ["b"]))])
+    refs, hyps = (bad, plain) if side == "ref" else (plain, bad)
+    with pytest.raises(ParameterError, match=r"hashable, got \['b'\]"):
+        cpcer(refs, hyps)
+
+
+def _streams_by_rescan(ts, session):
+    """Stream name -> tokens, from a scan of every entry of the set."""
+    chosen = sorted(
+        (e for e in ts.entries if e.session == session),
+        key=lambda e: (e.start_s, e.end_s, "".join(e.tokens)),
+    )
+    out: dict = {}
+    for e in chosen:
+        out.setdefault(e.stream, []).extend(e.tokens)
+    return {name: tuple(toks) for name, toks in sorted(out.items())}
+
+
+def test_cpcer_groups_interleaved_sessions_as_a_rescan_does():
+    rng = np.random.default_rng(4)
+    sides = []
+    for _ in range(2):
+        rows = [
+            (f"s{k % 7}", f"S{int(rng.integers(3))}{k % 7}", float(k), k + 0.5,
+             "".join(rng.choice(list("abcx"), int(rng.integers(0, 6)))))
+            for k in range(120)
+        ]
+        rng.shuffle(rows)
+        # entries of equal bounds, in reverse text order
+        rows += [("s3", "S03", 500.0, 500.0 + 1e-10, t) for t in ("zz", "b", "ab")]
+        sides.append(TranscriptSet.from_rows(rows))
+    refs, hyps = sides
+    for ts in sides:
+        assert ts.sessions() == [f"s{k}" for k in range(7)]
+        for sess in ts.sessions() + ["absent"]:
+            assert ts.streams(sess) == _streams_by_rescan(ts, sess)
+    assert refs.streams("s3")["S03"][-5:] == tuple("abbzz")
+    rate, breakdown, assignment = cpcer(refs, hyps)
+    alone = [cpcer(*(TranscriptSet([e for e in ts.entries if e.session == sess])
+                     for ts in sides)) for sess in refs.sessions()]
+    assert breakdown == {sess: b for _, bd, _ in alone for sess, b in bd.items()}
+    assert assignment == {sess: a for _, _, asg in alone for sess, a in asg.items()}
+    errors = sum(b.errors for b in breakdown.values())
+    assert rate == errors / sum(b.ref_chars for b in breakdown.values())
 
 
 def test_transcript_set_rejects_overlap_within_stream():

@@ -47,6 +47,7 @@ from farfield.wpe import DEFAULT_PSD_FLOOR as WPE_PSD_FLOOR
 FS = 16000
 PROPERTY = settings(derandomize=True, deadline=None, database=None)
 DIRECT_MAX = importlib.import_module("farfield.simulate")._DIRECT_MAX
+edit_costs = importlib.import_module("farfield.metrics")._edit_costs
 
 
 @st.composite
@@ -135,6 +136,45 @@ tokens = st.one_of(
 @given(ref=tokens, hyp=tokens)
 def test_edit_distance_matches_dp_oracle(ref, hyp):
     assert edit_distance(ref, hyp) == dp_edit_distance(ref, hyp)
+
+
+CJK = [chr(0x4E00 + k) for k in range(3000)]
+# the groups 1 / 1.0 / np.int64(1) / True and 0 / 0.0 / False are equal dict keys
+SAME_KEYS = [1, 1.0, np.int64(1), True, 0, 0.0, np.int64(0), False, 2]
+UNSEEN = "#"  # drawn into references only
+# total widths (tokens plus one guard bit per stream) on either side of the
+# 30-bit digits of a Python int and of a 64-bit word
+BOUNDARY_LENGTHS = [29, 30, 31, 59, 60, 61, 63, 64, 65]
+
+
+@st.composite
+def stream_sets(draw):
+    """(refs, hyps): 1-6 streams per side over a few symbols of one alphabet."""
+    alphabet = draw(st.sampled_from([list("abcd"), SAME_KEYS, CJK]))
+    symbols = draw(st.lists(st.sampled_from(alphabet), min_size=1, max_size=6))
+    lengths = st.one_of(st.integers(0, 70), st.sampled_from(BOUNDARY_LENGTHS))
+
+    def streams(pool):
+        return [
+            draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+            for k in draw(st.lists(lengths, min_size=1, max_size=6))
+        ]
+
+    return streams(symbols + [UNSEEN]), streams(symbols)
+
+
+@example(streams=([[1, 1.0, True, 2]], [[np.int64(1), True, 1.0, 2.0], []]))
+@example(streams=([list("a" * 29), list("ab" * 30), []], [list("a" * 29)]))
+@example(streams=([list("a" * 40)], [list("a" * 59), list("ba" * 15), list("a" * 63)]))
+@example(streams=([list("b" * 65)], [list("ab" * 32), [], list("b" * 64)]))
+@example(streams=([CJK[:2000], CJK[1000:]], [CJK[500:2500], CJK[::-1], [UNSEEN]]))
+@settings(PROPERTY, max_examples=200)
+@given(streams=stream_sets())
+def test_edit_costs_equal_edit_distance_on_every_pair(streams):
+    refs, hyps = streams
+    costs = edit_costs(refs, hyps)
+    assert costs.shape == (len(refs), len(hyps))
+    assert costs.tolist() == [[sum(edit_distance(r, h)) for h in hyps] for r in refs]
 
 
 # ------------------------------------------------------- file round trips
