@@ -8,10 +8,10 @@ class to its speaker, which resolves the per-frequency permutation
 ambiguity without any alignment step. The resulting posterior masks
 drive spatial covariance estimates for a Souden-style MVDR beamformer.
 
-:func:`gss_enhance` chains the full recipe once per context window:
-cut the window, dereverberate, fit the mixture, then beamform each
-target segment in the window as its own class and return the trimmed
-time-domain estimates.
+:func:`gss_enhance` plans the context windows first, then chains the
+full recipe once per window: cut the window, dereverberate, fit the
+mixture, then beamform and synthesize each speaker with a target segment
+in the window once, and trim every target from its speaker's signal.
 """
 
 from __future__ import annotations
@@ -622,20 +622,54 @@ def eligible_segments(segments: DiarizationSet, n_samples: int, sample_rate_hz: 
     return list(kept.values())
 
 
-def _window_activity(
-    window_segments, speakers, win_start_s, n_frames, rate: int
-) -> ActivityPattern:
-    """Frame activity of each speaker inside an analysis window."""
-    active = np.zeros((len(speakers) + 1, n_frames), dtype=bool)
-    active[-1] = True
-    starts = np.arange(n_frames) * _STFT.frame_shift - _STFT.edge_padding
-    ends = starts + _STFT.frame_length
-    for seg in window_segments:
-        k = speakers.index(seg.speaker)
-        a = (seg.start_s - win_start_s) * rate
-        b = (seg.end_s - win_start_s) * rate
-        active[k] |= (ends > a) & (starts < b)
-    return ActivityPattern(speakers=tuple(speakers), active=active)
+def _plan_windows(wav: WaveformBuffer, segments: DiarizationSet, todo: list, cfg: GssConfig):
+    """The analysis windows of :func:`gss_enhance`, in first-target order.
+
+    A target's window is its segment plus ``cfg.context_s`` each side,
+    clipped to the file; targets whose windows round to the same sample
+    bounds share one. Every window is checked against the frames WPE
+    needs before any is analysed. Its activity pattern has a row per
+    speaker with a segment overlapping the window, in sorted order, and
+    marks each frame that overlaps one of that speaker's segments,
+    measured from the window's start in seconds.
+
+    Returns a list of (lo, hi, activity, targets): the window's sample
+    bounds, its :class:`ActivityPattern`, and a dict from each speaker
+    with a target in the window to the indices of its targets in
+    ``todo``, both in ``todo`` order.
+    """
+    rate = wav.sample_rate_hz
+    need = 0 if cfg.wpe is None else min_frames(cfg.wpe, wav.channels)
+    # (lo, hi) -> (window start s, window end s, {speaker: target indices})
+    bounds: dict = {}
+    for i, (speaker, start_s, end_s) in enumerate(todo):
+        win_start = max(0.0, start_s - cfg.context_s)
+        win_end = min(wav.n_samples / rate, end_s + cfg.context_s)
+        key = (int(round(win_start * rate)), int(round(win_end * rate)))
+        frames = _STFT.n_frames(key[1] - key[0])
+        if frames < need:  # the window's first target comes first in todo
+            raise DataError(
+                f"segment {speaker} [{start_s}, {end_s}]: its context window has "
+                f"{frames} frames, fewer than the {need} that WPE needs with "
+                f"taps={cfg.wpe.taps}, delay={cfg.wpe.delay}, channels={wav.channels}"
+            )
+        bounds.setdefault(key, (win_start, win_end, {}))[2].setdefault(speaker, []).append(i)
+
+    windows = []
+    for (lo, hi), (win_start, win_end, targets) in bounds.items():
+        overlapping = [s for s in segments.segments if s.end_s > win_start and s.start_s < win_end]
+        speakers = sorted({s.speaker for s in overlapping})
+        n_frames = _STFT.n_frames(hi - lo)
+        active = np.zeros((len(speakers) + 1, n_frames), dtype=bool)
+        active[-1] = True
+        starts = np.arange(n_frames) * _STFT.frame_shift - _STFT.edge_padding
+        ends = starts + _STFT.frame_length
+        for seg in overlapping:
+            a = (seg.start_s - win_start) * rate
+            b = (seg.end_s - win_start) * rate
+            active[speakers.index(seg.speaker)] |= (ends > a) & (starts < b)
+        windows.append((lo, hi, ActivityPattern(tuple(speakers), active), targets))
+    return windows
 
 
 @one_blas_thread
@@ -643,14 +677,16 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
     """Enhance every diarized segment of a session recording.
 
     Each target segment's context window is the segment plus
-    ``cfg.context_s`` each side, clipped to the file. Targets whose
-    windows have the same sample bounds share one analysis: the window is
-    cut, transformed and dereverberated once, the activity pattern is
-    built from all segments overlapping it, and one guided mixture model
-    is fit, started from the activity (see :func:`fit_cacgmm`). Every
-    target of the window is then beamformed from that fit as its own
-    class, synthesized, and trimmed to its segment. A window holding a
-    single target gives the same output as enhancing that segment alone.
+    ``cfg.context_s`` each side, clipped to the file. Every window is
+    planned, and checked against the frames WPE needs, before any is
+    analysed. Targets whose windows have the same sample bounds share one
+    analysis: the window is cut, transformed and dereverberated once, the
+    activity pattern is built from all segments overlapping it, and one
+    guided mixture model is fit, started from the activity (see
+    :func:`fit_cacgmm`). Each speaker with a target in the window is then
+    beamformed from that fit as its own class and synthesized once, and
+    each of its targets is trimmed from that signal. Every target gets
+    the same bytes as when its window is analysed for it alone.
 
     Returns
     -------
@@ -675,43 +711,17 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
     check_finite_samples(wav.samples, "recording")
     rate = wav.sample_rate_hz
     todo = eligible_segments(segments, wav.n_samples, rate)
-    # (lo, hi) sample bounds -> (window start s, window end s, target indices);
-    # the activity pattern depends only on the window, so the bounds are the key
-    windows: dict = {}
-    # checked while planning, so a window too short for WPE costs no work
-    need = 0 if cfg.wpe is None else min_frames(cfg.wpe, wav.channels)
-    for i, (speaker, start_s, end_s) in enumerate(todo):
-        win_start = max(0.0, start_s - cfg.context_s)
-        win_end = min(wav.n_samples / rate, end_s + cfg.context_s)
-        key = (int(round(win_start * rate)), int(round(win_end * rate)))
-        frames = _STFT.n_frames(key[1] - key[0])
-        if frames < need:  # the window's first target comes first in todo
-            raise DataError(
-                f"segment {speaker} [{start_s}, {end_s}]: its context window has "
-                f"{frames} frames, fewer than the {need} that WPE needs with "
-                f"taps={cfg.wpe.taps}, delay={cfg.wpe.delay}, channels={wav.channels}"
-            )
-        windows.setdefault(key, (win_start, win_end, []))[2].append(i)
-
     pieces = [None] * len(todo)
-    for (lo, hi), (win_start, win_end, targets) in windows.items():
+    for lo, hi, activity, targets in _plan_windows(wav, segments, todo, cfg):
         spec = stft(WaveformBuffer(wav.samples[:, lo:hi], rate), _STFT)
         if cfg.wpe is not None:
             spec = wpe(spec, cfg.wpe)
-
-        overlapping = [
-            s
-            for s in segments.segments
-            if s.end_s > win_start and s.start_s < win_end
-        ]
-        speakers = sorted({s.speaker for s in overlapping})
-        activity = _window_activity(overlapping, speakers, win_start, spec.frames, rate)
         _, masks = fit_cacgmm(spec, activity, cfg.em_iterations)
-        for i in targets:
-            speaker, start_s, end_s = todo[i]
-            enhanced = mvdr_beamform(spec, masks, speakers.index(speaker))
-            audio = istft(enhanced, hi - lo)
-            a = int(round(start_s * rate)) - lo
-            b = int(round(end_s * rate)) - lo
-            pieces[i] = WaveformBuffer(audio.samples[:, a:b], rate)
+        for speaker, indices in targets.items():
+            enhanced = mvdr_beamform(spec, masks, activity.speakers.index(speaker))
+            audio = istft(enhanced, hi - lo).samples
+            for i in indices:
+                a, b = (int(round(t * rate)) - lo for t in todo[i][1:])
+                # a copy, so outputs of one speaker never share memory
+                pieces[i] = WaveformBuffer(audio[:, a:b].copy(), rate)
     return dict(zip(todo, pieces))

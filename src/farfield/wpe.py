@@ -56,6 +56,12 @@ def min_frames(cfg: WpeConfig, channels: int) -> int:
     return cfg.delay + max(channels * cfg.taps, cfg.taps + 1)
 
 
+def _powers(values: np.ndarray, channel_axis: int) -> np.ndarray:
+    """The WPE power estimate: the mean of |values|^2 over
+    ``channel_axis``, floored at ``DEFAULT_PSD_FLOOR``."""
+    return np.maximum(np.mean(np.abs(values) ** 2, axis=channel_axis), DEFAULT_PSD_FLOOR)
+
+
 def frame_powers(spec: ComplexSpectrogram) -> np.ndarray:
     """Channel-averaged magnitude-squared per bin, floored at 1e-10.
 
@@ -63,8 +69,7 @@ def frame_powers(spec: ComplexSpectrogram) -> np.ndarray:
     -------
     ndarray, shape (frames, bins)
     """
-    power = np.mean(np.abs(spec.values) ** 2, axis=2)
-    return np.maximum(power, DEFAULT_PSD_FLOOR)
+    return _powers(spec.values, 2)
 
 
 def wpe_objective(x: ComplexSpectrogram, y: ComplexSpectrogram, powers: np.ndarray) -> float:
@@ -138,7 +143,7 @@ def _wpe_block(x: np.ndarray, cfg: WpeConfig, first_bin: int) -> np.ndarray:
     x_h = x.conj().transpose(0, 2, 1)  # (B, T, C)
     y = x
     for _ in range(cfg.iterations):
-        lam = np.maximum(np.mean(np.abs(y) ** 2, axis=1), DEFAULT_PSD_FLOOR)  # (B, T)
+        lam = _powers(y, 1)  # (B, T)
         weighted = history * (1.0 / lam)[:, None, :]
         g = _prediction_filters(weighted @ history_h, weighted @ x_h, first_bin)
         y = x - g.conj().transpose(0, 2, 1) @ history

@@ -1,6 +1,7 @@
 """Reference implementations of the iSTFT overlap-add, of the WPE, CACGMM
 and MVDR kernels, of the GSS recipe, of ROVER alignment, of the
-image-source expansion and room impulse response, and of DER.
+image-source expansion and room impulse response, of the edit
+distance, and of DER.
 
 The kernels are the straightforward per-bin and per-class loop-and-einsum
 formulations the batched kernels in ``farfield.wpe`` and ``farfield.gss``
@@ -20,7 +21,9 @@ image's windowed sinc at a time, and :func:`der` excises one collar at a
 time and counts overlaps with an int64 ``einsum``: the per-element
 formulations the array code in ``farfield.signal``, ``farfield.rover``,
 ``farfield.simulate`` and ``farfield.metrics`` replaces. Their outputs
-must be equal, not close.
+must be equal, not close. :func:`edit_distance` fills the full
+Levenshtein table cell by cell, the oracle of the package's
+``edit_distance`` and of the cpCER stream-pair costs.
 
 :func:`meeting_images` renders every (source, mic) image by its own
 direct ``np.convolve``, the sums ``farfield.make_meeting`` now takes by
@@ -456,6 +459,34 @@ def meeting_images(plan, room):
             img[mi, onset : onset + y.size] = y
         images[s.speaker] = img
     return images
+
+
+# -------------------------------------------------------- edit distance
+
+
+def edit_distance(ref, hyp):
+    """Full-table Levenshtein DP over (cost, substitutions, insertions).
+
+    Tuples add componentwise and compare lexicographically, so the
+    minimum picks the cheapest alignment, then the one with fewer
+    substitutions, then fewer insertions. Returns (substitutions,
+    insertions, deletions).
+    """
+    n, m = len(ref), len(hyp)
+    table = [[(j, 0, j) for j in range(m + 1)]]
+    for i in range(1, n + 1):
+        row = [(i, 0, 0)]
+        for j in range(1, m + 1):
+            c, s, a = table[i - 1][j - 1]
+            diag = (c, s, a) if ref[i - 1] == hyp[j - 1] else (c + 1, s + 1, a)
+            c, s, a = table[i - 1][j]
+            dele = (c + 1, s, a)
+            c, s, a = row[j - 1]
+            ins = (c + 1, s, a + 1)
+            row.append(min(diag, dele, ins))
+        table.append(row)
+    cost, subs, ins = table[n][m]
+    return subs, ins, cost - subs - ins
 
 
 # ------------------------------------------------------------------ DER

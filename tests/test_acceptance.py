@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference_kernels as ref_kernels
 
 from farfield import (
     ActivityPattern,
@@ -241,21 +242,11 @@ def test_c05_gss_gains_five_db_over_best_input_channel():
 # --------------------------------------------------------------------- 6
 
 
-def _lev(a, b):
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        cur = [i]
-        for j, cb in enumerate(b, 1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[-1]
-
-
 def _assignment_oracle(refs, hyps):
     n = max(len(refs), len(hyps))
     r = list(refs) + [""] * (n - len(refs))
     h = list(hyps) + [""] * (n - len(hyps))
-    cost = [[_lev(a, b) for b in h] for a in r]
+    cost = [[sum(ref_kernels.edit_distance(a, b)) for b in h] for a in r]
     return min(
         sum(cost[i][perm[i]] for i in range(n))
         for perm in itertools.permutations(range(n))

@@ -124,7 +124,7 @@ def test_cacgmm_state_rejects_non_finite_entries(bad):
         ("iterations", 0),
     ],
 )
-def test_fit_cacgmm_rejects_bad_iterations_and_seed(name, value):
+def test_fit_cacgmm_rejects_bad_iterations(name, value):
     spec, activity = _random_instance(0, frames=10)
     with pytest.raises(ParameterError, match=f"^{name} must be"):
         fit_cacgmm(spec, activity, **{name: value})
@@ -197,7 +197,7 @@ def test_fit_covariances_are_exactly_hermitian(channels):
     np.testing.assert_array_equal(b, np.conj(np.swapaxes(b, 2, 3)))
 
 
-def test_fit_is_deterministic_per_seed():
+def test_fit_is_deterministic():
     spec, activity = _random_instance(11)
     state1, masks1 = fit_cacgmm(spec, activity, iterations=6)
     state2, masks2 = fit_cacgmm(spec, activity, iterations=6)
@@ -672,7 +672,7 @@ def test_single_target_windows_match_the_per_segment_recipe():
     _assert_same_outputs(out, ref.enhance_per_segment(meeting.mixture, segments, cfg))
 
 
-def test_targets_sharing_a_window_use_one_fit_seeded_by_the_first():
+def test_targets_sharing_a_window_use_one_fit():
     meeting = _toy_meeting(4)
     # both windows clip to the whole file: one fit serves both targets and
     # equals the fit each target gets alone
@@ -725,7 +725,33 @@ def test_each_distinct_window_is_analysed_once(monkeypatch):
     ]
 
 
-def test_dropped_sub_frame_segment_keeps_order_lengths_and_seed():
+def test_targets_of_one_speaker_in_a_window_share_one_beamformer(monkeypatch):
+    meeting = _toy_meeting(7)
+    # with the default 15 s of context every window clips to the whole
+    # file: one analysis, then one beamformer and one synthesis per speaker
+    segments = DiarizationSet.from_rows(
+        [("m", *P_SEGMENT), ("m", *Q_SEGMENT), ("m", "p", 1.2, 2.0)]
+    )
+    cfg = GssConfig(wpe=_SMALL_WPE, em_iterations=3)
+    counts = {
+        name: _count_calls(monkeypatch, name)
+        for name in ("stft", "wpe", "fit_cacgmm", "mvdr_beamform", "istft")
+    }
+    out = gss_enhance(meeting.mixture, segments, cfg)
+    assert {name: len(c) for name, c in counts.items()} == {
+        "stft": 1,
+        "wpe": 1,
+        "fit_cacgmm": 1,
+        "mvdr_beamform": 2,
+        "istft": 2,
+    }
+    assert [call[2] for call in counts["mvdr_beamform"]] == [0, 1]  # p, then q
+    # trimmed from one signal, yet owning their samples
+    assert not np.shares_memory(out[P_SEGMENT].samples, out["p", 1.2, 2.0].samples)
+    _assert_same_outputs(out, ref.enhance_per_segment(meeting.mixture, segments, cfg))
+
+
+def test_dropped_sub_frame_segment_keeps_order_and_lengths():
     meeting = _toy_meeting(6)
     # the sub-frame segment sorts first but is dropped: it gets no output,
     # and the targets that remain match the per-segment recipe

@@ -11,6 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference_kernels as ref_kernels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -102,30 +103,6 @@ def test_convolve_matches_direct_convolution(n, taps, seed):
         assert np.max(np.abs(out[0] - direct)) <= 1e-12 * bound
 
 
-def dp_edit_distance(ref, hyp):
-    """Full-table Levenshtein DP over (cost, substitutions, insertions).
-
-    Tuples add componentwise and compare lexicographically, so the
-    minimum picks the cheapest alignment, then the one with fewer
-    substitutions, then fewer insertions.
-    """
-    n, m = len(ref), len(hyp)
-    table = [[(j, 0, j) for j in range(m + 1)]]
-    for i in range(1, n + 1):
-        row = [(i, 0, 0)]
-        for j in range(1, m + 1):
-            c, s, a = table[i - 1][j - 1]
-            diag = (c, s, a) if ref[i - 1] == hyp[j - 1] else (c + 1, s + 1, a)
-            c, s, a = table[i - 1][j]
-            dele = (c + 1, s, a)
-            c, s, a = row[j - 1]
-            ins = (c + 1, s, a + 1)
-            row.append(min(diag, dele, ins))
-        table.append(row)
-    cost, subs, ins = table[n][m]
-    return subs, ins, cost - subs - ins
-
-
 tokens = st.one_of(
     st.text(alphabet="abcd", max_size=24),
     st.lists(st.integers(0, 3), max_size=24),
@@ -135,7 +112,7 @@ tokens = st.one_of(
 @settings(PROPERTY, max_examples=300)
 @given(ref=tokens, hyp=tokens)
 def test_edit_distance_matches_dp_oracle(ref, hyp):
-    assert edit_distance(ref, hyp) == dp_edit_distance(ref, hyp)
+    assert edit_distance(ref, hyp) == ref_kernels.edit_distance(ref, hyp)
 
 
 CJK = [chr(0x4E00 + k) for k in range(3000)]
