@@ -247,6 +247,39 @@ class SessionScore:
         return self.errors / self.ref_chars
 
 
+def _myers_rows(eqs, width: int, guards: int, starts: int):
+    """Yield the ``(pv, mv)`` of each row of a unit-cost edit-distance DP.
+
+    Myers' bit-vector step (J. ACM 1999) in Hyyrö's global-distance form
+    (2001): the one DP step of ``_edit_costs`` and
+    ``rover.align_into_wtn``. Row ``i`` holds the costs after ``i`` items
+    of one sequence against every prefix of the other, which lies in the
+    ``width`` low bits, one bit per item; ``eqs[i - 1]`` has a bit where
+    item ``i`` matches. The costs are kept as vertical deltas: ``pv``
+    (``mv``) has bit ``j`` where the cost rises (falls) by 1 from
+    position ``j`` to ``j + 1``. Bits in ``guards`` hold no item and
+    stay clear, so each stops the carry of ``(eq & pv) + pv``; several
+    streams can thus lie end to end, each followed by a guard, with
+    ``starts`` holding the first bit of each. Row 0, yielded first, has
+    cost ``j`` at position ``j``; every row has cost ``i`` at position 0
+    of each stream. The cost at position ``j`` of row ``i`` is
+    ``i + popcount(pv & low) - popcount(mv & low)``, ``low`` being the
+    bits of its stream below ``j``. A row is 17 big-int operations.
+    """
+    ones = (1 << (width + 1)) - 1  # one bit past the shifted top guard
+    pv, mv = (ones >> 1) ^ guards, 0
+    body = pv
+    yield pv, mv
+    for eq in eqs:
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | (ones ^ (xh | pv))) << 1 | starts
+        mh = (pv & xh) << 1
+        pv = (mh | ((xv | ph) ^ ones)) & body
+        mv = ph & xv
+        yield pv, mv
+
+
 def _edit_costs(refs, hyps) -> np.ndarray:
     """Unit-cost edit distance of every (reference, hypothesis) pair.
 
@@ -254,19 +287,12 @@ def _edit_costs(refs, hyps) -> np.ndarray:
     ``sum(edit_distance(r, h))`` for each pair; tokens match when they
     would be the same dict key, as in ``edit_distance``.
 
-    This is Myers' bit-vector edit distance (J. ACM 1999) in Hyyrö's
-    global-distance form (2001), run on all hypotheses at once. They lie
-    end to end in one Python int, one bit per token, each followed by a
-    guard bit. ``peq`` maps each hypothesis token to the int with a bit
-    at each of its positions. Each reference stream is one pass over its
-    tokens of 17 big-int operations each, keeping the vertical
-    deltas of the current DP column: ``pv`` where the cost rises by 1
-    from the hypothesis position before, ``mv`` where it falls by 1.
-    ``pv`` and ``mv`` are clear at every guard, so the guard stops the
-    carry of ``(eq & pv) + pv`` at the end of its stream, and ``starts``
-    gives the first position of every stream the +1 horizontal delta of
-    the top row, as ``| 1`` does for one stream. At the end the cost of
-    each pair is ``len(ref)`` plus the net vertical deltas of its
+    All hypotheses lie end to end in one Python int, one bit per token,
+    each followed by a guard bit, and each reference stream is one
+    ``_myers_rows`` pass over its tokens. ``peq`` maps each hypothesis
+    token to the int with a bit at each of its positions: the match
+    mask of a reference token. The cost of each pair is read from the
+    last row: ``len(ref)`` plus the net vertical deltas of its
     hypothesis. Work is proportional to ``len(ref)`` times the total
     width ``sum(len(h) + 1)`` in 30-bit int digits; memory is one int
     of that width per distinct hypothesis token. There is no length
@@ -277,37 +303,28 @@ def _edit_costs(refs, hyps) -> np.ndarray:
     ParameterError
         A token is unhashable.
     """
-    where: dict = {}  # hypothesis token -> its bit positions
+    index: dict = {}  # hypothesis token -> its code
+    codes = []  # the code of each bit's token, -1 at the guards
     blocks = []
     starts = guards = width = 0
     try:
         for hyp in hyps:
             starts |= 1 << width
-            for pos, tok in enumerate(hyp, width):
-                where.setdefault(tok, []).append(pos)
+            codes += [index.setdefault(tok, len(index)) for tok in hyp]
+            codes.append(-1)
             blocks.append(((1 << len(hyp)) - 1) << width)
             width += len(hyp)
             guards |= 1 << width
             width += 1
-        row = np.zeros(width, dtype=bool)
-        peq = {}
-        for tok, positions in where.items():
-            row[positions] = True
-            peq[tok] = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-            row[positions] = False
-        ones = (1 << (width + 1)) - 1  # one bit past the shifted top guard
-        body = (ones >> 1) ^ guards
+        codes = np.array(codes)
+        peq = {
+            tok: int.from_bytes(np.packbits(codes == k, bitorder="little").tobytes(), "little")
+            for tok, k in index.items()
+        }
         costs = np.zeros((len(refs), len(hyps)), dtype=np.int64)
         for i, ref in enumerate(refs):
-            pv, mv = body, 0
-            for tok in ref:
-                eq = peq.get(tok, 0)
-                xv = eq | mv
-                xh = (((eq & pv) + pv) ^ pv) | eq
-                ph = (mv | (ones ^ (xh | pv))) << 1 | starts
-                mh = (pv & xh) << 1
-                pv = (mh | ((xv | ph) ^ ones)) & body
-                mv = ph & xv
+            for pv, mv in _myers_rows(map(peq.get, ref, itertools.repeat(0)), width, guards, starts):
+                pass  # only the last row is read
             costs[i] = [
                 len(ref) + (pv & b).bit_count() - (mv & b).bit_count() for b in blocks
             ]

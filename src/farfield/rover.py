@@ -3,7 +3,9 @@
 Hypotheses are folded one at a time into a word transition network via
 dynamic-programming alignment (match preferred over substitution over
 deletion over insertion), with the null token ``@`` standing for "this
-system had nothing here". Each slot then votes: the score of a token is
+system had nothing here". The DP is the bit-parallel edit-distance step
+that cpCER uses (``metrics._myers_rows``), one slot per step over one
+int of hypothesis bits. Each slot then votes: the score of a token is
 alpha * count / n_systems + (1 - alpha) * average confidence, ties going
 to the token contributed earliest. The ``@`` token's confidence is the
 constant ``NULL_CONF`` (0.5). Winning ``@`` arcs vanish from the fused
@@ -12,11 +14,11 @@ output.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ParameterError
+from .errors import ParameterError, check_finite
+from .metrics import _myers_rows
 
 NULL_TOKEN = "@"
 NULL_CONF = 0.5
@@ -70,16 +72,31 @@ class WordTransitionNetwork:
 def _coerce_hypothesis(hyp) -> tuple:
     """Split a hypothesis into token and confidence lists.
 
-    Elements are bare tokens (confidence defaults to 1.0) or
-    (token, confidence) pairs. The null token is reserved.
+    Elements are bare ``str`` tokens (confidence defaults to 1.0) or
+    (token, confidence) pairs, as a tuple or a list, with a hashable
+    token and a finite real confidence. The null token is reserved.
+
+    Raises
+    ------
+    ParameterError
+        An element is neither, or holds the null token.
     """
     tokens, confs = [], []
     for item in hyp:
         if isinstance(item, str):
             tok, conf = item, 1.0
-        else:
+        elif isinstance(item, (tuple, list)) and len(item) == 2:
             tok, conf = item
+            try:
+                hash(tok)
+            except TypeError:
+                raise ParameterError(f"hypothesis tokens must be hashable, got {tok!r}") from None
+            check_finite(f"the confidence of token {tok!r}", conf)
             conf = float(conf)
+        else:
+            raise ParameterError(
+                f"hypothesis elements must be str tokens or (token, confidence) pairs, got {item!r}"
+            )
         if tok == NULL_TOKEN:
             raise ParameterError(f"hypothesis token {NULL_TOKEN!r} is reserved")
         tokens.append(tok)
@@ -96,71 +113,58 @@ def align_into_wtn(wtn: WordTransitionNetwork, hyp) -> WordTransitionNetwork:
     systems). The backtrace prefers match, then substitution, then
     deletion, then insertion, making the result deterministic.
 
-    The cost table is one integer array of (slots + 1) x (tokens + 1),
-    so memory is O(slots x tokens). It stores cost - i - j at slot row
-    i and token column j, so its first row and column are 0, skipping
-    a slot keeps the stored value and opening a slot is a running
-    minimum along the row. The diagonal step is -2 for a token present
-    in the slot and -1 otherwise; the step table comes from a token ->
-    positions dict in O(total slot size) Python work, and each slot
-    row is then three array calls: add, minimum and
-    ``np.minimum.accumulate``.
+    The DP runs one slot at a time with the bit-parallel step of cpCER,
+    ``metrics._myers_rows``, over one int of ``len(hyp) + 1`` bits. A
+    slot's match mask is the OR of the hypothesis positions of its
+    tokens. Every row's ``(pv, mv)`` is kept, two ints of
+    ``len(hyp) + 1`` bits per slot, and the backtrace reads each cost it
+    compares from them with two popcounts. Python work is O(total slot
+    size + tokens) for the masks and O(slots + tokens) for the
+    backtrace; the DP is 17 big-int operations per slot.
     """
     tokens, confs = _coerce_hypothesis(hyp)
     slots = wtn.slots
     ns, nh = len(slots), len(tokens)
     system = wtn.n_systems
 
-    positions: dict = {}
+    peq: dict = {}  # token -> an int with bit j set where tokens[j] is it
     for j, tok in enumerate(tokens):
-        positions.setdefault(tok, []).append(j)
-    step = np.full((ns, nh), -1, dtype=np.int8)  # -2 where token j is in slot i
-    for i, slot in enumerate(slots):
-        for tok in slot:
-            step[i, positions.get(tok, [])] = -2
+        peq[tok] = peq.get(tok, 0) | 1 << j
+    # distinct tokens have disjoint masks, so their sum is their OR
+    eqs = [sum(map(peq.get, slot, itertools.repeat(0))) for slot in slots]
+    rows = list(_myers_rows(eqs, nh + 1, 1 << nh, 1))
 
-    cost = np.zeros((ns + 1, nh + 1), dtype=np.int64)  # cost - i - j
-    for i in range(1, ns + 1):
-        prev, row = cost[i - 1], cost[i]
-        np.add(prev[:-1], step[i - 1], out=row[1:])
-        np.minimum(row[1:], prev[1:], out=row[1:])
-        np.minimum.accumulate(row, out=row)
-
-    ops = []  # ("use", slot_index, token_index) / ("skip", i) / ("new", j)
-    i, j = ns, nh
-    while i > 0 or j > 0:
-        # a match (step -2) or a substitution (step -1) along the diagonal
-        if i > 0 and j > 0 and cost[i, j] == cost[i - 1, j - 1] + step[i - 1, j - 1]:
-            ops.append(("use", i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and cost[i, j] == cost[i - 1, j]:
-            ops.append(("skip", i - 1))
-            i -= 1
-        else:
-            ops.append(("new", j - 1))
-            j -= 1
-    ops.reverse()
-
-    def updated(slot: dict, tok: str, conf: float) -> dict:
+    def updated(slot: dict, tok, conf: float) -> dict:
         new = dict(slot)
         new[tok] = new.get(tok, ArcTally(0, 0.0, system)).add(conf, system)
         return new
 
-    new_slots = []
-    for op in ops:
-        if op[0] == "use":
-            _, si, tj = op
-            new_slots.append(updated(slots[si], tokens[tj], confs[tj]))
-        elif op[0] == "skip":
-            new_slots.append(updated(slots[op[1]], NULL_TOKEN, 0.0))
+    def cost_at(i: int, j: int) -> int:
+        pv, mv = rows[i]
+        low = (1 << j) - 1
+        return i + (pv & low).bit_count() - (mv & low).bit_count()
+
+    new_slots = []  # built back to front
+    i, j = ns, nh
+    cost = cost_at(i, j)
+    while i > 0 or j > 0:
+        diag = cost_at(i - 1, j - 1) if i > 0 and j > 0 else None
+        # along the diagonal a match costs 0 and a substitution 1
+        if diag is not None and cost == diag + 1 - (eqs[i - 1] >> (j - 1) & 1):
+            new_slots.append(updated(slots[i - 1], tokens[j - 1], confs[j - 1]))
+            i, j, cost = i - 1, j - 1, diag
+        elif i > 0 and cost == cost_at(i - 1, j) + 1:
+            new_slots.append(updated(slots[i - 1], NULL_TOKEN, 0.0))
+            i, cost = i - 1, cost - 1
         else:
-            tj = op[1]
             new_slots.append(
                 {
-                    tokens[tj]: ArcTally(1, confs[tj], system),
+                    tokens[j - 1]: ArcTally(1, confs[j - 1], system),
                     NULL_TOKEN: ArcTally(system, 0.0, 0),
                 }
             )
+            j, cost = j - 1, cost - 1
+    new_slots.reverse()
     return WordTransitionNetwork(slots=tuple(new_slots), n_systems=system + 1)
 
 

@@ -93,6 +93,77 @@ def test_align_matches_cell_by_cell_oracle(hyps):
         wtn = got
 
 
+def _long_hypotheses(rng, short_first):
+    # one 400-token base and two 100-150-token hypotheses, each a window
+    # of the base with a tenth of its tokens redrawn, or fresh draws
+    vocab = [f"w{k}" for k in range(int(rng.integers(3, 60)))]
+    base = [str(t) for t in rng.choice(vocab, 400)]
+    hyps = []
+    for _ in range(2):
+        n = int(rng.integers(100, 151))
+        if rng.random() < 0.5:
+            lo = int(rng.integers(0, 401 - n))
+            hyp = base[lo:lo + n]
+            for k in rng.choice(n, n // 10, replace=False):
+                hyp[k] = str(rng.choice(vocab))
+        else:
+            hyp = [str(t) for t in rng.choice(vocab, n)]
+        hyps.append([(t, float(rng.choice([0.25, 1.0]))) if rng.random() < 0.2 else t for t in hyp])
+    return [hyps[0], base, hyps[1]] if short_first else [base, hyps[0], hyps[1]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_align_matches_oracle_on_long_hypotheses(seed):
+    # rows of 100-400 bits against networks whose slot count differs from
+    # the hypothesis length by hundreds: the carries of the bit-parallel
+    # rows cross many 30-bit int digits
+    rng = np.random.default_rng(seed)
+    hyps = _long_hypotheses(rng, short_first=seed % 2 == 0)
+    wtn = WordTransitionNetwork.from_hypothesis(hyps[0])
+    gaps = []
+    for hyp in hyps[1:]:
+        gaps.append(abs(len(wtn.slots) - len(hyp)))
+        got = align_into_wtn(wtn, hyp)
+        want = ref.align_into_wtn(wtn, hyp)
+        assert got == want
+        assert [list(s.items()) for s in got.slots] == [list(s.items()) for s in want.slots]
+        wtn = got
+    assert min(gaps) >= 250
+
+
+# ------------------------------------------------------ malformed input
+
+
+@pytest.mark.parametrize(
+    "item, match",
+    [
+        pytest.param((["a"], 0.5), "hashable", id="unhashable_token_in_a_pair"),
+        pytest.param(5, "pairs", id="bare_non_str_token"),
+        pytest.param(("a",), "pairs", id="one_tuple"),
+        pytest.param(("a", 0.5, 1), "pairs", id="three_tuple"),
+        pytest.param(("b", "x"), "confidence", id="non_numeric_confidence"),
+        pytest.param(("b", True), "confidence", id="bool_confidence"),
+        pytest.param(("b", float("nan")), "confidence", id="nan_confidence"),
+        pytest.param(("b", float("inf")), "confidence", id="inf_confidence"),
+        pytest.param(("b", -float("inf")), "confidence", id="minus_inf_confidence"),
+    ],
+)
+def test_malformed_hypothesis_element_is_a_parameter_error(item, match):
+    with pytest.raises(ParameterError, match=match):
+        WordTransitionNetwork.from_hypothesis(["a", item])
+    wtn = WordTransitionNetwork.from_hypothesis(["a"])
+    with pytest.raises(ParameterError, match=match):
+        align_into_wtn(wtn, [item])
+    with pytest.raises(ParameterError, match=match):
+        rover([["a"], ["a", item]], alpha=0.5)
+
+
+def test_pairs_may_be_lists_and_tokens_any_hashable():
+    wtn = WordTransitionNetwork.from_hypothesis([["a", 0.5], (7, 1)])
+    assert wtn.slots[0]["a"] == ArcTally(1, 0.5, 0)
+    assert wtn.slots[1][7] == ArcTally(1, 1.0, 0)
+
+
 # ---------------------------------------------------------- the verbs
 
 
