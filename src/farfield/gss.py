@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError, ParameterError, check_finite, check_int
 from .linalg import map_blocks, one_blas_thread, solve_hermitian
-from .metrics import DiarizationSet
+from .metrics import DiarizationSet, _covered
 from .signal import (
     ComplexSpectrogram,
     StftParams,
@@ -631,7 +631,11 @@ def _plan_windows(wav: WaveformBuffer, segments: DiarizationSet, todo: list, cfg
     needs before any is analysed. Its activity pattern has a row per
     speaker with a segment overlapping the window, in sorted order, and
     marks each frame that overlaps one of that speaker's segments,
-    measured from the window's start in seconds.
+    measured from the window's start in seconds: with the frames'
+    sample spans sorted, a segment covers the range from the first frame
+    ending after its start to the last starting before its end, and
+    every speaker's ranges and the all-active noise row are marked at
+    once by ``metrics._covered``.
 
     Returns a list of (lo, hi, activity, targets): the window's sample
     bounds, its :class:`ActivityPattern`, and a dict from each speaker
@@ -659,15 +663,17 @@ def _plan_windows(wav: WaveformBuffer, segments: DiarizationSet, todo: list, cfg
     for (lo, hi), (win_start, win_end, targets) in bounds.items():
         overlapping = [s for s in segments.segments if s.end_s > win_start and s.start_s < win_end]
         speakers = sorted({s.speaker for s in overlapping})
+        row = {speaker: k for k, speaker in enumerate(speakers)}
         n_frames = _STFT.n_frames(hi - lo)
-        active = np.zeros((len(speakers) + 1, n_frames), dtype=bool)
-        active[-1] = True
         starts = np.arange(n_frames) * _STFT.frame_shift - _STFT.edge_padding
         ends = starts + _STFT.frame_length
-        for seg in overlapping:
-            a = (seg.start_s - win_start) * rate
-            b = (seg.end_s - win_start) * rate
-            active[speakers.index(seg.speaker)] |= (ends > a) & (starts < b)
+        bounds_s = np.array([(s.start_s, s.end_s) for s in overlapping], dtype=np.float64)
+        a, b = ((bounds_s.reshape(-1, 2) - win_start) * rate).T
+        # frames with ends > a and starts < b; the noise row covers [0, n_frames)
+        rows = np.array([row[s.speaker] for s in overlapping] + [len(speakers)], dtype=np.intp)
+        first = np.append(np.searchsorted(ends, a, "right"), 0)
+        stop = np.append(np.searchsorted(starts, b, "left"), n_frames)
+        active = _covered(rows, first, stop, len(speakers) + 1, n_frames)
         windows.append((lo, hi, ActivityPattern(tuple(speakers), active), targets))
     return windows
 

@@ -402,30 +402,42 @@ def cpcer(refs: TranscriptSet, hyps: TranscriptSet) -> tuple:
     return total_err / total_ref, breakdown, assignment
 
 
+def _covered(rows, lo, hi, n_rows: int, n: int) -> np.ndarray:
+    """Boolean ``(n_rows, n)`` grid with each interval's cells set in its row.
+
+    ``rows``, ``lo`` and ``hi`` are integer arrays, one entry per
+    interval: interval k marks cells ``[lo[k], hi[k])`` of row ``rows[k]``; one
+    with ``lo[k] >= hi[k]`` marks none. Bounds must lie in ``[0, n]``.
+    The rows are laid end to end, each ``n + 1`` long, as one difference
+    array kept sparse: +1 at every start, -1 at every end, and the
+    running sum over these boundaries in position order, repeated out to
+    the cells between them, counts the intervals covering each cell.
+    """
+    keep = lo < hi
+    width = n + 1
+    offsets = rows[keep] * width
+    pos = np.concatenate((offsets + lo[keep], offsets + hi[keep]))
+    step = np.repeat(np.array([1, -1], dtype=np.int32), len(offsets))
+    order = np.argsort(pos)
+    covered = np.cumsum(step[order], dtype=np.int32) > 0
+    runs = np.diff(pos[order], prepend=0, append=n_rows * width)
+    return np.repeat(np.concatenate(([False], covered)), runs).reshape(n_rows, width)[:, :-1]
+
+
 def _segment_frames(segments, n_frames: int) -> tuple:
-    """Per-speaker boolean activity on the 10 ms grid.
+    """Per-speaker boolean activity on the 10 ms grid, rows in sorted
+    speaker order.
 
     Each segment covers frames ``[round(start_s / FRAME_S),
-    round(end_s / FRAME_S))``, rounded half to even; ``n_frames`` must
-    cover every end. The speakers' rows are laid end to end, each
-    ``n_frames + 1`` long, as one difference array kept sparse: +1 at
-    every start, -1 at every end, and the running sum over these
-    boundaries in position order, repeated out to the frames between
-    them, counts the segments covering each frame.
+    round(end_s / FRAME_S))`` of its speaker's row (see ``_covered``),
+    rounded half to even; ``n_frames`` must cover every end.
     """
     speakers = sorted({s.speaker for s in segments})
     row = {speaker: k for k, speaker in enumerate(speakers)}
-    width = n_frames + 1
-    offsets = np.array([row[s.speaker] * width for s in segments], dtype=np.intp)
+    rows = np.array([row[s.speaker] for s in segments], dtype=np.intp)
     bounds = np.array([(s.start_s, s.end_s) for s in segments], dtype=np.float64)
     lo, hi = np.round(bounds.reshape(-1, 2) / FRAME_S).astype(np.intp).T
-    pos = np.concatenate((offsets + lo, offsets + hi))
-    step = np.repeat(np.array([1, -1], dtype=np.int32), len(segments))
-    order = np.argsort(pos)
-    covered = np.cumsum(step[order], dtype=np.int32) > 0
-    runs = np.diff(pos[order], prepend=0, append=len(speakers) * width)
-    act = np.repeat(np.concatenate(([False], covered)), runs)
-    return speakers, act.reshape(len(speakers), width)[:, :-1]
+    return speakers, _covered(rows, lo, hi, len(speakers), n_frames)
 
 
 def _outside_collars(segments, collar_s: float, n_frames: int) -> np.ndarray:
@@ -433,18 +445,13 @@ def _outside_collars(segments, collar_s: float, n_frames: int) -> np.ndarray:
 
     Each boundary excises frames ``[round((edge - collar_s) / FRAME_S),
     round((edge + collar_s) / FRAME_S))``, rounded half to even and
-    clipped to ``[0, n_frames]``. All boundaries are marked at once in
-    an int32 difference array whose running sum counts the collars
-    covering each frame.
+    clipped to ``[0, n_frames]``: the frames no collar covers in one row
+    of ``_covered``.
     """
     edges = np.array([(s.start_s, s.end_s) for s in segments], dtype=np.float64).reshape(-1)
-    lo = np.clip(np.round((edges - collar_s) / FRAME_S), 0, n_frames).astype(np.int64)
-    hi = np.clip(np.round((edges + collar_s) / FRAME_S), 0, n_frames).astype(np.int64)
-    keep = lo < hi
-    opens = np.zeros(n_frames + 1, dtype=np.int32)
-    np.add.at(opens, lo[keep], 1)
-    np.add.at(opens, hi[keep], -1)
-    return np.cumsum(opens[:-1], dtype=np.int32) == 0
+    lo = np.clip(np.round((edges - collar_s) / FRAME_S), 0, n_frames).astype(np.intp)
+    hi = np.clip(np.round((edges + collar_s) / FRAME_S), 0, n_frames).astype(np.intp)
+    return ~_covered(np.zeros(len(edges), dtype=np.intp), lo, hi, 1, n_frames)[0]
 
 
 def der(
@@ -457,8 +464,9 @@ def der(
 
     Each session is scored on the 10 ms grid. Frames within ``collar_s``
     of a reference boundary are excised: every boundary's collar is
-    rounded half to even, clipped at 0 and at the horizon, and all of
-    them are marked in one difference array (see ``_outside_collars``).
+    rounded half to even and clipped at 0 and at the horizon. Segments
+    and collars are both marked on the grid by one interval-coverage
+    rule, a sparse difference array (see ``_covered``).
     Speakers are mapped by the Hungarian algorithm on the scored frames
     each (reference, hypothesis) pair shares, counted pair by pair with
     ``np.count_nonzero``. With ``nr`` and ``nh`` the reference and

@@ -362,7 +362,15 @@ class MeetingResult:
 
 
 def _dry_segments(source: PlannedSource, session: str, rate: int) -> list:
-    """Energy-gated speech segments of a dry source, onset applied."""
+    """Energy-gated speech segments of a dry source, onset applied.
+
+    Frames of ``_SEG_WIN_S`` every ``_SEG_HOP_S`` are active above
+    ``_SEG_THRESHOLD`` RMS. Each run of active frames spans its first
+    frame's start to its last frame's end, and a run joins the one
+    before it when the gap between them is shorter than
+    ``_SEG_MERGE_GAP_S``. Times are sample counts divided by the rate,
+    then offset by the onset.
+    """
     win = int(round(_SEG_WIN_S * rate))
     hop = int(round(_SEG_HOP_S * rate))
     x = source.audio.samples[0]
@@ -371,29 +379,17 @@ def _dry_segments(source: PlannedSource, session: str, rate: int) -> list:
     n_frames = 1 + (x.size - win) // hop
     idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
     rms = np.sqrt(np.mean(np.square(x[idx]), axis=1))
-    active = rms > _SEG_THRESHOLD
-    runs = []
-    start = None
-    for i, flag in enumerate(active):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, n_frames - 1))
-    merged = []
-    for a, b in runs:
-        if merged and a * hop - (merged[-1][1] * hop + win) < _SEG_MERGE_GAP_S * rate:
-            merged[-1] = (merged[-1][0], b)
-        else:
-            merged.append((a, b))
-    out = []
-    for a, b in merged:
-        t0 = source.onset_s + a * hop / rate
-        t1 = source.onset_s + min(b * hop + win, x.size) / rate
-        out.append(DiarSegment(session, source.speaker, t0, t1))
-    return out
+    # the mask changes at each run's first frame and one past its last
+    edges = np.flatnonzero(np.diff(rms > _SEG_THRESHOLD, prepend=False, append=False))
+    first, last = edges[0::2], edges[1::2] - 1
+    apart = first[1:] * hop - (last[:-1] * hop + win) >= _SEG_MERGE_GAP_S * rate
+    first = np.append(first[:1], first[1:][apart])
+    last = np.append(last[:-1][apart], last[-1:])
+    t0 = source.onset_s + first * hop / rate
+    t1 = source.onset_s + (last * hop + win) / rate  # the last frame ends within x
+    return [
+        DiarSegment(session, source.speaker, a, b) for a, b in zip(t0.tolist(), t1.tolist())
+    ]
 
 
 def make_meeting(plan: MixturePlan, room: RoomSpec) -> MeetingResult:
@@ -437,7 +433,6 @@ def make_meeting(plan: MixturePlan, room: RoomSpec) -> MeetingResult:
         length = max(length, onset + s.audio.n_samples + tail - 1)
 
     images = {}
-    clean = np.zeros((n_mics, length))
     segments = []
     for si, s in enumerate(plan.sources):
         onset = int(round(s.onset_s * rate))
@@ -446,8 +441,12 @@ def make_meeting(plan: MixturePlan, room: RoomSpec) -> MeetingResult:
         img[:, onset : onset + y.shape[1]] = y
         del y  # it may view a whole transform buffer: free it before the next source
         images[s.speaker] = WaveformBuffer(img, rate)
-        clean += img
         segments.extend(_dry_segments(s, plan.session, rate))
+    # summed after the loop, in source order, so no running sum is alive
+    # while a source is convolved
+    clean = np.zeros((n_mics, length))
+    for image in images.values():
+        clean += image.samples
 
     noise_buf = None
     mixture = clean

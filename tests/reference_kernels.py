@@ -1,7 +1,8 @@
 """Reference implementations of the iSTFT overlap-add, of the WPE, CACGMM
 and MVDR kernels, of the GSS recipe, of ROVER alignment, of the
-image-source expansion and room impulse response, of the edit
-distance, and of DER.
+image-source expansion and room impulse response, of the energy-gated
+segments of a dry source, of the edit distance, of interval coverage on
+a grid, and of DER.
 
 The kernels are the straightforward per-bin and per-class loop-and-einsum
 formulations the batched kernels in ``farfield.wpe`` and ``farfield.gss``
@@ -11,19 +12,23 @@ compare two independent computations of the same quantities.
 :func:`enhance_per_segment` is the recipe ``farfield.gss_enhance``
 replaces: it runs the package's STFT, WPE, mixture fit and beamformer
 once for every target segment, even when several targets share a
-context window.
+context window. Its activity pattern comes from :func:`frame_activity`,
+which ORs one full-length frame row per segment.
 
 :func:`istft` overlap-adds one frame at a time, :func:`align_into_wtn`
 fills the ROVER alignment table as a list of lists, one cell at a time,
 :func:`image_sources` visits every mirror combination in a Python loop
 with one ``np.linalg.norm`` each, :func:`image_source_rir` adds one
-image's windowed sinc at a time, and :func:`der` excises one collar at a
-time and counts overlaps with an int64 ``einsum``: the per-element
-formulations the array code in ``farfield.signal``, ``farfield.rover``,
-``farfield.simulate`` and ``farfield.metrics`` replaces. Their outputs
-must be equal, not close. :func:`edit_distance` fills the full
-Levenshtein table cell by cell, the oracle of the package's
-``edit_distance`` and of the cpCER stream-pair costs.
+image's windowed sinc at a time, :func:`der` excises one collar at a
+time and counts overlaps with an int64 ``einsum``, :func:`covered`
+marks one interval of a grid row at a time, and :func:`dry_segments`
+gates a dry source frame by frame and joins its runs one at a time: the
+per-element formulations the array code in ``farfield.signal``,
+``farfield.rover``, ``farfield.simulate``, ``farfield.metrics`` and
+``farfield.gss`` replaces. Their outputs must be equal, not close.
+:func:`edit_distance` fills the full Levenshtein table cell by cell,
+the oracle of the package's ``edit_distance`` and of the cpCER
+stream-pair costs.
 
 :func:`meeting_images` renders every (source, mic) image by its own
 direct ``np.convolve``, the sums ``farfield.make_meeting`` now takes by
@@ -42,6 +47,7 @@ from farfield import (
     NULL_TOKEN,
     ActivityPattern,
     ArcTally,
+    DiarSegment,
     StftParams,
     WaveformBuffer,
     WordTransitionNetwork,
@@ -283,6 +289,30 @@ def mvdr_weights(phi_ss, phi_nn, reference_channel):
 # ----------------------------------------------------------------- GSS
 
 
+def frame_activity(segments, win_start, win_end, n_frames, rate):
+    """The activity pattern of the window ``[win_start, win_end]`` s.
+
+    A row per speaker with a segment overlapping the window, in sorted
+    order, ORs one full-length row per segment: frame i, spanning
+    samples ``[i * shift - padding, i * shift - padding + length)`` of
+    the window, is active when it overlaps the segment's samples
+    ``((start_s - win_start) * rate, (end_s - win_start) * rate)``. The
+    noise row is all true.
+    """
+    p = StftParams()
+    overlapping = [s for s in segments.segments if s.end_s > win_start and s.start_s < win_end]
+    speakers = sorted({s.speaker for s in overlapping})
+    active = np.zeros((len(speakers) + 1, n_frames), dtype=bool)
+    active[-1] = True
+    starts = np.arange(n_frames) * p.frame_shift - p.edge_padding
+    ends = starts + p.frame_length
+    for seg in overlapping:
+        a = (seg.start_s - win_start) * rate
+        b = (seg.end_s - win_start) * rate
+        active[speakers.index(seg.speaker)] |= (ends > a) & (starts < b)
+    return ActivityPattern(tuple(speakers), active)
+
+
 def enhance_per_segment(wav, segments, cfg):
     """One STFT, WPE and mixture fit per target segment.
 
@@ -301,22 +331,10 @@ def enhance_per_segment(wav, segments, cfg):
         if cfg.wpe is not None:
             spec = package_wpe(spec, cfg.wpe)
 
-        overlapping = [
-            s for s in segments.segments if s.end_s > win_start and s.start_s < win_end
-        ]
-        speakers = sorted({s.speaker for s in overlapping})
-        active = np.zeros((len(speakers) + 1, spec.frames), dtype=bool)
-        active[-1] = True
-        starts = np.arange(spec.frames) * p.frame_shift - p.edge_padding
-        ends = starts + p.frame_length
-        for seg in overlapping:
-            a = (seg.start_s - win_start) * rate
-            b = (seg.end_s - win_start) * rate
-            active[speakers.index(seg.speaker)] |= (ends > a) & (starts < b)
-        activity = ActivityPattern(tuple(speakers), active)
+        activity = frame_activity(segments, win_start, win_end, spec.frames, rate)
 
         _, masks = package_fit_cacgmm(spec, activity, cfg.em_iterations)
-        enhanced = mvdr_beamform(spec, masks, speakers.index(speaker))
+        enhanced = mvdr_beamform(spec, masks, activity.speakers.index(speaker))
         audio = istft(enhanced, hi - lo)
         a = int(round(start_s * rate)) - lo
         b = int(round(end_s * rate)) - lo
@@ -461,6 +479,52 @@ def meeting_images(plan, room):
     return images
 
 
+# ------------------------------------------------------- dry segments
+
+
+DRY_WIN_S = 0.025  # the energy gate's frame length
+DRY_HOP_S = 0.010  # and shift
+DRY_THRESHOLD = 10.0 ** (-40.0 / 20.0)  # -40 dBFS frame RMS
+DRY_MERGE_GAP_S = 0.3  # runs closer than this are joined
+
+
+def dry_segments(source, session, rate):
+    """Energy-gated segments of a dry source: one pass over the frames
+    collects the runs of active frames, a second joins each run to the
+    one before when the gap between them is below ``DRY_MERGE_GAP_S``."""
+    win = int(round(DRY_WIN_S * rate))
+    hop = int(round(DRY_HOP_S * rate))
+    x = source.audio.samples[0]
+    if x.size < win:
+        return []
+    n_frames = 1 + (x.size - win) // hop
+    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
+    rms = np.sqrt(np.mean(np.square(x[idx]), axis=1))
+    active = rms > DRY_THRESHOLD
+    runs = []
+    start = None
+    for i, flag in enumerate(active):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, n_frames - 1))
+    merged = []
+    for a, b in runs:
+        if merged and a * hop - (merged[-1][1] * hop + win) < DRY_MERGE_GAP_S * rate:
+            merged[-1] = (merged[-1][0], b)
+        else:
+            merged.append((a, b))
+    out = []
+    for a, b in merged:
+        t0 = source.onset_s + a * hop / rate
+        t1 = source.onset_s + min(b * hop + win, x.size) / rate
+        out.append(DiarSegment(session, source.speaker, t0, t1))
+    return out
+
+
 # -------------------------------------------------------- edit distance
 
 
@@ -487,6 +551,18 @@ def edit_distance(ref, hyp):
         table.append(row)
     cost, subs, ins = table[n][m]
     return subs, ins, cost - subs - ins
+
+
+# ----------------------------------------------------- interval coverage
+
+
+def covered(rows, lo, hi, n_rows, n):
+    """Boolean (n_rows, n) grid, one slice assignment per interval: cells
+    ``[lo[k], hi[k])`` of row ``rows[k]``, none when ``lo[k] >= hi[k]``."""
+    grid = np.zeros((n_rows, n), dtype=bool)
+    for r, a, b in zip(rows, lo, hi):
+        grid[r, a:b] = True
+    return grid
 
 
 # ------------------------------------------------------------------ DER

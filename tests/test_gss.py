@@ -771,3 +771,58 @@ def test_dropped_sub_frame_segment_keeps_order_and_lengths():
         (("p", 1.2, 2.0), int(0.8 * FS)),
     ]
     _assert_same_outputs(out, ref.enhance_per_segment(meeting.mixture, segments, cfg))
+
+
+# with 16384 Hz the 128-sample frame shift is 1/128 s, so times that are
+# multiples of 1/16384 s reach the planner as exact sample counts
+EXACT_FS = 16384
+
+
+def _planned_vs_frame_rule(segments, n_samples, context_s):
+    wav = WaveformBuffer(np.zeros((2, n_samples)), EXACT_FS)
+    todo = eligible_segments(segments, n_samples, EXACT_FS)
+    cfg = GssConfig(wpe=None, context_s=context_s)
+    windows = gss_module._plan_windows(wav, segments, todo, cfg)
+    assert windows
+    for lo, hi, activity, targets in windows:
+        # the window's bounds in seconds come from its first target
+        _, start_s, end_s = todo[min(min(ix) for ix in targets.values())]
+        win_start = max(0.0, start_s - context_s)
+        win_end = min(n_samples / EXACT_FS, end_s + context_s)
+        want = ref.frame_activity(segments, win_start, win_end, activity.active.shape[1], EXACT_FS)
+        assert activity.speakers == want.speakers
+        np.testing.assert_array_equal(activity.active, want.active)
+
+
+@pytest.mark.parametrize("context_s", [0.0, 0.1, 0.25, 15.0])
+def test_planned_activity_equals_the_frame_rule(context_s):
+    # frame i spans samples [128 i - 384, 128 i + 128) of its window
+    s = 1 / EXACT_FS
+    segments = DiarizationSet.from_rows(
+        [
+            ("m", "p", 384 * s, 1280 * s),  # bounds on a frame's end and on a frame's start
+            ("m", "q", 0.25, 0.25 + 64 * s),  # shorter than one frame shift
+            ("m", "q", 0.5, 0.5 + s),  # one sample
+            ("m", "r", 0.0, 2.0),  # past both edges of every shorter window
+            ("m", "q", 0.75 - s, 0.75 + 128 * s),  # one sample before a frame edge
+            ("m", "p", 1.0 + 5 * s, 1.75 + 3 * s),
+            ("m", "r", 1.5 - 383 * s, 1.5 + 129 * s),
+        ]
+    )
+    _planned_vs_frame_rule(segments, 2 * EXACT_FS, context_s)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_planned_activity_equals_the_frame_rule_on_random_sessions(seed):
+    # segment bounds at frame edges, one sample either side, or anywhere
+    rng = np.random.default_rng(seed)
+    n_samples = 3 * EXACT_FS
+    rows = []
+    for _ in range(12):
+        a, b = np.sort(rng.integers(0, n_samples // 128 + 1, 2)) * 128
+        a, b = a + rng.choice([-1, 0, 1, 0, rng.integers(128)]), b + rng.choice([-1, 0, 1, 64])
+        a, b = max(int(a), 0), min(int(b), n_samples)
+        if a < b:
+            rows.append(("m", str(rng.choice(["p", "q", "r"])), a / EXACT_FS, b / EXACT_FS))
+    context_s = float(rng.choice([0.0, 0.3, 1.0]))
+    _planned_vs_frame_rule(DiarizationSet.from_rows(rows), n_samples, context_s)

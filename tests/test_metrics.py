@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 import reference_kernels as ref_kernels
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import farfield.metrics
@@ -394,7 +394,32 @@ def test_diar_segment_rejects_names_that_are_not_one_field(field, name):
         DiarSegment(names["session"], names["speaker"], 0.0, 1.0)
 
 
-DER_PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=250)
+@st.composite
+def grid_intervals(draw):
+    # (n_rows, n, [(row, lo, hi), ...]); bounds favour 0 and n, and lo >= hi
+    # (an empty interval) is drawn too
+    n = draw(st.integers(0, 40))
+    n_rows = draw(st.integers(0, 4))
+    if n_rows == 0:
+        return n_rows, n, []
+    bound = st.sampled_from([0, n]) | st.integers(0, n)
+    intervals = st.tuples(st.integers(0, n_rows - 1), bound, bound)
+    return n_rows, n, draw(st.lists(intervals, max_size=12))
+
+
+@settings(max_examples=300)
+@given(case=grid_intervals())
+@example(case=(2, 5, [(0, 0, 0), (1, 5, 5), (1, 3, 1)]))  # [0, 0), [n, n), lo > hi
+# row 0 full, row 1 without an interval, row 2 nested and overlapping ones
+@example(case=(3, 6, [(0, 0, 6), (2, 1, 5), (2, 2, 3), (2, 4, 6), (2, 5, 6)]))
+@example(case=(3, 0, [(1, 0, 0)]))  # rows without cells
+@example(case=(0, 4, []))  # no rows
+def test_covered_equals_one_slice_per_interval(case):
+    n_rows, n, intervals = case
+    rows, lo, hi = np.array(intervals, dtype=np.intp).reshape(-1, 3).T
+    got = farfield.metrics._covered(rows, lo, hi, n_rows, n)
+    assert got.dtype == bool and got.shape == (n_rows, n)
+    np.testing.assert_array_equal(got, ref_kernels.covered(rows, lo, hi, n_rows, n))
 
 
 @st.composite
@@ -415,7 +440,7 @@ def diar_rows(draw, session_names=("m", "n"), speaker_names=("A", "B", "C")):
     return rows
 
 
-@settings(DER_PROPERTY)
+@settings(max_examples=250)
 @given(
     ref_rows=diar_rows(),
     hyp_rows=st.just([]) | diar_rows(speaker_names=("x", "y")),

@@ -1,7 +1,8 @@
 """Property tests against plain oracles, with derandomized hypothesis.
 
-Examples are drawn from a fixed seed (``derandomize=True``) and their
-number is bounded, so every run checks the same cases in a few seconds.
+Examples are drawn from a fixed seed (the ``derandomize=True`` profile
+of ``conftest.py``) and their number is bounded, so every run checks the
+same cases in a few seconds.
 """
 
 import copy
@@ -46,7 +47,6 @@ from farfield import (
 from farfield.wpe import DEFAULT_PSD_FLOOR as WPE_PSD_FLOOR
 
 FS = 16000
-PROPERTY = settings(derandomize=True, deadline=None, database=None)
 DIRECT_MAX = importlib.import_module("farfield.simulate")._DIRECT_MAX
 edit_costs = importlib.import_module("farfield.metrics")._edit_costs
 
@@ -62,7 +62,7 @@ def cola_params(draw):
     return StftParams(length, shift, fft_size)
 
 
-@settings(PROPERTY, max_examples=80)
+@settings(max_examples=80)
 @given(
     p=cola_params(),
     n=st.integers(1, 3000),
@@ -82,7 +82,7 @@ def test_stft_istft_round_trip(p, n, channels, seed):
 @example(n=DIRECT_MAX, taps=900, seed=3)
 @example(n=DIRECT_MAX + 1, taps=DIRECT_MAX + 1, seed=4)
 @example(n=300, taps=900, seed=5)  # a kernel longer than the signal
-@settings(PROPERTY, max_examples=80)
+@settings(max_examples=80)
 @given(
     n=st.integers(1, 900),
     taps=st.integers(1, 900),
@@ -109,7 +109,7 @@ tokens = st.one_of(
 )
 
 
-@settings(PROPERTY, max_examples=300)
+@settings(max_examples=300)
 @given(ref=tokens, hyp=tokens)
 def test_edit_distance_matches_dp_oracle(ref, hyp):
     assert edit_distance(ref, hyp) == ref_kernels.edit_distance(ref, hyp)
@@ -145,7 +145,7 @@ def stream_sets(draw):
 @example(streams=([list("a" * 40)], [list("a" * 59), list("ba" * 15), list("a" * 63)]))
 @example(streams=([list("b" * 65)], [list("ab" * 32), [], list("b" * 64)]))
 @example(streams=([CJK[:2000], CJK[1000:]], [CJK[500:2500], CJK[::-1], [UNSEEN]]))
-@settings(PROPERTY, max_examples=200)
+@settings(max_examples=200)
 @given(streams=stream_sets())
 def test_edit_costs_equal_edit_distance_on_every_pair(streams):
     refs, hyps = streams
@@ -176,7 +176,7 @@ def rttm_rows(draw, names):
     return draw(names), draw(names), start_ms, start_ms + dur_ms
 
 
-@settings(PROPERTY, max_examples=200)
+@settings(max_examples=200)
 @given(rows=name_kinds.flatmap(lambda names: st.lists(rttm_rows(names), max_size=8)))
 def test_rttm_round_trip(rows, tmp_path_factory):
     seconds = [(sess, spk, a / 1000, b / 1000) for sess, spk, a, b in rows]
@@ -196,7 +196,7 @@ def test_rttm_round_trip(rows, tmp_path_factory):
     assert got == sorted((sess, spk, a / 1000, b) for sess, spk, a, b in rows)
 
 
-@settings(PROPERTY, max_examples=200)
+@settings(max_examples=200)
 @given(
     utts=name_kinds.flatmap(
         lambda names: st.dictionaries(names, st.lists(names, max_size=5).map(tuple), max_size=6)
@@ -215,7 +215,7 @@ def test_utterances_round_trip(utts, tmp_path_factory):
 # -------------------------------------------------------------- ROVER
 
 
-@settings(PROPERTY, max_examples=150)
+@settings(max_examples=150)
 @given(
     hyp=st.lists(
         st.sampled_from("abc")
@@ -327,7 +327,7 @@ def _read_edited(root, name, path, value):
 @example(target=("room", ("source_positions",)), value={"a": 1})
 @example(target=("room", ("source_positions", 0, 1)), value=float("nan"))
 @example(target=("room", ("absorption",)), value=10**400)
-@settings(PROPERTY, max_examples=500)
+@settings(max_examples=500)
 @given(target=st.sampled_from(TARGETS), value=json_values)
 def test_readers_raise_only_data_errors_on_any_replaced_value(reader_dir, target, value):
     _read_edited(reader_dir, *target, value)
@@ -391,7 +391,7 @@ def meeting():
 
 
 @example(k=20, wpe="wpe")
-@settings(PROPERTY, max_examples=6)
+@settings(max_examples=6)
 @given(k=st.integers(0, 24), wpe=st.sampled_from(["wpe", "no-wpe"]))
 def test_enhance_commutes_with_scaling_by_a_power_of_two(meeting, k, wpe):
     mixture, segments, configs, enhanced = meeting
@@ -402,7 +402,7 @@ def test_enhance_commutes_with_scaling_by_a_power_of_two(meeting, k, wpe):
         np.testing.assert_array_equal(out[key].samples, expected.samples * 2.0**k)
 
 
-@settings(PROPERTY, max_examples=6)
+@settings(max_examples=6)
 @given(order=st.permutations(range(len(MEETING_ROWS))))
 def test_enhance_output_bytes_do_not_depend_on_the_rttm_row_order(
     meeting, order, tmp_path_factory

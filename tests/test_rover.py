@@ -80,7 +80,7 @@ items = st.one_of(
 )
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@settings(max_examples=200)
 @given(hyps=st.lists(st.lists(items, max_size=10), min_size=2, max_size=5))
 def test_align_matches_cell_by_cell_oracle(hyps):
     # small vocabularies give repeated tokens and many tied alignments

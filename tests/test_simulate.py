@@ -525,6 +525,66 @@ def test_make_meeting_merges_segments_across_short_gaps():
     assert len(make_meeting(split, room).reference.segments) == 2
 
 
+def _gated_source(rate, n, bursts, onset_s=0.0):
+    # 0.5 over each burst's samples: a frame is active if it holds one of them
+    x = np.zeros(n)
+    for a, b in bursts:
+        x[a:b] = 0.5
+    return PlannedSource("s", WaveformBuffer(x, rate), onset_s)
+
+
+def _dry_segments_match_the_loops(source):
+    rate = source.audio.sample_rate_hz
+    got = simulate_module._dry_segments(source, "m", rate)
+    want = ref.dry_segments(source, "m", rate)
+    assert [(s.start_s, s.end_s) for s in got] == [(s.start_s, s.end_s) for s in want]
+    return got
+
+
+@pytest.mark.parametrize(
+    "rate, second, count",
+    [
+        # 2560 Hz: 64-sample frames every 26; the run of frame 0 ends at
+        # sample 64, and the next run starts at frame 31, 32 or 33
+        (2560, 869, 1),  # gap 742 samples, below the 768 of 0.3 s: joined
+        (2560, 895, 2),  # gap 768, exactly 0.3 s: kept apart
+        (2560, 921, 2),  # gap 794
+        # 16 kHz: 400-sample frames every 160, next run at frame 32 or 33
+        (16000, 5519, 1),  # gap 4720, below 4800
+        (16000, 5679, 2),  # gap 4880
+    ],
+)
+def test_dry_segments_join_runs_closer_than_the_merge_gap(rate, second, count):
+    hop = int(round(0.01 * rate))
+    source = _gated_source(rate, rate, [(0, hop), (second, second + hop)])
+    assert len(_dry_segments_match_the_loops(source)) == count
+
+
+def test_dry_segments_equal_the_frame_and_run_loops():
+    rng = np.random.default_rng(21)
+    for k in range(300):
+        rate = int(rng.choice([2560, 8000, 16000]))
+        n = int(rng.integers(1, 2 * rate))
+        kind = k % 5
+        if kind == 0:  # bursts of random lengths and gaps
+            edges = np.sort(rng.integers(0, n + 1, 2 * int(rng.integers(1, 8))))
+            bursts = edges.reshape(-1, 2)
+        elif kind == 1:  # silence
+            bursts = []
+        elif kind == 2:  # always active
+            bursts = [(0, n)]
+        elif kind == 3:  # shorter than one 25 ms window, or just as long
+            n = int(rng.integers(1, int(round(0.025 * rate)) + 2))
+            bursts = [(0, n)] if rng.random() < 0.5 else []
+        else:  # a second burst around 0.3 s after the first ends
+            a = int(rng.integers(0, rate // 4))
+            b = a + int(rng.integers(1, rate // 10))
+            c = b + int(round(0.3 * rate)) + int(rng.integers(-rate // 20, rate // 20))
+            bursts = [(a, b), (c, c + int(rng.integers(1, rate // 10)))]
+        source = _gated_source(rate, n, bursts, onset_s=float(rng.uniform(0.0, 3.0)))
+        _dry_segments_match_the_loops(source)
+
+
 def test_make_meeting_validation():
     plan, room = _two_source_setup(seed=10, snr=10.0)
     one_pos = RoomSpec(
