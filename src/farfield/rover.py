@@ -45,7 +45,10 @@ class WordTransitionNetwork:
     """Aligned voting slots; each maps token -> ArcTally.
 
     Every slot's counts sum to ``n_systems``: each absorbed hypothesis
-    contributes exactly one arc (possibly ``@``) per slot.
+    contributes exactly one arc (possibly ``@``) per slot. The
+    constructor checks that and copies each slot dict; the networks
+    ``from_hypothesis`` and ``align_into_wtn`` return hold new dicts
+    that keep it by construction, and skip that pass.
     """
 
     slots: tuple
@@ -61,12 +64,22 @@ class WordTransitionNetwork:
         object.__setattr__(self, "slots", tuple(dict(s) for s in self.slots))
 
     @classmethod
+    def _built(cls, slots: tuple, n_systems: int) -> "WordTransitionNetwork":
+        """A network of slot dicts made by this module for it alone, whose
+        counts already sum to ``n_systems``: it skips the constructor's
+        check and copies."""
+        wtn = object.__new__(cls)
+        object.__setattr__(wtn, "slots", slots)
+        object.__setattr__(wtn, "n_systems", n_systems)
+        return wtn
+
+    @classmethod
     def from_hypothesis(cls, hyp) -> "WordTransitionNetwork":
         tokens, confs = _coerce_hypothesis(hyp)
         slots = tuple(
             {tok: ArcTally(1, conf, 0)} for tok, conf in zip(tokens, confs)
         )
-        return cls(slots=slots, n_systems=1)
+        return cls._built(slots, 1)
 
 
 def _coerce_hypothesis(hyp) -> tuple:
@@ -165,7 +178,8 @@ def align_into_wtn(wtn: WordTransitionNetwork, hyp) -> WordTransitionNetwork:
             )
             j, cost = j - 1, cost - 1
     new_slots.reverse()
-    return WordTransitionNetwork(slots=tuple(new_slots), n_systems=system + 1)
+    # every slot took one arc of the new system and is a new dict
+    return WordTransitionNetwork._built(tuple(new_slots), system + 1)
 
 
 def _vote(wtn: WordTransitionNetwork, alpha: float) -> tuple:

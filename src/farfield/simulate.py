@@ -26,10 +26,13 @@ _SEG_WIN_S = 0.025
 _SEG_HOP_S = 0.010
 _SEG_THRESHOLD = 10.0 ** (-40.0 / 20.0)  # -40 dBFS frame RMS
 _SEG_MERGE_GAP_S = 0.3
-# image_sources enumerates 8 (2 max_order + 2)^3 images at once: one RIR of a
-# 6 x 5 x 3 m room at 16 kHz peaks at 81 MiB of numpy arrays (tracemalloc) at
-# order 20 and at 262 MiB at order 30
+# one RIR of a 6 x 5 x 3 m room at 16 kHz peaks at 9.4 MiB of numpy arrays
+# (tracemalloc) at order 20 and at 18.1 MiB at order 30, most of it the
+# reflection counts of image_sources' 8 (2 max_order + 2)^3 mirror combinations
 _MAX_ORDER = 30
+# image_source_rir forms the taps of this many images at a time, 1.3 MiB of
+# float64 per (block, 81) array
+_RIR_BLOCK = 2048
 # image_source_rir returns ceil(largest delay) + _SINC_HALF + 2 samples, and
 # an image of order at most n lies less than (n + 1) room diagonals from the
 # mic, so RoomSpec bounds the rate to keep that many samples within this cap
@@ -126,15 +129,19 @@ class RoomSpec:
 def image_sources(room: RoomSpec, src: int, mic: int) -> tuple:
     """Image expansion of one source as seen from one microphone.
 
-    Every mirror combination ``(p, r)``, with ``p`` in {0, 1}^3 and
-    ``r`` in [-max_order, max_order + 1]^3, is enumerated at once in
-    ``itertools.product`` order, and those of total reflection count
-    above ``max_order`` are masked out. Distances are the square roots
-    of one batched ``matmul`` of each offset row with itself, the same
-    dot product ``np.linalg.norm`` of a row takes, so they equal the
-    per-row norms bit for bit; amplitudes look up
-    ``(1 - absorption)^order`` in a table. Memory is a few arrays of
-    8 (2 max_order + 2)^3 rows.
+    A mirror combination ``(p, r)``, with ``p`` in {0, 1}^3 and ``r``
+    in [-max_order, max_order + 1]^3, reflects ``|r - p| + |r|`` times
+    along each axis. Those per-axis counts, one (2, 2 max_order + 2)
+    table, are broadcast into the reflection count of every combination,
+    and the combinations of count at most ``max_order`` are taken from
+    its nonzero indices in C order, which is ``itertools.product``
+    order. Distances are the square roots of one batched ``matmul`` of
+    each offset row with itself, the same dot product
+    ``np.linalg.norm`` of a row takes, so they equal the per-row norms
+    bit for bit; amplitudes look up ``(1 - absorption)^order`` in a
+    table. Memory is one int64 count per combination, 8 (2 max_order +
+    2)^3 of them (15 MiB at order 30), plus a few arrays of one row per
+    kept image.
 
     Returns
     -------
@@ -165,13 +172,18 @@ def image_sources(room: RoomSpec, src: int, mic: int) -> tuple:
     n = room.max_order
     reflect = 1.0 - room.absorption
 
-    bit = np.arange(2, dtype=np.int64)
     span = np.arange(-n, n + 2, dtype=np.int64)
-    grid = np.meshgrid(bit, bit, bit, span, span, span, indexing="ij")
-    p, r = np.split(np.stack(grid, axis=-1).reshape(-1, 6), 2, axis=1)
-    orders = (np.abs(r - p) + np.abs(r)).sum(axis=1)
-    keep = orders <= n
-    r, p, orders = r[keep], p[keep], orders[keep]
+    axis = np.abs(span - np.arange(2)[:, None]) + np.abs(span)  # (bit, r) -> reflections
+    cost = (
+        axis[:, None, None, :, None, None]
+        + axis[None, :, None, None, :, None]
+        + axis[None, None, :, None, None, :]
+    )
+    index = np.nonzero(cost <= n)  # in C order, the itertools.product order
+    orders = cost[index]
+    del cost  # freed before the per-image arrays: 15 MiB at order 30
+    p = np.stack(index[:3], axis=1)
+    r = span[np.stack(index[3:], axis=1)]
     pos = (1.0 - 2.0 * p) * s + 2.0 * r * dims
     d = pos - m
     dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
@@ -187,10 +199,11 @@ def image_source_rir(room: RoomSpec, src: int, mic: int) -> np.ndarray:
 
     Each image contributes amplitude * sinc(n - delay) under an 81-tap
     Hann window centered on the fractional delay, at the samples ``n``
-    within 40 of the delay. The taps of every image are formed at once
-    as one (images, 81) array, and one ``np.add.at`` adds them in
-    image-major order: every sample sums its images' taps in delay
-    order, the order of a loop over the images.
+    within 40 of the delay. The taps are formed in blocks of 2048 images
+    (``_RIR_BLOCK``) taken in delay order, one (block, 81) array each,
+    and one ``np.add.at`` per block adds them in image-major order:
+    every sample sums its images' taps in delay order, the order of a
+    loop over the images.
 
     An image at an integer delay is one exact spike: its tap at the delay
     is exactly the amplitude, and its other taps are sinc's zeros as
@@ -207,18 +220,21 @@ def image_source_rir(room: RoomSpec, src: int, mic: int) -> np.ndarray:
     >>> bool(np.max(np.abs(np.delete(h, 4))) < 1e-15 * h[4])
     True
     """
-    delays, amps, _ = image_sources(room, src, mic)
-    length = int(math.ceil(delays.max())) + _SINC_HALF + 2
-    first = np.ceil(delays).astype(np.int64) - _SINC_HALF
-    lo = np.maximum(first, 0)
-    hi = np.minimum(np.floor(delays).astype(np.int64) + _SINC_HALF + 1, length)
-    n = first[:, None] + np.arange(2 * _SINC_HALF + 1)
-    x = n - delays[:, None]
-    window = 0.5 + 0.5 * np.cos(np.pi * x / (_SINC_HALF + 1))
-    taps = amps[:, None] * np.sinc(x) * window
-    inside = (n >= lo[:, None]) & (n < hi[:, None])
+    all_delays, all_amps, _ = image_sources(room, src, mic)
+    length = int(math.ceil(all_delays.max())) + _SINC_HALF + 2
     h = np.zeros(length)
-    np.add.at(h, n[inside], taps[inside])
+    for start in range(0, all_delays.size, _RIR_BLOCK):
+        delays = all_delays[start : start + _RIR_BLOCK]
+        amps = all_amps[start : start + _RIR_BLOCK]
+        first = np.ceil(delays).astype(np.int64) - _SINC_HALF
+        lo = np.maximum(first, 0)
+        hi = np.minimum(np.floor(delays).astype(np.int64) + _SINC_HALF + 1, length)
+        n = first[:, None] + np.arange(2 * _SINC_HALF + 1)
+        x = n - delays[:, None]
+        window = 0.5 + 0.5 * np.cos(np.pi * x / (_SINC_HALF + 1))
+        taps = amps[:, None] * np.sinc(x) * window
+        inside = (n >= lo[:, None]) & (n < hi[:, None])
+        np.add.at(h, n[inside], taps[inside])
     return h
 
 

@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -236,7 +237,7 @@ def _assert_same_images(room, src, mic):
         assert np.array_equal(g, w)
 
 
-@pytest.mark.parametrize("max_order", range(7))
+@pytest.mark.parametrize("max_order", [*range(7), 9, 12])
 def test_image_sources_equal_the_per_image_loop(max_order):
     rng = np.random.default_rng(100 + max_order)
     for _ in range(2):
@@ -246,7 +247,7 @@ def test_image_sources_equal_the_per_image_loop(max_order):
                 _assert_same_images(room, src, mic)
 
 
-@pytest.mark.parametrize("max_order", [2, 5])
+@pytest.mark.parametrize("max_order", [2, 5, 9])
 def test_image_sources_tied_delays_keep_enumeration_order(max_order):
     # source and mic share x and y at the room's centre, so mirrors in
     # opposite walls arrive at exactly the same time
@@ -259,6 +260,25 @@ def test_image_sources_tied_delays_keep_enumeration_order(max_order):
     delays = image_sources(room, 0, 0)[0]
     assert np.unique(delays).size < delays.size
     _assert_same_images(room, 0, 0)
+
+
+def test_image_sources_and_rir_memory_at_the_order_cap():
+    # the README's 6 x 5 x 3 m room at order 30 keeps 37881 of 8 * 62^3 mirror
+    # combinations: a position and a distance row for each would take 262 MiB
+    room = _room(
+        dimensions=(6.0, 5.0, 3.0),
+        max_order=30,
+        source_positions=((1.8, 3.6, 1.6),),
+        mic_positions=((2.95, 2.45, 1.4),),
+    )
+    for fn in (image_sources, image_source_rir):
+        tracemalloc.start()
+        try:
+            fn(room, 0, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"{fn.__name__} peaked at {peak / 2**20:.1f} MiB"
 
 
 # ----------------------------------------------------------------- RIR
@@ -304,8 +324,9 @@ def test_rir_length_covers_latest_image_plus_interpolator():
     assert h.size == int(math.ceil(delays.max())) + 42
 
 
-@pytest.mark.parametrize("max_order", range(7))
+@pytest.mark.parametrize("max_order", [*range(7), 12])
 def test_rir_equals_the_per_image_loop(max_order):
+    # every room has 2625 images at order 12, more than one _RIR_BLOCK
     rng = np.random.default_rng(max_order)
     for _ in range(3):
         dims = rng.uniform(2.5, 7.0, 3)
@@ -348,6 +369,20 @@ def test_rir_with_clipped_taps_equals_the_per_image_loop():
     h = image_source_rir(room, 0, 0)
     assert math.floor(delays[-1]) + 40 < h.size - 1
     assert np.array_equal(h, ref.image_source_rir(room, 0, 0))
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_rir_in_small_tap_blocks_equals_the_per_image_loop(monkeypatch, block):
+    # every room has 377 images at order 6: 377 blocks of 1, or 54 of 7 and
+    # 4 of 100 whose last holds 6 and 77 images
+    monkeypatch.setattr(simulate_module, "_RIR_BLOCK", block)
+    room = _random_room(np.random.default_rng(40 + block), 6)
+    for src in range(2):
+        for mic in range(2):
+            assert image_sources(room, src, mic)[0].size == 377
+            assert np.array_equal(
+                image_source_rir(room, src, mic), ref.image_source_rir(room, src, mic)
+            )
 
 
 # ------------------------------------------------------------ convolve
