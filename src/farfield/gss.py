@@ -6,7 +6,9 @@ mixture has one class per speaker plus an always-active noise class;
 diarization-derived activity acts as a time-varying prior that pins each
 class to its speaker, which resolves the per-frequency permutation
 ambiguity without any alignment step. The resulting posterior masks
-drive spatial covariance estimates for a Souden-style MVDR beamformer.
+drive spatial covariance estimates for a Souden-style MVDR beamformer:
+each class's covariance from its own mask, its noise covariance from the
+sum of the other classes', all built at once per window.
 
 :func:`gss_enhance` plans the context windows first, then chains the
 full recipe once per window: cut the window, dereverberate, fit the
@@ -46,6 +48,9 @@ _STFT = StftParams()  # the framing of every gss_enhance analysis
 # bins x frames of one EM block (see linalg.map_blocks): 129 bins on a
 # 111-frame window, 14 on a 35 s one
 _EM_BLOCK_BIN_FRAMES = 65536
+# bins x frames of one covariance block (see _class_statistics), whose
+# packed statistic holds C * C + 1 reals per bin-frame
+_COV_BLOCK_BIN_FRAMES = 8192
 
 
 @dataclass(frozen=True)
@@ -162,12 +167,33 @@ class BeamformerWeights:
         object.__setattr__(self, "w", w)
 
 
+def _outer_products(re: np.ndarray, im: np.ndarray, rows: np.ndarray) -> None:
+    """Write the packed real x x^H of the bins x = re + i im, both (C,
+    ...), into ``rows[:C * C]``, each row shaped like ``re[0]``.
+
+    Row c holds |x_c|^2 for every c, then come the real and then the
+    imaginary parts of x_c conj(x_d) for c < d (row-major upper triangle).
+    """
+    c = re.shape[0]
+    n_upper = c * (c - 1) // 2
+    np.square(re, out=rows[:c])
+    rows[:c] += np.square(im)
+    p = c
+    for i in range(c - 1):  # the pairs (i, j > i), one broadcast each
+        real = rows[p : p + c - 1 - i]
+        imag = rows[p + n_upper : p + n_upper + c - 1 - i]
+        np.multiply(re[i], re[i + 1 :], out=real)
+        real += im[i] * im[i + 1 :]
+        np.multiply(im[i], re[i + 1 :], out=imag)
+        imag -= re[i] * im[i + 1 :]
+        p += c - 1 - i
+
+
 def _directions(values: np.ndarray):
     """Packed real direction statistics of the unit-normalized bins z.
 
-    Returns an (F, T, C * C) array whose rows hold |z_c|^2 for every c,
-    then the real and then the imaginary parts of z_c conj(z_d) for
-    c < d (row-major upper triangle), and the nonzero-norm mask (F, T).
+    Returns an (F, T, C * C) array whose rows hold the
+    :func:`_outer_products` of z, and the nonzero-norm mask (F, T).
     Zero-norm bins have all-zero rows. The array is a view of an
     (F, C * C, T) buffer, so the E-step product reads it without a copy.
     """
@@ -180,17 +206,8 @@ def _directions(values: np.ndarray):
     re /= scale
     im /= scale
     c, n_bins, n_frames = re.shape
-    row, col = np.triu_indices(c, 1)
-    n_upper = row.size
     packed = np.empty((n_bins, c * c, n_frames))
-    for i in range(c):
-        np.square(re[i], out=packed[:, i])
-        packed[:, i] += np.square(im[i])
-    for p, (i, j) in enumerate(zip(row, col), start=c):
-        np.multiply(re[i], re[j], out=packed[:, p])
-        packed[:, p] += im[i] * im[j]
-        np.multiply(im[i], re[j], out=packed[:, p + n_upper])
-        packed[:, p + n_upper] -= re[i] * im[j]
+    _outer_products(re, im, np.swapaxes(packed, 0, 1))
     return np.swapaxes(packed, 1, 2), nonzero
 
 
@@ -310,23 +327,26 @@ def _check_alignment(spec, activity):
         )
 
 
-def _em_block(values, b, act, iterations, masks):
+def _em_block(values, act, iterations, masks):
     """The EM on one block of bins, each bin stopped on its own.
 
     The block builds its own direction statistics from its (frames,
     bins, channels) slice ``values`` and holds the only reference to
     them, so compacting them to the live bins frees the full-size array.
-    ``b`` holds the block's starting covariances.
+    Every covariance starts at B = I, where all classes have the same
+    density, so the first E-step is closed form: its masks are the
+    activity prior, uniform over the classes active at each frame, its
+    quadratic forms z^H z are 1 and its log-likelihood is 0. The first
+    M-step weighs the statistics by the prior alone.
 
-    After every E-step a bin's log-likelihood is the sum, over its
+    After every later E-step a bin's log-likelihood is the sum, over its
     nonzero-norm frames, of the log-normalizer plus the log-prior: its
     log-likelihood ratio against the isotropic model B = I. A bin stops
     once its latest gain is at most ``_EM_TOLERANCE`` times the absolute
-    previous value, after at least one M-step, or at the E-step after
-    ``iterations`` M-steps. From B = I the first log-likelihood is 0 up
-    to rounding, so the first test stops only a bin whose first M-step
-    gained nothing. A stopped bin keeps its covariances and the masks of
-    that E-step, written into its columns of ``masks`` (classes, frames,
+    previous value, or at the E-step after ``iterations`` M-steps; the
+    first test, against 0, stops only a bin whose first M-step gained
+    nothing. A stopped bin keeps its covariances and the masks of that
+    E-step, written into its columns of ``masks`` (classes, frames,
     bins). The live bins are compacted only when some bin stops.
 
     Returns the final covariances, the (iterations, bins)
@@ -336,24 +356,41 @@ def _em_block(values, b, act, iterations, masks):
     """
     packed, nonzero = _directions(values)
     n_dirs = int(nonzero.sum())
-    n_ch = b.shape[-1]
+    _, n_bins, n_ch = values.shape
     eps_b = 1e-10 * n_ch
     eye = np.eye(n_ch)
     ever_active = act.any(axis=1)
     # uniform prior over the active classes; zero-norm bins have no
     # direction and no likelihood term
     log_prior = -np.log(act.sum(axis=0).astype(np.float64))
+    shape = (n_bins, act.shape[0], n_ch, n_ch)
+    b = np.broadcast_to(eye.astype(np.complex128), shape).copy()
     final_b = np.empty_like(b)
-    lls = np.empty((iterations, b.shape[0]))
+    lls = np.zeros((iterations, n_bins))
+    prev = np.zeros(n_bins)
     stats = np.swapaxes(packed, 1, 2)  # the contiguous (F, C * C, T) buffer
-    live = np.arange(b.shape[0])
-    for it in range(iterations + 1):
+    live = np.arange(n_bins)
+    # the weights of the first M-step, C-ordered like the E-step's (a
+    # layout that follows nonzero's strides would change the product's
+    # bits with the block size)
+    gamma = np.zeros((n_bins,) + act.shape)  # (F, K, T)
+    np.copyto(gamma, act / act.sum(axis=0), where=nonzero[:, None, :])
+    denom = gamma.sum(axis=2)  # (F, K)
+    for it in range(1, iterations + 1):
+        numer = _unpack(gamma @ packed, n_ch)
+        del gamma  # free it before the E-step allocates its own
+        ok = (denom > 0.0) & ever_active
+        new = b.copy()
+        new[ok] = n_ch * numer[ok] / denom[ok][:, None, None]
+        tr = np.trace(new, axis1=2, axis2=3).real
+        tr = np.where(tr > 0.0, tr, 1.0)
+        new = new * (n_ch / tr)[:, :, None, None] + eps_b * eye
+        # never-active classes keep B = I; their masks stay zero
+        b = np.where(ever_active[None, :, None, None], new, b)
         gamma, log_norm, quad = _e_step(packed, b, act, nonzero)
         ll = np.sum(np.where(nonzero, log_norm + log_prior, 0.0), axis=1)
         lls[it:, live] = ll
-        stop = np.full(live.size, it == iterations)
-        if it:
-            stop |= ll - prev <= _EM_TOLERANCE * np.abs(prev)
+        stop = (ll - prev <= _EM_TOLERANCE * np.abs(prev)) | (it == iterations)
         if np.any(stop):
             masks[:, :, live[stop]] = gamma[stop].transpose(1, 2, 0)
             final_b[live[stop]] = b[stop]
@@ -369,18 +406,9 @@ def _em_block(values, b, act, iterations, masks):
             packed = np.swapaxes(stats, 1, 2)
         prev = ll
         gamma *= nonzero[:, None, :]  # zero-norm bins carry no statistics
-        denom = gamma.sum(axis=2)  # (F, K)
+        denom = gamma.sum(axis=2)
         gamma /= quad
-        numer = _unpack(gamma @ packed, n_ch)
-        del gamma, log_norm, quad  # free them before the next E-step allocates its own
-        ok = (denom > 0.0) & ever_active
-        new = b.copy()
-        new[ok] = n_ch * numer[ok] / denom[ok][:, None, None]
-        tr = np.trace(new, axis1=2, axis2=3).real
-        tr = np.where(tr > 0.0, tr, 1.0)
-        new = new * (n_ch / tr)[:, :, None, None] + eps_b * eye
-        # never-active classes keep B = I; their masks stay zero
-        b = np.where(ever_active[None, :, None, None], new, b)
+        del log_norm, quad
     return final_b, lls, n_dirs
 
 
@@ -392,12 +420,14 @@ def fit_cacgmm(
     """EM fit of the activity-guided CACGMM.
 
     Every covariance starts at B = I. All classes then have the same
-    density, so the first E-step returns the activity prior itself,
-    uniform over the classes active at each frame, and the first M-step
-    fits each class from its own activity (the activity-based start of
-    guided source separation). Each M-step re-estimates B from the
-    posterior-weighted direction statistics, trace-normalizes to the
-    channel count, and adds 1e-10 * C to the diagonal. Classes whose
+    density, so the first E-step is closed form and reads no data: the
+    masks are the activity prior itself, uniform over the classes active
+    at each frame, every quadratic form z^H z is 1 and the
+    log-likelihood is 0. The first M-step fits each class from its own
+    activity (the activity-based start of guided source separation).
+    Each M-step re-estimates B from the posterior-weighted direction
+    statistics, trace-normalizes to the channel count, and adds
+    1e-10 * C to the diagonal. Classes whose
     activity rows are equal over the whole window get equal masks at
     every E-step, so they stay equal: the activity cannot tell them
     apart, and neither can the fit.
@@ -453,15 +483,12 @@ def fit_cacgmm(
     check_int("iterations", iterations, 1)
     _check_alignment(spec, activity)
     _, n_bins, n_ch = spec.values.shape
-    shape = (n_bins, activity.n_classes, n_ch, n_ch)
-    b = np.broadcast_to(np.eye(n_ch, dtype=np.complex128), shape).copy()
-
     act = activity.active
     n_frames = activity.n_frames
     masks = np.empty((activity.n_classes, n_frames, n_bins))
 
     def block(lo, hi):
-        return _em_block(spec.values[:, lo:hi], b[lo:hi], act, iterations, masks[:, :, lo:hi])
+        return _em_block(spec.values[:, lo:hi], act, iterations, masks[:, :, lo:hi])
 
     results = map_blocks(block, n_bins, n_frames, _EM_BLOCK_BIN_FRAMES)
     b = np.concatenate([r[0] for r in results])
@@ -473,8 +500,74 @@ def fit_cacgmm(
     return CacgmmState(B=b, log_likelihood_trace=tuple(trace)), MaskSet(gamma=masks)
 
 
+def _class_statistics(values: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Every class's weighted covariance numerator and weight total.
+
+    ``values`` is a (frames, bins, channels) spectrogram and ``gamma``
+    the (classes, frames, bins) weights. Returns (bins, classes, C * C +
+    1) rows: the packed sum over frames of gamma_k x x^H, in the layout
+    of :func:`_outer_products`, then the sum over frames of gamma_k.
+
+    Bins are independent, so the work runs on the blocks of bins that
+    :func:`~farfield.linalg.map_blocks` plans. A block packs the
+    unnormalized x x^H of its bins with a final row of ones, and one real
+    product of its (bins, classes, frames) weights with that statistic
+    gives every class's numerator and total at once. The bits depend on
+    neither the block size nor the worker count.
+    """
+    n_frames, n_bins, n_ch = values.shape
+    out = np.empty((n_bins, gamma.shape[0], n_ch * n_ch + 1))
+
+    def block(lo, hi):
+        # the interleaved real and imaginary parts, (2 C, B, T) in one copy
+        parts = np.ascontiguousarray(values[:, lo:hi].view(np.float64).transpose(2, 1, 0))
+        packed = np.empty((hi - lo, n_ch * n_ch + 1, n_frames))
+        _outer_products(parts[0::2], parts[1::2], np.swapaxes(packed, 0, 1))
+        packed[:, -1] = 1.0
+        weights = np.ascontiguousarray(gamma[:, :, lo:hi].transpose(2, 0, 1))  # (B, K, T)
+        np.matmul(weights, np.swapaxes(packed, 1, 2), out=out[lo:hi])
+
+    map_blocks(block, n_bins, n_frames, _COV_BLOCK_BIN_FRAMES)
+    return out
+
+
+def _covariance(stats: np.ndarray) -> np.ndarray:
+    """(..., C, C) covariances from (..., C * C + 1) rows of
+    :func:`_class_statistics`: the numerators over their totals.
+
+    Raises
+    ------
+    ParameterError
+        A weight total is zero in at least one frequency bin.
+    """
+    if np.any(stats[..., -1] <= 0.0):
+        raise ParameterError("weights sum to zero in at least one frequency bin")
+    n_ch = math.isqrt(stats.shape[-1] - 1)
+    return _unpack(stats[..., :-1] / stats[..., -1:], n_ch)
+
+
+def _target_and_noise(stats: np.ndarray, k: int) -> tuple:
+    """Target and noise covariances of class ``k`` from
+    :func:`_class_statistics`.
+
+    The target covariance is the class's numerator over its total; the
+    noise covariance is the sum of the other classes' numerators over
+    the sum of their totals. Masks sum to 1 over the classes, so that is
+    the 1 - gamma_k weighting, but as a sum of positive semidefinite
+    terms it cannot cancel into an indefinite matrix where class ``k``
+    holds nearly all of a bin. Either weight total being zero in a bin
+    is a :class:`ParameterError`.
+    """
+    pair = np.stack((stats[:, k], np.delete(stats, k, axis=1).sum(axis=1)), axis=1)
+    phi = _covariance(pair)
+    return phi[:, 0], phi[:, 1]
+
+
 def spatial_covariance(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndarray:
     """Mask-weighted spatial covariance matrices, one per frequency.
+
+    Computed by the blocked product of :func:`_class_statistics`, with
+    the weights as its one class.
 
     Parameters
     ----------
@@ -492,12 +585,7 @@ def spatial_covariance(spec: ComplexSpectrogram, weights: np.ndarray) -> np.ndar
         )
     if not np.all(np.isfinite(w)):
         raise ParameterError("weights must be finite")
-    totals = w.sum(axis=0)
-    if np.any(totals <= 0.0):
-        raise ParameterError("weights sum to zero in at least one frequency bin")
-    x = np.transpose(spec.values, (1, 2, 0))  # (F, C, T)
-    phi = (x * w.T[:, None, :]) @ x.conj().transpose(0, 2, 1)
-    return phi / totals[:, None, None]
+    return _covariance(_class_statistics(spec.values, w[None])[:, 0])
 
 
 def select_reference_channel(phi_ss: np.ndarray, phi_nn: np.ndarray) -> int:
@@ -547,9 +635,20 @@ def mvdr_beamform(
 ) -> ComplexSpectrogram:
     """Beamform one class of a masked mixture down to a single channel.
 
-    Target and noise covariances are estimated from the class mask and
-    its complement (the other classes pooled), then the Souden MVDR
-    weights of :func:`mvdr_weights` are applied: y(t, f) = w_f^H x(t, f).
+    The target covariance is weighted by the class mask; the noise
+    covariance is the sum of the other classes' covariance numerators
+    over the sum of their weights, which is the complement 1 - gamma
+    (see :func:`_target_and_noise`). Both come from one
+    :func:`_class_statistics` product, the one
+    :func:`gss_enhance` takes once per window. The Souden MVDR weights of
+    :func:`mvdr_weights` are then applied: y(t, f) = w_f^H x(t, f).
+
+    Raises
+    ------
+    ParameterError
+        ``target_class`` is not a class of ``masks``, the masks do not
+        match the grid, or the class or its complement has zero weight in
+        a frequency bin.
     """
     if masks.gamma.shape[1:] != (spec.frames, spec.bins):
         raise ParameterError("masks do not match the spectrogram grid")
@@ -558,9 +657,13 @@ def mvdr_beamform(
         raise ParameterError(
             f"target_class must be < {masks.n_classes} classes, got {target_class}"
         )
-    gamma = masks.gamma[target_class]
-    phi_ss = spatial_covariance(spec, gamma)
-    phi_nn = spatial_covariance(spec, 1.0 - gamma)
+    stats = _class_statistics(spec.values, masks.gamma)
+    return _beamform(spec, *_target_and_noise(stats, target_class))
+
+
+def _beamform(spec: ComplexSpectrogram, phi_ss: np.ndarray, phi_nn: np.ndarray):
+    """The single-channel projection y = w^H x by the MVDR weights of
+    :func:`mvdr_weights` for these covariances."""
     weights = mvdr_weights(phi_ss, phi_nn)
     y = np.einsum("fc,tfc->tf", np.conj(weights.w), spec.values)
     return replace(spec, values=y[:, :, None])
@@ -689,10 +792,13 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
     analysis: the window is cut, transformed and dereverberated once, the
     activity pattern is built from all segments overlapping it, and one
     guided mixture model is fit, started from the activity (see
-    :func:`fit_cacgmm`). Each speaker with a target in the window is then
-    beamformed from that fit as its own class and synthesized once, and
-    each of its targets is trimmed from that signal. Every target gets
-    the same bytes as when its window is analysed for it alone.
+    :func:`fit_cacgmm`). Every class's covariance statistics are then
+    taken from the masks in one blocked product per window (see
+    :func:`mvdr_beamform`). Each speaker with a target in the window is
+    beamformed as its own class, its noise covariance the sum of the
+    other classes', and synthesized once, and each of its targets is
+    trimmed from that signal. Every target gets the same bytes as when
+    its window is analysed for it alone.
 
     Returns
     -------
@@ -723,8 +829,10 @@ def gss_enhance(wav: WaveformBuffer, segments: DiarizationSet, cfg: GssConfig) -
         if cfg.wpe is not None:
             spec = wpe(spec, cfg.wpe)
         _, masks = fit_cacgmm(spec, activity, cfg.em_iterations)
+        stats = _class_statistics(spec.values, masks.gamma)
         for speaker, indices in targets.items():
-            enhanced = mvdr_beamform(spec, masks, activity.speakers.index(speaker))
+            covariances = _target_and_noise(stats, activity.speakers.index(speaker))
+            enhanced = _beamform(spec, *covariances)
             audio = istft(enhanced, hi - lo).samples
             for i in indices:
                 a, b = (int(round(t * rate)) - lo for t in todo[i][1:])

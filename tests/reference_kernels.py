@@ -6,8 +6,10 @@ a grid, and of DER.
 
 The kernels are the straightforward per-bin and per-class loop-and-einsum
 formulations the batched kernels in ``farfield.wpe`` and ``farfield.gss``
-replace. They share no code with the package, so the equivalence tests
-compare two independent computations of the same quantities.
+replace; :func:`class_covariances` weighs each class's noise covariance
+by 1 - gamma_k, where the package sums the other classes. They share no
+code with the package, so the equivalence tests compare two independent
+computations of the same quantities.
 
 :func:`enhance_per_segment` is the recipe ``farfield.gss_enhance``
 replaces: it runs the package's STFT, WPE, mixture fit and beamformer
@@ -269,6 +271,21 @@ def fit_cacgmm(values, active, b0, iterations):
 
 
 # ----------------------------------------------------------------- MVDR
+
+
+def class_covariances(values, gamma):
+    """Per-bin, per-class loop: the (classes, bins, C, C) covariances
+    weighted by each class mask gamma_k and by its complement 1 - gamma_k."""
+    n_classes = gamma.shape[0]
+    _, n_bins, n_ch = values.shape
+    target = np.empty((n_classes, n_bins, n_ch, n_ch), dtype=np.complex128)
+    noise = np.empty_like(target)
+    for f in range(n_bins):
+        x = values[:, f]  # (T, C)
+        for k in range(n_classes):
+            for out, w in ((target, gamma[k, :, f]), (noise, 1.0 - gamma[k, :, f])):
+                out[k, f] = np.einsum("t,tc,td->cd", w, x, x.conj()) / w.sum()
+    return target, noise
 
 
 def mvdr_weights(phi_ss, phi_nn, reference_channel):

@@ -15,9 +15,13 @@ WPE tests check that the global frequency bins reach that solve. The
 CACGMM's packed real direction statistics must equal the complex outer
 products within 1e-14, and its Gauss-Jordan inverses and
 log-determinants numpy's within 4 * C * cond * eps, including
-covariances held up only by the fit's 1e-10 * C floor. WPE and the EM
-run in frequency blocks on worker threads: their outputs must be the
-same bits at any worker count and block size, WPE's traced peak must
+covariances held up only by the fit's 1e-10 * C floor. Every class's
+MVDR target and noise covariances, from one blocked product of the
+masks with the packed x x^H, must match a per-bin loop that weighs the
+noise by 1 - gamma_k, and the noise covariance must stay positive
+semidefinite where one class holds all but 1e-12 of a bin. WPE, the EM
+and that product run in frequency blocks on worker threads: their
+outputs must be the same bits at any worker count and block size, WPE's traced peak must
 stay within a few times its input, and the scope that holds BLAS at
 one thread must nest across threads.
 """
@@ -35,14 +39,17 @@ from farfield import (
     ActivityPattern,
     CacgmmState,
     ComplexSpectrogram,
+    MaskSet,
     NumericalError,
     ParameterError,
     StftParams,
     WpeConfig,
     cacgmm_posteriors,
     fit_cacgmm,
+    mvdr_beamform,
     mvdr_weights,
     select_reference_channel,
+    spatial_covariance,
     wpe,
 )
 
@@ -534,6 +541,60 @@ def test_mvdr_unrecoverable_bin_error_names_the_bin():
     phi_nn[4] = -1e10 * np.ones((2, 2))
     with pytest.raises(NumericalError, match="^noise covariance singular in frequency bin 4$"):
         mvdr_weights(phi_ss, phi_nn)
+
+
+def _class_instance(seed, frames=40, bins=6, channels=3, classes=4):
+    """A spectrogram with a zero-norm frame, random masks, and a bin 2
+    where class 1 holds all but 2^-40 (about 1e-12) of the mass, split
+    exactly so that its complement is exact too."""
+    rng = np.random.default_rng(seed)
+    values = _complex(rng, (frames, bins, channels))
+    values[7] = 0.0
+    gamma = rng.dirichlet(np.ones(classes), size=(frames, bins)).transpose(2, 0, 1).copy()
+    gamma[:, :, 2] = [[2.0**-41], [1.0 - 2.0**-40], [2.0**-42], [2.0**-42]]
+    return values, gamma
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_class_covariances_match_the_per_bin_oracle(seed):
+    values, gamma = _class_instance(seed)
+    stats = gss_module._class_statistics(values, gamma)
+    target, noise = ref.class_covariances(values, gamma)
+    for k in range(gamma.shape[0]):
+        phi_ss, phi_nn = gss_module._target_and_noise(stats, k)
+        assert_rel_close(phi_ss, target[k])
+        assert_rel_close(phi_nn, noise[k])
+    # the other classes' sum stays positive semidefinite where class 1
+    # holds nearly all of the bin
+    phi_nn = gss_module._target_and_noise(stats, 1)[1][2]
+    np.testing.assert_array_equal(phi_nn, phi_nn.conj().T)
+    assert np.linalg.eigvalsh(phi_nn).min() >= -1e-12 * np.trace(phi_nn).real
+
+
+@pytest.mark.parametrize("workers, budget", [(2, 40), (3, 120)])
+def test_class_statistics_bits_do_not_depend_on_workers_or_block_size(
+    monkeypatch, workers, budget
+):
+    values, gamma = _class_instance(3)
+    _workers(monkeypatch, 1)
+    stats = gss_module._class_statistics(values, gamma)
+    _workers(monkeypatch, workers)
+    monkeypatch.setattr(gss_module, "_COV_BLOCK_BIN_FRAMES", budget)
+    np.testing.assert_array_equal(gss_module._class_statistics(values, gamma), stats)
+
+
+@pytest.mark.parametrize("holder", [0, 1], ids=["class", "complement"])
+def test_a_zero_weight_total_raises_the_same_error(holder):
+    # class 0 (or the other classes) hold no weight in bin 1
+    values, gamma = _class_instance(4)
+    gamma[:, :, 1] = 0.0
+    gamma[holder, :, 1] = 1.0
+    spec = _spec(values)
+    match = "^weights sum to zero in at least one frequency bin$"
+    with pytest.raises(ParameterError, match=match):
+        mvdr_beamform(spec, MaskSet(gamma), 0)
+    with pytest.raises(ParameterError, match=match):
+        spatial_covariance(spec, gamma[0] if holder else 1.0 - gamma[0])
 
 
 # ------------------------------------------------------- shared solve

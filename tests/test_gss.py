@@ -707,14 +707,14 @@ def test_each_distinct_window_is_analysed_once(monkeypatch):
     cfg = GssConfig(wpe=_SMALL_WPE, em_iterations=3, context_s=0.3)
     counts = {
         name: _count_calls(monkeypatch, name)
-        for name in ("stft", "wpe", "fit_cacgmm", "mvdr_beamform", "istft")
+        for name in ("stft", "wpe", "fit_cacgmm", "mvdr_weights", "istft")
     }
     out = gss_enhance(meeting.mixture, segments, cfg)
     assert {name: len(c) for name, c in counts.items()} == {
         "stft": 3,
         "wpe": 3,
         "fit_cacgmm": 3,
-        "mvdr_beamform": 4,
+        "mvdr_weights": 4,
         "istft": 4,
     }
     assert [(key, w.n_samples) for key, w in out.items()] == [
@@ -735,17 +735,24 @@ def test_targets_of_one_speaker_in_a_window_share_one_beamformer(monkeypatch):
     cfg = GssConfig(wpe=_SMALL_WPE, em_iterations=3)
     counts = {
         name: _count_calls(monkeypatch, name)
-        for name in ("stft", "wpe", "fit_cacgmm", "mvdr_beamform", "istft")
+        for name in ("stft", "wpe", "fit_cacgmm", "mvdr_weights", "istft")
     }
     out = gss_enhance(meeting.mixture, segments, cfg)
     assert {name: len(c) for name, c in counts.items()} == {
         "stft": 1,
         "wpe": 1,
         "fit_cacgmm": 1,
-        "mvdr_beamform": 2,
+        "mvdr_weights": 2,
         "istft": 2,
     }
-    assert [call[2] for call in counts["mvdr_beamform"]] == [0, 1]  # p, then q
+    # p, then q: each beamformer gets its own class's target covariance
+    spec, activity, iterations = counts["fit_cacgmm"][0]
+    assert activity.speakers == ("p", "q")
+    _, masks = fit_cacgmm(spec, activity, iterations)
+    for k, (phi_ss, _) in enumerate(counts["mvdr_weights"]):
+        expected = spatial_covariance(spec, masks.gamma[k])
+        atol = 1e-12 * np.abs(expected).max()
+        np.testing.assert_allclose(phi_ss, expected, rtol=1e-10, atol=atol)
     # trimmed from one signal, yet owning their samples
     assert not np.shares_memory(out[P_SEGMENT].samples, out["p", 1.2, 2.0].samples)
     _assert_same_outputs(out, ref.enhance_per_segment(meeting.mixture, segments, cfg))
