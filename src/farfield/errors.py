@@ -38,13 +38,15 @@ class InfeasibleLabelError(ParameterError):
     """
 
 
-def check_int(name: str, value, minimum: int | None = None) -> None:
+def check_int(name: str, value, minimum: int | None = None, maximum: int | None = None) -> None:
     """Raise :class:`ParameterError` unless ``value`` is an integer, not a
-    bool, and at least ``minimum`` when one is given."""
+    bool, and within ``minimum`` and ``maximum`` when they are given."""
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ParameterError(f"{name} must be <= {maximum}, got {value}")
 
 
 def check_finite(name: str, value) -> None:

@@ -44,6 +44,7 @@ _WEIGHT_CAP = 1e4
 # a bin's EM stops once its log-likelihood gain is at most this share of
 # its previous value (see _em_block)
 _EM_TOLERANCE = 1e-2
+_MAX_EM_ITERATIONS = 1000  # the EM trace holds cap x bins floats: 1 MiB on 129 bins
 _STFT = StftParams()  # the framing of every gss_enhance analysis
 # bins x frames of one EM block (see linalg.map_blocks): 129 bins on a
 # 111-frame window, 14 on a 35 s one
@@ -475,12 +476,12 @@ def fit_cacgmm(
     Raises
     ------
     ParameterError
-        ``iterations`` is not an integer >= 1.
+        ``iterations`` is not an integer from 1 to 1000.
     NumericalError
         A covariance is not positive definite; the message names its
         class, from the lowest block of bins where one fails.
     """
-    check_int("iterations", iterations, 1)
+    check_int("iterations", iterations, 1, _MAX_EM_ITERATIONS)
     _check_alignment(spec, activity)
     _, n_bins, n_ch = spec.values.shape
     act = activity.active
@@ -673,8 +674,8 @@ def _beamform(spec: ComplexSpectrogram, phi_ss: np.ndarray, phi_nn: np.ndarray):
 class GssConfig:
     """Settings for the end-to-end enhancement recipe of :func:`gss_enhance`.
 
-    ``em_iterations`` caps the EM iterations of each frequency bin of a
-    mixture fit; a bin stops earlier once its log-likelihood has
+    ``em_iterations`` (at most 1000) caps the EM iterations of each bin
+    of a mixture fit; a bin stops earlier once its log-likelihood has
     converged (see :func:`fit_cacgmm`). The fit starts from the activity,
     so nothing in the recipe is random.
     """
@@ -684,7 +685,7 @@ class GssConfig:
     context_s: float = 15.0
 
     def __post_init__(self):
-        check_int("em_iterations", self.em_iterations, 1)
+        check_int("em_iterations", self.em_iterations, 1, _MAX_EM_ITERATIONS)
         check_finite("context_s", self.context_s)
         if self.context_s < 0:
             raise ParameterError("context_s must be >= 0")

@@ -38,11 +38,8 @@ _RIR_BLOCK = 2048
 # mic, so RoomSpec bounds the rate to keep that many samples within this cap
 # (8 MiB of float64; a 6 x 5 x 3 m room at order 30 allows up to 1386647 Hz)
 _MAX_RIR_SAMPLES = 2**20
-# _convolve sums directly when the signal or the longest kernel has at most
-# this many samples. Four kernels on 64000 samples took 7.3 ms direct and
-# 11.1 ms by FFT at 256 taps, 15.1 and 11.9 ms at 384; on 16000 samples FFT
-# already won at 256 taps, 1.4 against 2.2 ms (2-core x86-64 host)
-_DIRECT_MAX = 256
+_MAX_MIXTURE_SAMPLES = 2**27  # 1 GiB of float64 per mic and array, 2.3 hours at 16 kHz
+_MAX_SNR_DB = 200.0  # 10^(snr_db / 10) stays far inside the float range
 
 
 def _vector(name: str, value) -> np.ndarray:
@@ -258,18 +255,12 @@ def _convolve(x: np.ndarray, kernels) -> np.ndarray:
 
     Returns an (M, n + L - 1) array, L the longest kernel's length; the
     row of a shorter kernel is zero after its own n + len - 1 samples.
-    When n or L is at most ``_DIRECT_MAX`` each row is ``np.convolve``
-    itself; otherwise one ``rfft`` of ``x`` is shared by the ``rfft`` of
-    every kernel, zero-padded to the smallest 5-smooth length >= n + L - 1,
-    and one batched ``irfft`` gives all rows, equal to the direct sums
-    to rounding.
+    One ``rfft`` of ``x`` is shared by the ``rfft`` of every kernel,
+    zero-padded to the smallest 5-smooth length >= n + L - 1 (Stockham,
+    1966), and one batched ``irfft`` gives all rows: the direct sums
+    (``np.convolve``) to rounding at every length, but not bit for bit.
     """
     n, taps = x.size, max(k.size for k in kernels)
-    if min(n, taps) <= _DIRECT_MAX:
-        out = np.zeros((len(kernels), n + taps - 1))
-        for row, k in zip(out, kernels):
-            row[: n + k.size - 1] = np.convolve(x, k)
-        return out
     size = _fft_size(n + taps - 1)
     padded = np.zeros((len(kernels), taps))
     for row, k in zip(padded, kernels):
@@ -280,30 +271,6 @@ def _convolve(x: np.ndarray, kernels) -> np.ndarray:
     for row, k in zip(out, kernels):
         row[n + k.size - 1 :] = 0.0  # rounding residue past a shorter kernel's end
     return out
-
-
-def convolve(dry: WaveformBuffer, rir: np.ndarray) -> WaveformBuffer:
-    """Full linear convolution of a mono waveform with an impulse response.
-
-    When the waveform or the response has at most 256 samples (the
-    measured crossover, ``_DIRECT_MAX``) this is ``np.convolve``, the
-    direct sums, bit for bit. Longer inputs are convolved by FFT, one
-    real transform of each zero-padded to the smallest 5-smooth length
-    >= n + L - 1 (Stockham, 1966), which equals the direct sums to
-    rounding (below 1e-15 of the peak on simulated meetings).
-
-    Raises
-    ------
-    ParameterError
-        ``dry`` is not mono, or ``rir`` is empty or not finite.
-    """
-    if dry.channels != 1:
-        raise ParameterError(f"expected mono input, got {dry.channels} channels")
-    kernel = np.asarray(rir, dtype=np.float64).reshape(-1)
-    if kernel.size == 0 or not np.all(np.isfinite(kernel)):
-        raise ParameterError("rir must be a non-empty array of finite numbers")
-    out = _convolve(dry.samples[0], [kernel])
-    return WaveformBuffer(samples=out, sample_rate_hz=dry.sample_rate_hz)
 
 
 def _power(x: np.ndarray) -> float:
@@ -333,11 +300,11 @@ class MixturePlan:
     """What to mix: dry sources with onsets, one per speaker, plus an
     optional noise floor.
 
-    ``noise=None`` with an ``snr_db`` uses seeded white Gaussian noise;
-    ``snr_db=None`` disables noise entirely. A NaN or infinite sample in
-    a source or in the noise raises :class:`~farfield.errors.DataError`
-    naming the speaker (or the noise), the channel and the sample index,
-    when the :class:`PlannedSource` or the plan is built.
+    ``snr_db`` lies in [-200, 200] dB; with ``noise=None`` it uses seeded
+    white Gaussian noise, and ``snr_db=None`` disables noise entirely. A
+    NaN or infinite sample in a source or in the noise raises a
+    :class:`~farfield.errors.DataError` naming the speaker (or the noise),
+    the channel and the sample index, when the source or plan is built.
     """
 
     sources: tuple
@@ -355,6 +322,8 @@ class MixturePlan:
             check_finite_samples(self.noise.samples, "noise")
         if self.snr_db is not None:
             check_finite("snr_db", self.snr_db)
+            if abs(self.snr_db) > _MAX_SNR_DB:
+                raise ParameterError(f"snr_db must be between -200 and 200, got {self.snr_db}")
         check_int("seed", self.seed, 0)
         check_field("session", self.session)  # an RTTM field
         object.__setattr__(self, "sources", tuple(self.sources))
@@ -414,14 +383,12 @@ def make_meeting(plan: MixturePlan, room: RoomSpec) -> MeetingResult:
     Every dry source is convolved with its RIR to every microphone and
     placed at its onset; the per-source images are summed and noise is
     added at the requested SNR. Reference segments come from the dry
-    sources' frame energy. Deterministic given ``plan.seed``.
+    sources' frame energy. Deterministic given ``plan.seed``. A mixture
+    of more than 2^27 samples (2.3 hours at 16 kHz) is a ParameterError.
 
-    Each source is convolved with all of its microphones' RIRs at once,
-    as :func:`convolve` does with one: directly (``np.convolve``, the
-    same bits) when the source or its longest RIR has at most 256
-    samples, otherwise by FFT, one transform of the source shared by the
-    transforms of its RIRs, which equals the direct sums to rounding
-    (below 1e-15 of each image's peak on the bench's sessions).
+    Each source is convolved with all of its microphones' RIRs at once by
+    :func:`_convolve`: the direct sums to rounding at every length (below
+    1e-15 of each image's peak on the bench's sessions), not bit for bit.
     """
     rate = room.sample_rate_hz
     for s in plan.sources:
@@ -447,6 +414,8 @@ def make_meeting(plan: MixturePlan, room: RoomSpec) -> MeetingResult:
         onset = int(round(s.onset_s * rate))
         tail = max(len(r) for r in rirs[si])
         length = max(length, onset + s.audio.n_samples + tail - 1)
+    if length > _MAX_MIXTURE_SAMPLES:
+        raise ParameterError(f"the mixture would last {length} samples, more than 2^27")
 
     images = {}
     segments = []

@@ -24,6 +24,7 @@ _DIAGONAL_LOADING = 1e-6  # relative Tikhonov term, scaled by trace(R) / (C*K)
 # bins x frames of one block (see linalg.map_blocks): WPE holds about 3 * C * K
 # complex values per bin-frame, some 15 times the EM's, so its budget is smaller
 _BLOCK_BIN_FRAMES = 1024
+_MAX_ITERATIONS = 1000  # every iteration solves every bin's filters again
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,7 @@ class WpeConfig:
         Frames D skipped before the prediction history starts; keeps the
         direct path and early reflections out of the regression.
     iterations : int
-        Alternations between power estimation and filter estimation.
+        Alternations of power and filter estimation, at most 1000.
     """
 
     taps: int = 10
@@ -46,8 +47,9 @@ class WpeConfig:
     iterations: int = 3
 
     def __post_init__(self):
-        for name in ("taps", "delay", "iterations"):
-            check_int(name, getattr(self, name), 1)
+        check_int("taps", self.taps, 1)
+        check_int("delay", self.delay, 1)
+        check_int("iterations", self.iterations, 1, _MAX_ITERATIONS)
 
 
 def min_frames(cfg: WpeConfig, channels: int) -> int:
@@ -62,16 +64,6 @@ def _powers(values: np.ndarray, channel_axis: int) -> np.ndarray:
     return np.maximum(np.mean(np.abs(values) ** 2, axis=channel_axis), DEFAULT_PSD_FLOOR)
 
 
-def frame_powers(spec: ComplexSpectrogram) -> np.ndarray:
-    """Channel-averaged magnitude-squared per bin, floored at 1e-10.
-
-    Returns
-    -------
-    ndarray, shape (frames, bins)
-    """
-    return _powers(spec.values, 2)
-
-
 def wpe_objective(x: ComplexSpectrogram, y: ComplexSpectrogram, powers: np.ndarray) -> float:
     """Maximum-likelihood surrogate descended by the WPE iteration.
 
@@ -83,8 +75,7 @@ def wpe_objective(x: ComplexSpectrogram, y: ComplexSpectrogram, powers: np.ndarr
     x, y : ComplexSpectrogram
         Observation and dereverberated estimate; shapes must match.
     powers : ndarray, shape (frames, bins)
-        Per-bin power estimate, every entry >= 1e-10 (the floor of
-        :func:`frame_powers`).
+        Per-bin power estimate, every entry >= ``DEFAULT_PSD_FLOOR``.
     """
     if x.values.shape != y.values.shape:
         raise ParameterError(

@@ -458,6 +458,28 @@ def test_enhance_rejects_a_removed_config_key(workspace, tmp_path, capsys):
         assert not (tmp_path / "enh").exists()
 
 
+def test_enhance_rejects_an_iteration_count_beyond_its_bound(workspace, tmp_path, capsys):
+    # the EM trace is sized by its cap: 999999999999 iterations would ask
+    # numpy for 939 TiB and end in a MemoryError traceback
+    manifest = {
+        "session": "mtg",
+        "wavs": [str(workspace / "sim" / "mixture.wav")],
+        "rttm": str(workspace / "sim" / "reference.rttm"),
+        "out_dir": str(tmp_path / "enh"),
+    }
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    for config, message in (
+        ({"gss": {"em_iterations": 999999999999}}, "em_iterations must be <= 1000"),
+        ({"wpe": {"iterations": 999999999999}}, "cfg.json.wpe: iterations must be <= 1000"),
+    ):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        rc = main(["enhance", str(tmp_path / "manifest.json"),
+                   "--config", str(tmp_path / "cfg.json")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "enh" / "mtg" / "index.json").exists()
+
+
 @pytest.mark.parametrize(
     "out_dirs, out_flag",
     [(("enh", "enh"), False), (("enh", "sub/../enh"), False), (("a", "b"), True)],

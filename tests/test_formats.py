@@ -283,6 +283,26 @@ def test_parse_pipeline_config_rejects_wrongly_typed_values(obj, field):
 
 
 @pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"gss": {"em_iterations": 1001}}, "config: em_iterations must be <= 1000, got 1001"),
+        (
+            {"gss": {"em_iterations": 999999999999}},
+            "config: em_iterations must be <= 1000, got 999999999999",
+        ),
+        ({"wpe": {"iterations": 1001}}, "config.wpe: iterations must be <= 1000, got 1001"),
+    ],
+    ids=["em_iterations", "em_iterations-huge", "wpe-iterations"],
+)
+def test_parse_pipeline_config_bounds_the_iteration_counts(obj, message):
+    # the EM trace is sized by its cap, and every WPE iteration takes time
+    with pytest.raises(DataError) as info:
+        parse_pipeline_config(obj)
+    assert str(info.value) == message
+    assert parse_pipeline_config({"gss": {"em_iterations": 1000}}).em_iterations == 1000
+
+
+@pytest.mark.parametrize(
     "section, key",
     [
         ("gss", "masking_postfilter"),

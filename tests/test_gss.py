@@ -122,6 +122,8 @@ def test_cacgmm_state_rejects_non_finite_entries(bad):
         ("iterations", 2.5),
         ("iterations", True),
         ("iterations", 0),
+        ("iterations", 1001),
+        ("iterations", 999999999999),
     ],
 )
 def test_fit_cacgmm_rejects_bad_iterations(name, value):

@@ -26,7 +26,6 @@ from farfield import (
     RoomSpec,
     StftParams,
     WaveformBuffer,
-    convolve,
     edit_distance,
     format_rttm,
     format_utterances,
@@ -47,7 +46,7 @@ from farfield import (
 from farfield.wpe import DEFAULT_PSD_FLOOR as WPE_PSD_FLOOR
 
 FS = 16000
-DIRECT_MAX = importlib.import_module("farfield.simulate")._DIRECT_MAX
+convolve = importlib.import_module("farfield.simulate")._convolve
 edit_costs = importlib.import_module("farfield.metrics")._edit_costs
 
 
@@ -79,8 +78,8 @@ def test_stft_istft_round_trip(p, n, channels, seed):
 @example(n=1, taps=1, seed=0)
 @example(n=1, taps=900, seed=1)
 @example(n=900, taps=1, seed=2)
-@example(n=DIRECT_MAX, taps=900, seed=3)
-@example(n=DIRECT_MAX + 1, taps=DIRECT_MAX + 1, seed=4)
+@example(n=256, taps=900, seed=3)
+@example(n=257, taps=257, seed=4)
 @example(n=300, taps=900, seed=5)  # a kernel longer than the signal
 @settings(max_examples=80)
 @given(
@@ -89,18 +88,14 @@ def test_stft_istft_round_trip(p, n, channels, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_convolve_matches_direct_convolution(n, taps, seed):
+    # one FFT path at every length, equal to the direct sums to rounding
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, n)
     h = rng.uniform(-1.0, 1.0, taps)
-    out = convolve(WaveformBuffer(x, FS), h).samples
+    out = convolve(x, [h])
     direct = np.convolve(x, h)
     assert out.shape == (1, n + taps - 1)
-    if min(n, taps) <= DIRECT_MAX:
-        assert np.array_equal(out[0], direct)
-    else:
-        # every output sample is at most sum|x| max|h| in magnitude
-        bound = np.sum(np.abs(x)) * np.max(np.abs(h))
-        assert np.max(np.abs(out[0] - direct)) <= 1e-12 * bound
+    assert np.max(np.abs(out[0] - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 tokens = st.one_of(

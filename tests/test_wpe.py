@@ -10,7 +10,6 @@ from farfield import (
     StftParams,
     WaveformBuffer,
     WpeConfig,
-    frame_powers,
     image_source_rir,
     make_meeting,
     si_sdr,
@@ -18,7 +17,7 @@ from farfield import (
     wpe,
     wpe_objective,
 )
-from farfield.wpe import min_frames
+from farfield.wpe import _powers, min_frames
 
 FS = 16000
 
@@ -72,6 +71,7 @@ def test_config_defaults():
         dict(iterations=0),
         dict(taps=2.5),
         dict(iterations=True),
+        dict(iterations=1001),
     ],
 )
 def test_config_rejects_invalid(kwargs):
@@ -84,18 +84,18 @@ def test_config_rejects_invalid(kwargs):
 
 def test_frame_powers_is_floored_channel_mean():
     spec = _random_spec(0)
-    powers = frame_powers(spec)
+    powers = _powers(spec.values, 2)
     oracle = np.maximum(np.mean(np.abs(spec.values) ** 2, axis=2), 1e-10)
     np.testing.assert_allclose(powers, oracle, rtol=1e-12)
     silent = ComplexSpectrogram(
         np.zeros_like(spec.values), spec.params, spec.sample_rate_hz
     )
-    assert np.all(frame_powers(silent) == 1e-10)
+    assert np.all(_powers(silent.values, 2) == 1e-10)
 
 
 def test_objective_validates_inputs():
     spec = _random_spec(1)
-    powers = frame_powers(spec)
+    powers = _powers(spec.values, 2)
     other = _random_spec(2, frames=10)
     with pytest.raises(ParameterError):
         wpe_objective(spec, other, powers)
@@ -199,7 +199,7 @@ def test_objective_non_increasing_on_reverberant_utterances():
         for iterations in range(1, 6):
             cfg = WpeConfig(taps=8, delay=2, iterations=iterations)
             dereverbed = wpe(spec, cfg)
-            lam = frame_powers(spec if previous is None else previous)
+            lam = _powers((spec if previous is None else previous).values, 2)
             scores.append(wpe_objective(spec, dereverbed, lam))
             previous = dereverbed
         assert np.all(np.diff(scores) <= 1e-6), scores
