@@ -20,6 +20,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ from .fusion import (
     write_ftoy,
 )
 from .gss import GssConfig, gss_enhance
-from .metrics import DiarizationSet, TranscriptSet, cpcer, der
+from .metrics import DiarizationSet, TranscriptSet, _check_collar, cpcer, der
 from .rover import NULL_TOKEN, rover
 from .signal import WaveformBuffer
 from .simulate import make_meeting
@@ -225,22 +226,20 @@ def cmd_score(args) -> int:
             print(f"metric=cpcer session={session} value={breakdown[session].rate:.6f}")
         print(f"metric=cpcer session=ALL value={rate:.6f}")
         return 0
+    _check_collar(args.collar)  # an argument: its error is not the files'
     ref = formats.read_rttm(args.ref)
     hyp = formats.read_rttm(args.hyp)
     common = _intersect_sessions(ref.sessions(), hyp.sessions(), "der")
     keep = set(common)
     ref = DiarizationSet(tuple(s for s in ref.segments if s.session in keep))
     hyp = DiarizationSet(tuple(s for s in hyp.segments if s.session in keep))
-    rate, miss, fa, conf = der(
-        ref, hyp, collar_s=args.collar, score_overlap=args.score_overlap
-    )
+    score = partial(der, collar_s=args.collar, score_overlap=args.score_overlap)
+    # the sessions may be too long to grid
+    rate, miss, fa, conf = formats._build(f"{args.ref}, {args.hyp}", score, ref, hyp)
     print(f"DER: {100 * rate:.2f}% "
           f"(miss {100 * miss:.2f}%, fa {100 * fa:.2f}%, conf {100 * conf:.2f}%)")
     for session in common:
-        s_rate, _, _, _ = der(
-            ref.for_session(session), hyp.for_session(session),
-            collar_s=args.collar, score_overlap=args.score_overlap,
-        )
+        s_rate, _, _, _ = score(ref.for_session(session), hyp.for_session(session))
         print(f"metric=der session={session} value={s_rate:.6f}")
     print(f"metric=der session=ALL value={rate:.6f}")
     return 0

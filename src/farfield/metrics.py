@@ -32,15 +32,15 @@ from .errors import ParameterError, UndefinedMetricError, check_field, check_fin
 log = logging.getLogger(__name__)
 
 FRAME_S = 0.01  # DER scoring resolution
+# DER: speaker-frames of one session's grid; at the cap, one speaker on
+# each side, the traced peak of ``der`` is about 1.2 GiB
+_MAX_GRID_CELLS = 2**27
 
-# edit distance packs (cost, substitutions, insertions) into one int64
-# so lexicographic minimization is a single integer min
-_SHIFT_COST = 42
-_SHIFT_SUB = 21
-_FIELD_CAP = 1 << _SHIFT_SUB
-_DEL1 = 1 << _SHIFT_COST
-_SUB1 = _DEL1 | (1 << _SHIFT_SUB)
-_INS1 = _DEL1 | 1
+# edit distance packs (cost, substitutions) into one int64 as
+# cost * 2^31 + substitutions, so lexicographic minimization is a single
+# integer min
+_COST1 = 1 << 31
+_SUB1 = _COST1 + 1
 _STEP_BLOCK_BYTES = 1 << 18  # edit distance: step rows formed at once
 
 
@@ -154,6 +154,20 @@ class DiarizationSet:
         )
 
 
+def _check_hashable(tokens) -> None:
+    """Raise ``ParameterError`` naming the first unhashable token.
+
+    Called after building a token dict raised ``TypeError``, so valid
+    input is scanned once; if every token hashes, the caller re-raises
+    that error.
+    """
+    for tok in tokens:
+        try:
+            hash(tok)
+        except TypeError:
+            raise ParameterError(f"tokens must be hashable, got {tok!r}") from None
+
+
 def edit_distance(ref, hyp) -> tuple:
     """Levenshtein counts (substitutions, insertions, deletions), unit costs.
 
@@ -165,32 +179,36 @@ def edit_distance(ref, hyp) -> tuple:
     Each hypothesis token gets an integer code from a dict; reference
     tokens absent from it get -1. The dynamic program then runs one
     reference token at a time over an int64 row of length
-    ``len(hyp) + 1`` holding (cost, substitutions, insertions) packed so
-    that lexicographic minimization is a single integer min. Row ``i``
-    stores its value at column ``j`` minus ``i`` deletions and ``j``
-    insertions, so column 0 is always 0, a deletion keeps the stored
-    value, and an insertion is a running minimum along the row. A row
-    is then three array calls: add the step row to the row shifted one
-    column, take the minimum with the row, and ``np.minimum.accumulate``.
+    ``len(hyp) + 1`` holding (cost, substitutions) packed as
+    ``cost * 2^31 + S``, so that lexicographic minimization is a single
+    integer min. Two fields suffice: every alignment of ``i`` reference
+    tokens with ``j`` hypothesis tokens has ``D - I = i - j`` deletions
+    less insertions, so cost and S fix I and D at every cell, and the
+    minimum over (cost, S) is the minimum over (cost, S, I). Row ``i``
+    stores its value at column ``j`` minus ``i + j`` cost units, so
+    column 0 is always 0, a deletion keeps the stored value, and an
+    insertion is a running minimum along the row. A row is then three
+    array calls: add the step row to the row shifted one column, take
+    the minimum with the row, and ``np.minimum.accumulate``.
 
-    The step row is ``mismatch * _SUB1 - _DEL1 - _INS1``. It is formed
-    for a block of reference tokens at once, from one comparison of
-    their codes with the hypothesis codes; the block holds at most
+    The step row is ``mismatch * _SUB1 - 2 * _COST1``. It is formed for
+    a block of reference tokens at once, from one comparison of their
+    codes with the hypothesis codes; the block holds at most
     ``_STEP_BLOCK_BYTES`` of steps and mismatch flags, whatever the size
     of the alphabet. Memory is O(len(hyp)): the row, one buffer of the
     same length and the block.
 
-    The stored values lie between ``-2 min(i, j) * 2^42 - j`` and
-    ``2^43``, because the cost at (i, j) is at least ``|i - j|`` and at
-    most ``max(i, j)``. They stay inside int64 when the shorter
-    sequence has fewer than 2^20 tokens and the longer one fewer than
-    2^21, the width of the packed counts.
+    The cost at (i, j) lies between ``|i - j|`` and ``max(i, j)``, and S
+    is at most ``min(i, j)``, so the stored values lie between
+    ``-2 min(i, j) * 2^31`` and 0. They stay inside int64, and S inside
+    its 31 bits, when the shorter sequence has fewer than 2^31 tokens;
+    the longer one has no bound.
 
     Raises
     ------
     ParameterError
-        A token is unhashable, a sequence has 2^21 tokens or more, or
-        both have 2^20 tokens or more.
+        A token is unhashable, or both sequences have 2^31 tokens or
+        more.
 
     Examples
     --------
@@ -202,21 +220,14 @@ def edit_distance(ref, hyp) -> tuple:
     r = list(ref)
     h = list(hyp)
     n, m = len(r), len(h)
-    if max(n, m) >= _FIELD_CAP or min(n, m) >= _FIELD_CAP // 2:
-        raise ParameterError(
-            "sequences of 2^21 tokens or more, or two of 2^20 tokens or more, "
-            "are not supported"
-        )
+    if min(n, m) >= _COST1:
+        raise ParameterError("two sequences of 2^31 tokens or more are not supported")
     codes: dict = {}
     try:
         h_codes = np.array([codes.setdefault(t, len(codes)) for t in h], dtype=np.int64)
         r_codes = np.array([codes.get(t, -1) for t in r], dtype=np.int64)
     except TypeError:
-        for t in (*h, *r):
-            try:
-                hash(t)
-            except TypeError:
-                raise ParameterError(f"tokens must be hashable, got {t!r}") from None
+        _check_hashable(itertools.chain(h, r))
         raise
     block = max(1, _STEP_BLOCK_BYTES // (9 * max(m, 1)))  # int64 step + bool flag
     row = np.zeros(m + 1, dtype=np.int64)
@@ -225,16 +236,14 @@ def edit_distance(ref, hyp) -> tuple:
     for lo in range(0, n, block):
         mismatch = np.not_equal(r_codes[lo : lo + block, None], h_codes)
         steps = np.multiply(mismatch, _SUB1)
-        steps -= _DEL1 + _INS1
+        steps -= 2 * _COST1
         for step in steps:
             np.add(head, step, out=diag)
             np.minimum(tail, diag, out=tail)
             np.minimum.accumulate(row, out=row)
-    enc = int(row[-1]) + n * _DEL1 + m * _INS1
-    cost = enc >> _SHIFT_COST
-    subs = (enc >> _SHIFT_SUB) & (_FIELD_CAP - 1)
-    ins = enc & (_FIELD_CAP - 1)
-    return (subs, ins, cost - subs - ins)
+    cost, subs = divmod(int(row[-1]) + (n + m) * _COST1, _COST1)
+    ins = (cost - subs - (n - m)) // 2
+    return (subs, ins, ins + n - m)
 
 
 @dataclass(frozen=True)
@@ -329,11 +338,7 @@ def _edit_costs(refs, hyps) -> np.ndarray:
                 len(ref) + (pv & b).bit_count() - (mv & b).bit_count() for b in blocks
             ]
     except TypeError:
-        for tok in itertools.chain(*hyps, *refs):
-            try:
-                hash(tok)
-            except TypeError:
-                raise ParameterError(f"tokens must be hashable, got {tok!r}") from None
+        _check_hashable(itertools.chain(*hyps, *refs))
         raise
     return costs
 
@@ -346,8 +351,7 @@ def cpcer(refs: TranscriptSet, hyps: TranscriptSet) -> tuple:
     bit-parallel pass per reference stream over all hypothesis streams,
     with work proportional to reference tokens x total hypothesis bits /
     word size and memory of one int of sum(len(hyp) + 1) bits per
-    distinct hypothesis token. It packs no counts, so unlike
-    ``edit_distance`` it has no 2^21-token cap.
+    distinct hypothesis token.
 
     Returns
     -------
@@ -454,6 +458,13 @@ def _outside_collars(segments, collar_s: float, n_frames: int) -> np.ndarray:
     return ~_covered(np.zeros(len(edges), dtype=np.intp), lo, hi, 1, n_frames)[0]
 
 
+def _check_collar(collar_s) -> None:
+    """Raise ``ParameterError`` unless ``collar_s`` is finite and >= 0."""
+    check_finite("collar_s", collar_s)
+    if collar_s < 0:
+        raise ParameterError(f"collar must be >= 0, got {collar_s}")
+
+
 def der(
     ref: DiarizationSet,
     hyp: DiarizationSet,
@@ -484,7 +495,9 @@ def der(
     Raises
     ------
     ParameterError
-        ``collar_s`` is negative or not finite.
+        ``collar_s`` is negative or not finite, or a session's grid
+        would hold more than 2^27 speaker-frames (reference plus
+        hypothesis speakers times frames to the last end).
     UndefinedMetricError
         No scored reference speech at all.
 
@@ -501,9 +514,7 @@ def der(
     """
     from scipy.optimize import linear_sum_assignment
 
-    check_finite("collar_s", collar_s)
-    if collar_s < 0:
-        raise ParameterError(f"collar must be >= 0, got {collar_s}")
+    _check_collar(collar_s)
     sessions = sorted(set(ref.sessions()) | set(hyp.sessions()))
     miss = fa = conf = denom = 0
     for sess in sessions:
@@ -513,6 +524,12 @@ def der(
             [s.end_s for s in rsegs] + [s.end_s for s in hsegs] + [0.0]
         )
         n = int(round(horizon / FRAME_S)) + 1
+        speakers = len({s.speaker for s in rsegs}) + len({s.speaker for s in hsegs})
+        if speakers * n > _MAX_GRID_CELLS:
+            raise ParameterError(
+                f"session {sess}: a 10 ms grid of {speakers} speakers x {n} frames "
+                "is more than 2^27 cells"
+            )
         _, ract = _segment_frames(rsegs, n)
         _, hact = _segment_frames(hsegs, n)
 

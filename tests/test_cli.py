@@ -807,6 +807,17 @@ def test_score_der_rejects_a_non_finite_or_negative_reference_time(tmp_path, cap
     assert err.count("error:") == 1 and "ref.rttm" in err
 
 
+def test_score_der_rejects_a_session_too_long_to_grid(tmp_path, capsys):
+    ref = tmp_path / "ref.rttm"
+    hyp = tmp_path / "hyp.rttm"
+    ref.write_text("SPEAKER m 1 0.000 999999999999 <NA> <NA> A <NA> <NA>\n")
+    hyp.write_text("SPEAKER m 1 0.000 5.000 <NA> <NA> X <NA> <NA>\n")
+    rc = main(["score", "--mode", "der", str(ref), str(hyp)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.count("error:") == 1 and f"{ref}, {hyp}: session m" in err and "2^27" in err
+
+
 def test_score_intersects_sessions_with_warning(tmp_path, capsys, caplog):
     ref = tmp_path / "ref.trn"
     hyp = tmp_path / "hyp.trn"

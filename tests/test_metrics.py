@@ -103,20 +103,21 @@ def test_edit_distance_matches_oracle_across_step_blocks(monkeypatch, sigma, m):
             assert edit_distance(hyp, ref) == ref_kernels.edit_distance(hyp, ref)
 
 
-def test_edit_distance_at_the_length_cap_with_one_short_side():
-    long = ["a"] * (2**21 - 1)
-    assert edit_distance(["a", "b", "a"], long) == (1, 2**21 - 4, 0)
-    with pytest.raises(ParameterError, match="2\\^21"):
-        edit_distance(["a"], long + ["a"])
+def test_edit_distance_has_no_cap_on_the_longer_side():
+    long = ["a"] * 2**21  # only the shorter side is bounded
+    assert edit_distance(["a", "b", "a"], long) == (1, 2**21 - 3, 0)
+    assert edit_distance(long, ["a", "b", "a"]) == (1, 0, 2**21 - 3)
 
 
-def test_edit_distance_rejects_two_sequences_of_half_the_cap(monkeypatch):
-    # the offset rows reach -2 min(i, j) * 2^42, so both sides may not have
-    # half the cap of tokens or more; a small cap keeps a missing check fast
-    monkeypatch.setattr(farfield.metrics, "_FIELD_CAP", 16)
-    with pytest.raises(ParameterError, match="2\\^20"):
-        edit_distance("a" * 8, "a" * 8)
-    assert edit_distance("a" * 7, "a" * 15) == (0, 8, 0)
+def test_edit_distance_rejects_two_sequences_at_the_substitution_field_width(monkeypatch):
+    # with 4-bit substitution counts the shorter side may hold at most 15
+    # tokens; at 15 the field is full and must not carry into the cost
+    monkeypatch.setattr(farfield.metrics, "_COST1", 16)
+    monkeypatch.setattr(farfield.metrics, "_SUB1", 17)
+    with pytest.raises(ParameterError, match="2\\^31"):
+        edit_distance("a" * 16, "b" * 16)
+    assert edit_distance("a" * 15, "b" * 40) == (15, 25, 0)
+    assert edit_distance("b" * 40, "a" * 15) == (15, 0, 25)
 
 
 # --------------------------------------------------------------- cpCER
@@ -360,6 +361,17 @@ def test_der_negative_collar_rejected():
     ref = DiarizationSet.from_rows([("m", "A", 0.0, 1.0)])
     with pytest.raises(ParameterError, match="collar"):
         der(ref, ref, collar_s=-0.1)
+
+
+def test_der_bounds_each_session_grid(monkeypatch):
+    # two speakers x 801 frames (0 to 8 s) in session m, fewer in n
+    ref = DiarizationSet.from_rows([("m", "A", 0.0, 8.0), ("n", "A", 0.0, 1.0)])
+    hyp = DiarizationSet.from_rows([("m", "X", 0.0, 6.0), ("n", "X", 0.0, 1.0)])
+    monkeypatch.setattr(farfield.metrics, "_MAX_GRID_CELLS", 2 * 801)
+    assert der(ref, hyp, collar_s=0.0)[0] == pytest.approx(0.25 * 8 / 9)
+    monkeypatch.setattr(farfield.metrics, "_MAX_GRID_CELLS", 2 * 801 - 1)
+    with pytest.raises(ParameterError, match="session m: .* 2 speakers x 801 frames"):
+        der(ref, hyp, collar_s=0.0)
 
 
 def test_der_no_scored_reference_speech_rejected():
