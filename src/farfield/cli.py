@@ -20,7 +20,6 @@ import logging
 import os
 import sys
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ from .fusion import (
     write_ftoy,
 )
 from .gss import GssConfig, gss_enhance
-from .metrics import DiarizationSet, TranscriptSet, _check_collar, cpcer, der
+from .metrics import TranscriptSet, _check_collar, _der_counts, _der_rate, cpcer
 from .rover import NULL_TOKEN, rover
 from .signal import WaveformBuffer
 from .simulate import make_meeting
@@ -230,17 +229,18 @@ def cmd_score(args) -> int:
     ref = formats.read_rttm(args.ref)
     hyp = formats.read_rttm(args.hyp)
     common = _intersect_sessions(ref.sessions(), hyp.sessions(), "der")
-    keep = set(common)
-    ref = DiarizationSet(tuple(s for s in ref.segments if s.session in keep))
-    hyp = DiarizationSet(tuple(s for s in hyp.segments if s.session in keep))
-    score = partial(der, collar_s=args.collar, score_overlap=args.score_overlap)
-    # the sessions may be too long to grid
-    rate, miss, fa, conf = formats._build(f"{args.ref}, {args.hyp}", score, ref, hyp)
+    files = f"{args.ref}, {args.hyp}"
+    counts = {s: formats._build(files, _der_counts, s, ref.for_session(s).segments,
+                                hyp.for_session(s).segments, args.collar, args.score_overlap)
+              for s in common}  # a session may be too long to grid
+    rate, miss, fa, conf = formats._build(files, _der_rate, counts.values())
     print(f"DER: {100 * rate:.2f}% "
           f"(miss {100 * miss:.2f}%, fa {100 * fa:.2f}%, conf {100 * conf:.2f}%)")
     for session in common:
-        s_rate, _, _, _ = score(ref.for_session(session), hyp.for_session(session))
-        print(f"metric=der session={session} value={s_rate:.6f}")
+        if counts[session][3]:
+            print(f"metric=der session={session} value={_der_rate([counts[session]])[0]:.6f}")
+        else:  # as cpcer leaves out a session without reference characters
+            logger.warning("der: session %s has no scored reference speech; excluded", session)
     print(f"metric=der session=ALL value={rate:.6f}")
     return 0
 

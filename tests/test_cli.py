@@ -1,24 +1,37 @@
 """Command-line verbs, exit codes, and output provenance."""
 
+import contextlib
+import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_metrics import diar_rows
 
+import farfield.metrics
 from farfield import (
     DataError,
+    DiarizationSet,
     FarfieldError,
     NumericalError,
     ParameterError,
+    UndefinedMetricError,
     WaveformBuffer,
+    der,
+    read_rttm,
     read_utterances,
     read_wav,
     sha256_file,
+    write_rttm,
     write_wav,
 )
 from farfield import cli
@@ -816,6 +829,96 @@ def test_score_der_rejects_a_session_too_long_to_grid(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.count("error:") == 1 and f"{ref}, {hyp}: session m" in err and "2^27" in err
+
+
+def _two_sessions(tmp_path, ref_lines, hyp_lines):
+    ref = tmp_path / "ref.rttm"
+    hyp = tmp_path / "hyp.rttm"
+    ref.write_text("".join(f"SPEAKER {line} <NA> <NA> A <NA> <NA>\n" for line in ref_lines))
+    hyp.write_text("".join(f"SPEAKER {line} <NA> <NA> X <NA> <NA>\n" for line in hyp_lines))
+    return str(ref), str(hyp)
+
+
+def test_score_der_leaves_out_a_fully_collared_session(tmp_path, capsys, caplog):
+    # s2's 0.3 s turn lies inside its own 0.25 s collars: no frame of it is scored
+    lines = ["s1 1 0.000 5.000", "s2 1 1.000 0.300"]
+    ref, hyp = _two_sessions(tmp_path, lines, lines)
+    with caplog.at_level(logging.WARNING, logger="farfield.cli"):
+        rc = main(["score", "--mode", "der", ref, hyp])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == ("DER: 0.00% (miss 0.00%, fa 0.00%, conf 0.00%)\n"
+                   "metric=der session=s1 value=0.000000\n"
+                   "metric=der session=ALL value=0.000000\n")
+    assert any("session s2" in r.message and "excluded" in r.message for r in caplog.records)
+
+
+def test_score_der_without_scored_speech_prints_nothing(tmp_path, capsys):
+    ref, hyp = _two_sessions(tmp_path, ["s2 1 1.000 0.300"], ["s2 1 1.000 0.300"])
+    rc = main(["score", "--mode", "der", ref, hyp])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and "no scored reference speech" in captured.err
+
+
+def test_score_der_grids_each_common_session_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    grid = farfield.metrics._segment_frames
+
+    def spy(segments, n_frames):
+        calls.append({s.session for s in segments})
+        return grid(segments, n_frames)
+
+    monkeypatch.setattr(farfield.metrics, "_segment_frames", spy)
+    lines = ["s1 1 0.000 5.000", "s2 1 2.000 3.000", "s3 1 0.000 1.000"]
+    ref, hyp = _two_sessions(tmp_path, lines, lines[:2])
+    assert main(["score", "--mode", "der", ref, hyp]) == 0
+    assert "session=ALL" in capsys.readouterr().out
+    assert sorted(map(sorted, calls)) == [["s1"], ["s1"], ["s2"], ["s2"]]
+
+
+@example(  # session n lies inside its collars
+    ref_rows=[("m", "A", 0.0, 2.0), ("n", "B", 1.0, 1.3)],
+    hyp_rows=[("m", "x", 0.5, 2.0), ("n", "y", 1.0, 1.3)],
+    collar_s=0.25,
+    score_overlap=True,
+)
+@settings(max_examples=50)
+@given(
+    ref_rows=diar_rows(),
+    hyp_rows=diar_rows(speaker_names=("x", "y")),
+    collar_s=st.sampled_from([0.0, 0.005, 0.25, 1.0, 5.0]),
+    score_overlap=st.booleans(),
+)
+def test_score_der_lines_equal_der_per_session_and_pooled(ref_rows, hyp_rows, collar_s,
+                                                          score_overlap):
+    # a 5 s collar leaves no frame of these sessions scored
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / "ref.rttm", Path(tmp) / "hyp.rttm"]
+        write_rttm(paths[0], DiarizationSet.from_rows(ref_rows))
+        write_rttm(paths[1], DiarizationSet.from_rows(hyp_rows))
+        ref, hyp = map(read_rttm, paths)  # what the command scores
+        argv = ["score", "--mode", "der", *map(str, paths), "--collar", str(collar_s)]
+        with contextlib.redirect_stdout(out):
+            rc = main(argv + ([] if score_overlap else ["--no-score-overlap"]))
+    common = sorted(set(ref.sessions()) & set(hyp.sessions()))
+    want = {}
+    for s in common:
+        with contextlib.suppress(UndefinedMetricError):  # no scored reference frame
+            rate = der(ref.for_session(s), hyp.for_session(s), collar_s, score_overlap)[0]
+            want[s] = f"{rate:.6f}"
+    if not want:
+        assert rc == 2 and out.getvalue() == ""
+        return
+    assert rc == 0
+    keep = set(common)
+    pooled = der(DiarizationSet(tuple(s for s in ref.segments if s.session in keep)),
+                 DiarizationSet(tuple(s for s in hyp.segments if s.session in keep)),
+                 collar_s, score_overlap)[0]
+    got = dict(re.findall(r"^metric=der session=(\S+) value=(\S+)$", out.getvalue(), re.M))
+    assert got == {**want, "ALL": f"{pooled:.6f}"}
 
 
 def test_score_intersects_sessions_with_warning(tmp_path, capsys, caplog):

@@ -4,10 +4,13 @@ Each example damages one input file of a valid ``enhance``, ``simulate``,
 ``score`` or ``rover`` run: it flips a byte, truncates the file,
 overwrites a WAV header field, inserts junk, or swaps a number of a JSON
 or RTTM file for another token. Whatever the damage, ``cli.main``
-returns one of the documented exit codes 0-3 and raises nothing, and a
-failed ``enhance`` leaves no ``index.json``.
+returns one of the documented exit codes 0-3 and raises nothing, a
+failed ``enhance`` leaves no ``index.json``, and a failed ``score``
+prints nothing to stdout: it reports all or nothing.
 """
 
+import contextlib
+import io
 import json
 import re
 import shutil
@@ -184,7 +187,11 @@ def test_damaged_inputs_end_in_a_documented_exit_code(pristine, case):
         shutil.copytree(pristine / verb, d)
         path = d / name
         path.write_bytes(_damage(path.read_bytes(), kind, where, payload))
-        rc = main([a.format(d=d) for a in argv])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main([a.format(d=d) for a in argv])
         assert rc in (0, 1, 2, 3)
         if verb == "enhance" and rc != 0:
             assert not list((d / "out").rglob("index.json"))
+        if verb.startswith("score") and rc != 0:
+            assert out.getvalue() == ""

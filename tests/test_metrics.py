@@ -374,6 +374,15 @@ def test_der_bounds_each_session_grid(monkeypatch):
         der(ref, hyp, collar_s=0.0)
 
 
+def test_der_counts_more_speakers_per_frame_than_a_byte_holds():
+    # 300 reference speakers talk at once over two hypothesis speakers
+    ref = DiarizationSet.from_rows([("m", f"A{k}", 0.0, 1.0 + k / 100) for k in range(300)])
+    hyp = DiarizationSet.from_rows([("m", "X", 0.0, 1.2), ("m", "Y", 0.5, 1.0)])
+    for score_overlap in (True, False):
+        assert der(ref, hyp, 0.0, score_overlap) == ref_kernels.der(ref, hyp, 0.0, score_overlap)
+    assert der(ref, hyp, 0.0)[1] > 0.99  # nearly all miss
+
+
 def test_der_no_scored_reference_speech_rejected():
     ref = DiarizationSet.from_rows([("m", "A", 0.0, 0.4)])
     hyp = DiarizationSet.from_rows([("m", "A", 0.0, 0.4)])
