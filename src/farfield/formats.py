@@ -105,7 +105,10 @@ def parse_utt_id(utt_id: str) -> tuple:
         raise DataError(f"utterance id {utt_id!r} has non-integer times") from exc
     if start >= end:
         raise DataError(f"utterance id {utt_id!r} has start >= end")
-    return speaker, session, start / 1000.0, end / 1000.0
+    try:
+        return speaker, session, start / 1000.0, end / 1000.0
+    except OverflowError as exc:  # a time of 309 digits or more
+        raise DataError(f"utterance id {utt_id!r} has a time too large for a float") from exc
 
 
 def read_transcripts(path) -> TranscriptSet:

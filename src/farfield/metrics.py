@@ -4,7 +4,7 @@ scale-invariant SDR used to judge separation quality.
 
 cpCER concatenates each stream's characters in time order per session,
 finds the reference-speaker to hypothesis-stream assignment with the
-minimum total edit distance (exact, via the Hungarian algorithm), and
+minimum total edit distance (exact, by the Hungarian method), and
 pools error counts over sessions. The edit distance of every (reference,
 hypothesis) stream pair of a session comes from one bit-parallel pass
 per reference stream over all hypothesis streams laid end to end in one
@@ -343,6 +343,69 @@ def _edit_costs(refs, hyps) -> np.ndarray:
     return costs
 
 
+def _assign(cost) -> tuple:
+    """Minimum-cost assignment: ``(rows, cols)`` index arrays of the
+    ``min(n, m)`` pairs of an ``(n, m)`` integer matrix, rows ascending.
+
+    The Hungarian method with potentials (Kuhn, 1955) in its
+    shortest-augmenting-path form (Jonker and Volgenant, 1987): each row
+    in turn, of the shorter side, runs a Dijkstra search over the reduced
+    costs ``cost - u - v`` to a free column, the potentials absorb the
+    search's distances, and the path is flipped. All arithmetic is int64:
+    potentials and path lengths are sums of a few times ``min(n, m) + 1``
+    costs, so the optimal total is exact for the counts the callers pass,
+    far inside int64. Ties resolve deterministically, as in scipy's
+    ``linear_sum_assignment`` (Crouse, 2016): columns are searched from
+    the last, and among equally near ones a free column wins.
+    """
+    cost = np.asarray(cost, dtype=np.int64)
+    flip = cost.shape[1] < cost.shape[0]
+    if flip:
+        cost = cost.T
+    n, m = cost.shape
+    u = np.zeros(n, dtype=np.int64)
+    v = np.zeros(m, dtype=np.int64)
+    col4row = np.full(n, -1, dtype=np.intp)
+    row4col = np.full(m, -1, dtype=np.intp)
+    path = np.zeros(m, dtype=np.intp)  # the row each column is reached from
+    for cur in range(n):
+        dist = np.full(m, np.iinfo(np.int64).max)
+        todo = np.arange(m - 1, -1, -1)  # unreached columns, first k of them
+        k, i, lowest = m, cur, 0
+        rows, cols = [], []
+        while True:
+            rows.append(i)
+            left = todo[:k]
+            reach = lowest + cost[i, left] - u[i] - v[left]
+            nearer = reach < dist[left]
+            path[left[nearer]] = i
+            dist[left[nearer]] = reach[nearer]
+            near = dist[left]
+            lowest = near.min()
+            ties = np.flatnonzero(near == lowest)
+            free = ties[row4col[left[ties]] < 0]
+            pick = free[-1] if len(free) else ties[0]
+            j = left[pick]
+            cols.append(j)
+            k -= 1
+            todo[pick] = todo[k]
+            if row4col[j] < 0:
+                break
+            i = row4col[j]
+        u[cur] += lowest
+        u[rows[1:]] += lowest - dist[col4row[rows[1:]]]
+        v[cols] -= lowest - dist[cols]
+        while True:  # flip the path from the free column j back to row cur
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if flip:
+        return np.sort(col4row), np.argsort(col4row)
+    return np.arange(n), col4row
+
+
 def cpcer(refs: TranscriptSet, hyps: TranscriptSet) -> tuple:
     """Concatenated minimum-permutation character error rate.
 
@@ -351,7 +414,10 @@ def cpcer(refs: TranscriptSet, hyps: TranscriptSet) -> tuple:
     bit-parallel pass per reference stream over all hypothesis streams,
     with work proportional to reference tokens x total hypothesis bits /
     word size and memory of one int of sum(len(hyp) + 1) bits per
-    distinct hypothesis token.
+    distinct hypothesis token. The assignment of least total distance
+    comes from ``_assign``, an exact int64 Hungarian solver. Where
+    several assignments tie, it picks one deterministically; the total,
+    so every count and rate, is the same whichever it picks.
 
     Returns
     -------
@@ -369,8 +435,6 @@ def cpcer(refs: TranscriptSet, hyps: TranscriptSet) -> tuple:
     UndefinedMetricError
         No session has reference characters.
     """
-    from scipy.optimize import linear_sum_assignment  # scipy stays off the enhance import path
-
     sessions = sorted(set(refs.sessions()) | set(hyps.sessions()))
     total_err = 0
     total_ref = 0
@@ -389,7 +453,7 @@ def cpcer(refs: TranscriptSet, hyps: TranscriptSet) -> tuple:
         rtoks = [ref_streams[name] for name in rnames]
         htoks = [hyp_streams[name] for name in hnames]
         cost = _edit_costs(rtoks + [()] * (n - len(rtoks)), htoks + [()] * (n - len(htoks)))
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = _assign(cost)
         err = int(cost[rows, cols].sum())
         assignment[sess] = tuple(
             (
@@ -467,8 +531,6 @@ def _check_collar(collar_s) -> None:
 def _der_counts(session: str, rsegs, hsegs, collar_s: float, score_overlap: bool) -> tuple:
     """(miss, false_alarm, confusion, scored reference) speaker-frames of
     one session, all ints; ``der`` explains the rule."""
-    from scipy.optimize import linear_sum_assignment  # scipy stays off the enhance import path
-
     horizon = max([s.end_s for s in rsegs] + [s.end_s for s in hsegs] + [0.0])
     n = int(round(horizon / FRAME_S)) + 1
     speakers = len({s.speaker for s in rsegs}) + len({s.speaker for s in hsegs})
@@ -489,7 +551,7 @@ def _der_counts(session: str, rsegs, hsegs, collar_s: float, score_overlap: bool
     overlap = np.array(
         [[np.count_nonzero(r & h) for h in hact] for r in ract], dtype=np.int64
     ).reshape(len(ract), len(hact))
-    rows, cols = linear_sum_assignment(-overlap)
+    rows, cols = _assign(-overlap)
 
     nr = ract.sum(axis=0, dtype=count)
     nh = hact.sum(axis=0, dtype=count)
@@ -522,13 +584,16 @@ def der(
     rule, a sparse difference array (see ``_covered``). The collar mask
     is ANDed into both activity grids in place, and every count below
     comes from the masked grids.
-    Speakers are mapped by the Hungarian algorithm on the scored frames
-    each (reference, hypothesis) pair shares, counted pair by pair with
-    ``np.count_nonzero``. With ``nr`` and ``nh`` the reference and
-    hypothesis speakers active in a frame, a scored frame charges
-    ``nr - min(nr, nh)`` miss, ``nh - min(nr, nh)`` false alarm, and
-    ``min(nr, nh)`` confusion less the mapped pairs active in it. All
-    counts are integers, pooled over sessions before dividing.
+    Speakers are mapped by ``_assign``, an exact int64 Hungarian solver,
+    to maximize the scored frames each mapped (reference, hypothesis)
+    pair shares, counted pair by pair with ``np.count_nonzero``. Where
+    several mappings tie, it picks one deterministically; the mapped
+    total, so every count and rate, is the same whichever it picks.
+    With ``nr`` and ``nh`` the reference and hypothesis speakers active
+    in a frame, a scored frame charges ``nr - min(nr, nh)`` miss,
+    ``nh - min(nr, nh)`` false alarm, and ``min(nr, nh)`` confusion less
+    the mapped pairs active in it. All counts are integers, pooled over
+    sessions before dividing.
 
     Returns
     -------

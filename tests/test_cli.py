@@ -1111,3 +1111,29 @@ def test_importing_the_package_and_cli_loads_no_scipy_optimize_or_special():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_scoring_loads_no_scipy_optimize(tmp_path):
+    # cpCER and DER solve their assignments in the package
+    (tmp_path / "ref.trn").write_text("A-s1-0-1000 abcd\nB-s1-1000-2000 wxyz\n")
+    (tmp_path / "hyp.trn").write_text("h1-s1-0-1000 wxyz\nh2-s1-1000-2000 abcx\n")
+    (tmp_path / "ref.rttm").write_text("SPEAKER m 1 0.000 8.000 <NA> <NA> A <NA> <NA>\n")
+    (tmp_path / "hyp.rttm").write_text(
+        "SPEAKER m 1 0.000 6.000 <NA> <NA> X <NA> <NA>\n"
+        "SPEAKER m 1 6.000 2.000 <NA> <NA> Y <NA> <NA>\n"
+    )
+    proc = _child(
+        "-c",
+        "import sys\n"
+        "from farfield import cpcer, der, read_rttm, read_transcripts\n"
+        "from farfield.cli import main\n"
+        "d = sys.argv[1]\n"
+        "cpcer(read_transcripts(f'{d}/ref.trn'), read_transcripts(f'{d}/hyp.trn'))\n"
+        "der(read_rttm(f'{d}/ref.rttm'), read_rttm(f'{d}/hyp.rttm'))\n"
+        "for mode, ext in (('cpcer', 'trn'), ('der', 'rttm')):\n"
+        "    assert main(['score', '--mode', mode, f'{d}/ref.{ext}', f'{d}/hyp.{ext}']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n",
+        str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

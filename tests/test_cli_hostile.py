@@ -2,11 +2,12 @@
 
 Each example damages one input file of a valid ``enhance``, ``simulate``,
 ``score`` or ``rover`` run: it flips a byte, truncates the file,
-overwrites a WAV header field, inserts junk, or swaps a number of a JSON
-or RTTM file for another token. Whatever the damage, ``cli.main``
-returns one of the documented exit codes 0-3 and raises nothing, a
-failed ``enhance`` leaves no ``index.json``, and a failed ``score``
-prints nothing to stdout: it reports all or nothing.
+overwrites a WAV header field, inserts junk, or swaps a number of a JSON,
+RTTM or transcript file for another token, the times inside utterance
+ids included. Whatever the damage, ``cli.main`` returns one of the
+documented exit codes 0-3 and raises nothing, a failed ``enhance``
+leaves no ``index.json``, and a failed ``score`` prints nothing to
+stdout: it reports all or nothing.
 """
 
 import contextlib
@@ -55,20 +56,21 @@ WAV_FIELDS = ((4, 4), (16, 4), (20, 2), (22, 2), (24, 4), (28, 4), (32, 2), (34,
 # tokens put in place of a number; json reads NaN as a float
 JSON_SWAPS = ("NaN", "1e400", "-1", "999999999999", "null", "[]")
 # (verb, file name) of the inputs each kind of damage applies to: a header
-# field overwrite to the WAV files, a number swap to the JSON and RTTM
-# files, which hold numbers, and the other kinds to every file
+# field overwrite to the WAV files, a number swap to the JSON, RTTM and
+# transcript files, which hold numbers, and the other kinds to every file
 INPUTS = [(verb, name) for verb, (names, _) in sorted(RUNS.items()) for name in names]
 TARGETS = {
     "flip": INPUTS,
     "header": [i for i in INPUTS if i[1].endswith(".wav")],
     "insert": INPUTS,
     "number": [i for i in INPUTS
-               if i[1] in ("cfg.json", "plan.json", "room.json", "ref.rttm", "hyp.rttm")],
+               if i[1] in ("cfg.json", "plan.json", "room.json", "ref.rttm", "hyp.rttm",
+                           "ref.trn", "hyp.trn")],
     "truncate": INPUTS,
 }
-# a number of those JSON and RTTM files, which write no digit into a string
-# next to a separator
-NUMBER = re.compile(r"(?<=[\s\[:])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?=[\s,\]}])")
+# a number of those files, which write no digit into a string next to a
+# separator; the hyphens of an utterance id (A-s1-0-1000) separate its times
+NUMBER = re.compile(r"(?<=[\s\[:-])-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?(?=[\s,\]}-])")
 
 
 def _noise(rng, seconds):
@@ -172,11 +174,13 @@ def _damage(raw: bytes, kind, where, payload) -> bytes:
 
 # the escapes this sweep found: numpy's MemoryError for an EM trace of
 # 939 TiB, a 227 PiB mixture or a 182 TiB DER grid, and an OverflowError
-# from 10^(snr_db / 10)
+# from 10^(snr_db / 10); and one that a 400-digit token found, an
+# OverflowError from an utterance id's time converted to seconds
 @example(case=("enhance", "cfg.json", "number", 0, "999999999999"))  # em_iterations
 @example(case=("simulate", "plan.json", "number", 1, "999999999999"))  # snr_db
 @example(case=("simulate", "plan.json", "number", 2, "999999999999"))  # onset_s
 @example(case=("score-der", "ref.rttm", "number", 2, "999999999999"))  # a duration
+@example(case=("score-cpcer", "hyp.trn", "number", 1, "9" * 400))  # an end time
 @settings(max_examples=200)
 @given(case=damages())
 def test_damaged_inputs_end_in_a_documented_exit_code(pristine, case):

@@ -110,6 +110,8 @@ def test_parse_utt_id_errors():
         parse_utt_id("alice-mtg-aa-200")
     with pytest.raises(DataError, match="start >= end"):
         parse_utt_id("alice-mtg-300-200")
+    with pytest.raises(DataError, match="too large for a float"):
+        parse_utt_id(f"alice-mtg-0-{'9' * 400}")
 
 
 # ------------------------------------------------------- text readers

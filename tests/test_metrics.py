@@ -7,6 +7,7 @@ import pytest
 import reference_kernels as ref_kernels
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import farfield.metrics
 from farfield import (
@@ -232,6 +233,38 @@ def test_cpcer_names_an_unhashable_token(side):
     refs, hyps = (bad, plain) if side == "ref" else (plain, bad)
     with pytest.raises(ParameterError, match=r"hashable, got \['b'\]"):
         cpcer(refs, hyps)
+
+
+@st.composite
+def cost_matrices(draw):
+    # int64, 0x0 to 8x8 either way round; {0, 1} ties heavily, and the
+    # negation is the form der passes
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    lo, hi = draw(st.sampled_from([(0, 1), (-1000, 1000), (-10**12, 10**12)]))
+    values = draw(st.lists(st.integers(lo, hi), min_size=n * m, max_size=n * m))
+    cost = np.array(values, dtype=np.int64).reshape(n, m)
+    return -cost if draw(st.booleans()) else cost
+
+
+@settings(max_examples=400)
+@given(cost=cost_matrices())
+@example(cost=np.full((4, 4), 7, dtype=np.int64))
+@example(cost=np.array([[3, 1, 2, 1]], dtype=np.int64))
+@example(cost=np.array([[3], [1], [2], [1]], dtype=np.int64))
+@example(cost=np.zeros((0, 0), dtype=np.int64))
+def test_assign_reaches_the_optimum_of_linear_sum_assignment(cost):
+    rows, cols = farfield.metrics._assign(cost)
+    best_rows, best_cols = linear_sum_assignment(cost)
+    assert len(rows) == len(cols) == min(cost.shape)
+    assert np.all(np.diff(rows) > 0) and np.all(rows >= 0)
+    assert len(set(cols.tolist())) == len(cols) and np.all(cols >= 0)
+    assert int(cost[rows, cols].sum()) == int(cost[best_rows, best_cols].sum())
+    # ties resolve as scipy resolves them, so scores keep their assignments
+    np.testing.assert_array_equal(rows, best_rows)
+    np.testing.assert_array_equal(cols, best_cols)
+    again = farfield.metrics._assign(cost)
+    np.testing.assert_array_equal(again[0], rows)
+    np.testing.assert_array_equal(again[1], cols)
 
 
 def _streams_by_rescan(ts, session):
